@@ -16,6 +16,13 @@ let or_die = function Ok x -> x | Error d -> die d
    instead of an uncaught-exception backtrace. *)
 let protect f = try f () with Tca_util.Diag.Error d -> die d
 
+(* A saved trace file; an unreadable or malformed one is a Parse
+   diagnostic (exit 2). *)
+let load_trace path =
+  try Tca_uarch.Trace.load path
+  with Failure message | Sys_error message ->
+    die (Tca_util.Diag.Parse { field = "trace file"; input = path; message })
+
 (* --- shared argument parsers --- *)
 
 let core_arg =
@@ -301,14 +308,14 @@ let model_cmd =
       const run $ core_t $ a_t $ v_t $ factor_t $ latency_t $ t_config_t
       $ config_mode_t $ config_depth_t $ config_invocations_t $ drain_t)
 
-(* --- engine plumbing (tca run / tca list / tca figure) --- *)
+(* --- engine plumbing (tca run / tca list / tca profile) --- *)
 
 let registry () = Tca_experiments.Jobs.registry ()
 
-(* Host-side sink for [tca run] / [tca figure] / [tca profile]: carries
-   the scheduler's own phase spans (cache.lookup, pool.spawn, ...) on
-   the calling domain's lane. Only built when some telemetry output was
-   requested, so the no-output path stays on the zero-cost branch. *)
+(* Host-side sink for [tca run]: carries the scheduler's own phase spans
+   (cache.lookup, pool.spawn, ...) on the calling domain's lane. Only
+   built when some telemetry output was requested, so the no-output path
+   stays on the zero-cost branch. *)
 let engine_host ~trace ~metrics =
   match (trace, metrics) with
   | None, None -> None
@@ -317,10 +324,10 @@ let engine_host ~trace ~metrics =
         (Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ())
            ())
 
-(* Merged-telemetry export shared by [tca run] and [tca figure]: the
-   per-job sinks are joined into the host sink in job order, so the
-   files are identical whatever --jobs was (host phase spans first,
-   then each job's events in input order). *)
+(* Merged-telemetry export of [tca run]: the per-job sinks are joined
+   into the host sink in job order, so the files are identical whatever
+   --jobs was (host phase spans first, then each job's events in input
+   order). *)
 let export_engine_telemetry ~trace ~metrics ~host outcomes =
   match host with
   | None -> ()
@@ -425,23 +432,24 @@ let design_cmd =
 
 (* --- shared workload selection (tca simulate / tca sim / tca trace) --- *)
 
+let workload_conv = Arg.enum Tca_experiments.Exp_common.workload_kinds
+
+let workload_info =
+  Arg.info [ "workload" ] ~docv:"KIND"
+    ~doc:"synthetic, heap, dgemm, hashmap, regex or strfn."
+
+let size_info =
+  Arg.info [ "size" ]
+    ~doc:
+      "Workload size: chunks (synthetic), app instrs per invocation \
+       (heap/hashmap/regex/strfn) or matrix dimension (dgemm); 0 = \
+       default."
+
 let sim_workload_t =
   Arg.(
-    value
-    & opt
-        (enum Tca_experiments.Exp_common.workload_kinds)
-        Tca_experiments.Exp_common.Heap
-    & info [ "workload" ] ~docv:"KIND"
-        ~doc:"synthetic, heap, dgemm, hashmap, regex or strfn.")
+    value & opt workload_conv Tca_experiments.Exp_common.Heap & workload_info)
 
-let sim_size_t =
-  Arg.(
-    value & opt int 0
-    & info [ "size" ]
-        ~doc:
-          "Workload size: chunks (synthetic), app instrs per invocation \
-           (heap/hashmap/regex/strfn) or matrix dimension (dgemm); 0 = \
-           default.")
+let sim_size_t = Arg.(value & opt int 0 & size_info)
 
 (* --- tca simulate --- *)
 
@@ -449,55 +457,80 @@ let simulate_cmd =
   let doc =
     "Run a workload's baseline and accelerated traces through the \
      cycle-level core simulator under all four couplings and compare \
-     with the model (the parameterless form is the [simulate.*] job \
-     family of $(b,tca run))."
+     with the model. Prints the $(b,simulate.)$(i,KIND) artifact of \
+     $(b,tca run), regenerated at --size."
   in
   let run workload size =
     protect @@ fun () ->
-    let cfg = Tca_experiments.Exp_common.validation_core () in
-    let pair, latency =
-      Tca_experiments.Exp_common.workload_pair ~cfg ~size workload
-    in
-    Format.printf "%a@." Tca_workloads.Meta.pp pair.Tca_workloads.Meta.meta;
-    let rows =
-      Tca_experiments.Exp_common.validate_pair ~cfg ~pair ~latency ()
-    in
-    Tca_util.Table.print ~headers:Tca_experiments.Exp_common.table_headers
-      (Tca_experiments.Exp_common.rows_to_table rows)
+    print_string
+      (Tca_engine.Artifact.to_text
+         (Tca_experiments.Exp_common.simulate_artifact ~size workload))
   in
   Cmd.v (Cmd.info "simulate" ~doc) Term.(const run $ sim_workload_t $ sim_size_t)
 
-(* --- tca sim (single-trace simulator run; was `tca run` before the
-   engine claimed that name) --- *)
+(* --- tca sim --- *)
 
 let sim_cmd =
   let doc =
-    "Run one workload trace through the cycle-level simulator under a \
-     single coupling mode, optionally exporting a Chrome trace, a \
-     metrics snapshot and JSON statistics."
+    "Run one trace through the cycle-level simulator under a single \
+     coupling mode: a saved TRACE file, or else a generated workload's \
+     accelerated (or --baseline) trace. Optionally exports a Chrome \
+     trace, a metrics snapshot and JSON statistics."
   in
+  let file_t =
+    Arg.(
+      value
+      & pos 0 (some file) None
+      & info [] ~docv:"TRACE"
+          ~doc:
+            "A saved trace file (see $(b,tca trace)); excludes --workload, \
+             --size and --baseline.")
+  in
+  let workload_t =
+    Arg.(value & opt (some ~none:"heap" workload_conv) None & workload_info)
+  in
+  let size_t = Arg.(value & opt (some ~none:"0" int) None & size_info) in
   let baseline_t =
     Arg.(
       value & flag
       & info [ "baseline" ]
           ~doc:
-            "Simulate the baseline (software-only) trace instead of the \
-             accelerated one.")
+            "Simulate the workload's baseline (software-only) trace \
+             instead of the accelerated one.")
   in
-  let run workload size mode baseline trace_out metrics_out json =
+  let max_cycles_t =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-cycles" ] ~docv:"N"
+          ~doc:
+            "Watchdog cycle budget; when exceeded the run stops and the \
+             statistics collected so far are reported as partial. Default: \
+             derived from the trace length.")
+  in
+  let run file workload size baseline mode max_cycles trace_out metrics_out
+      json =
     protect @@ fun () ->
     let cfg = Tca_experiments.Exp_common.validation_core () in
-    let pair, _ =
-      Tca_experiments.Exp_common.workload_pair ~cfg ~size workload
+    let trace, meta =
+      match file with
+      | Some file -> (load_trace file, None)
+      | None ->
+          let pair, _ =
+            Tca_experiments.Exp_common.workload_pair ~cfg ?size
+              (Option.value workload
+                 ~default:Tca_experiments.Exp_common.Heap)
+          in
+          if baseline then (pair.Tca_workloads.Meta.baseline, None)
+          else
+            ( pair.Tca_workloads.Meta.accelerated,
+              Some pair.Tca_workloads.Meta.meta )
     in
     let cfg =
       Tca_uarch.Config.with_coupling cfg
         (Tca_experiments.Exp_common.coupling_of_mode mode)
     in
-    let trace =
-      if baseline then pair.Tca_workloads.Meta.baseline
-      else pair.Tca_workloads.Meta.accelerated
-    in
+    let cfg = { cfg with Tca_uarch.Config.max_cycles } in
     let partial =
       with_telemetry ~trace:trace_out ~metrics:metrics_out @@ fun telemetry ->
       let stats, partial =
@@ -509,9 +542,7 @@ let sim_cmd =
         print_endline
           (Tca_util.Json.to_string_indent (Tca_uarch.Sim_stats.to_json stats))
       else begin
-        if not baseline then
-          Format.printf "%a@." Tca_workloads.Meta.pp
-            pair.Tca_workloads.Meta.meta;
+        Option.iter (Format.printf "%a@." Tca_workloads.Meta.pp) meta;
         Format.printf "%a@." Tca_uarch.Sim_stats.pp stats
       end;
       partial
@@ -522,10 +553,17 @@ let sim_cmd =
         prerr_endline ("tca: warning: " ^ Tca_util.Diag.to_string diag);
         exit (Tca_util.Diag.exit_code diag)
   in
+  (* A TRACE file and the workload selectors are two ways to name the
+     one trace to run; giving both is a usage error (exit 124). *)
+  let check file workload size baseline =
+    if file <> None && (workload <> None || size <> None || baseline) then
+      `Error (true, "a TRACE file excludes --workload, --size and --baseline")
+    else `Ok (run file workload size baseline)
+  in
   Cmd.v (Cmd.info "sim" ~doc)
     Term.(
-      const run $ sim_workload_t $ sim_size_t $ mode_t $ baseline_t
-      $ trace_out_t $ metrics_out_t $ json_t)
+      ret (const check $ file_t $ workload_t $ size_t $ baseline_t)
+      $ mode_t $ max_cycles_t $ trace_out_t $ metrics_out_t $ json_t)
 
 (* --- tca trace --- *)
 
@@ -556,67 +594,6 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ sim_workload_t $ out_t $ sim_size_t)
-
-(* --- tca run-trace --- *)
-
-let run_trace_cmd =
-  let doc =
-    "Load a saved trace and run it through the core simulator under one \
-     coupling mode."
-  in
-  let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE")
-  in
-  let max_cycles_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-cycles" ] ~docv:"N"
-          ~doc:
-            "Watchdog cycle budget; when exceeded the run stops and the \
-             statistics collected so far are reported as partial. Default: \
-             derived from the trace length.")
-  in
-  let run file mode max_cycles trace_out metrics_out json =
-    protect @@ fun () ->
-    let trace =
-      try Tca_uarch.Trace.load file
-      with Failure message | Sys_error message ->
-        die (Tca_util.Diag.Parse { field = "trace file"; input = file; message })
-    in
-    let cfg =
-      Tca_uarch.Config.with_coupling
-        (Tca_uarch.Config.hp ())
-        (Tca_experiments.Exp_common.coupling_of_mode mode)
-    in
-    let cfg = { cfg with Tca_uarch.Config.max_cycles } in
-    let partial =
-      with_telemetry ~trace:trace_out ~metrics:metrics_out @@ fun telemetry ->
-      let print_stats stats =
-        if json then
-          print_endline
-            (Tca_util.Json.to_string_indent
-               (Tca_uarch.Sim_stats.to_json stats))
-        else Format.printf "%a@." Tca_uarch.Sim_stats.pp stats
-      in
-      match or_die (Tca_uarch.Pipeline.run ?telemetry cfg trace) with
-      | Tca_uarch.Pipeline.Complete stats ->
-          print_stats stats;
-          None
-      | Tca_uarch.Pipeline.Partial { stats; diag } ->
-          print_stats stats;
-          Some diag
-    in
-    match partial with
-    | None -> ()
-    | Some diag ->
-        prerr_endline ("tca: warning: " ^ Tca_util.Diag.to_string diag);
-        exit (Tca_util.Diag.exit_code diag)
-  in
-  Cmd.v (Cmd.info "run-trace" ~doc)
-    Term.(
-      const run $ file_t $ mode_t $ max_cycles_t $ trace_out_t $ metrics_out_t
-      $ json_t)
 
 (* --- tca analyze --- *)
 
@@ -697,14 +674,8 @@ let analyze_cmd =
   let run file baseline_file mode lint_only bounds_only check
       config_break_even json =
     protect @@ fun () ->
-    let load path =
-      try Tca_uarch.Trace.load path
-      with Failure message | Sys_error message ->
-        die
-          (Tca_util.Diag.Parse { field = "trace file"; input = path; message })
-    in
-    let trace = load file in
-    let baseline = Option.map load baseline_file in
+    let trace = load_trace file in
+    let baseline = Option.map load_trace baseline_file in
     let cfg =
       Tca_uarch.Config.with_coupling
         (Tca_uarch.Config.hp ())
@@ -1065,39 +1036,6 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ json_t)
 
-(* --- tca figure (registry-backed alias of `tca run <ID>`) --- *)
-
-let figure_cmd =
-  let doc = "Regenerate a paper table/figure (alias for $(b,tca run ID))." in
-  let id_t =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ID"
-          ~doc:"A registered job name: table1, fig2..fig8, logca, partial, \
-                design, mechanistic, occupancy, cores, hashmap, regexv, \
-                strfn or simulate.<workload> — see $(b,tca list).")
-  in
-  let run id quick trace_out metrics_out =
-    protect @@ fun () ->
-    let js = or_die (Tca_engine.Registry.resolve (registry ()) [ id ]) in
-    let collect = trace_out <> None || metrics_out <> None in
-    let host = engine_host ~trace:trace_out ~metrics:metrics_out in
-    let outcomes =
-      Tca_engine.Scheduler.run ~quick ~collect_telemetry:collect
-        ?host_telemetry:host js
-    in
-    export_engine_telemetry ~trace:trace_out ~metrics:metrics_out ~host
-      outcomes;
-    List.iter
-      (fun (o : Tca_engine.Scheduler.outcome) ->
-        print_string
-          (Tca_engine.Artifact.to_text (Tca_engine.Scheduler.artifact_exn o)))
-      outcomes
-  in
-  Cmd.v (Cmd.info "figure" ~doc)
-    Term.(const run $ id_t $ quick_t $ trace_out_t $ metrics_out_t)
-
 (* --- tca profile --- *)
 
 let profile_cmd =
@@ -1260,12 +1198,6 @@ let verify_cmd =
         .Tca_uarch.Cache.line_bytes
     in
     let rob_size = cfg.Tca_uarch.Config.rob_size in
-    let load path =
-      try Tca_uarch.Trace.load path
-      with Failure message | Sys_error message ->
-        die
-          (Tca_util.Diag.Parse { field = "trace file"; input = path; message })
-    in
     let multi_pair kind =
       let sc = Tca_workloads.Multi_tca.generate (Tca_workloads.Multi_tca.config kind) in
       ( Tca_workloads.Multi_tca.kind_name kind,
@@ -1300,7 +1232,7 @@ let verify_cmd =
           | Some kind -> [ multi_pair kind ]
           | None -> (
           match accel_file with
-          | Some accel -> [ (target, load target, load accel) ]
+          | Some accel -> [ (target, load_trace target, load_trace accel) ]
           | None ->
               die
                 (Tca_util.Diag.Parse
@@ -1386,6 +1318,6 @@ let () =
        (Cmd.group info
           [
             modes_cmd; model_cmd; design_cmd; simulate_cmd; sim_cmd;
-            run_cmd; list_cmd; trace_cmd; run_trace_cmd; analyze_cmd;
-            verify_cmd; trace_report_cmd; figure_cmd; profile_cmd;
+            run_cmd; list_cmd; trace_cmd; analyze_cmd; verify_cmd;
+            trace_report_cmd; profile_cmd;
           ]))

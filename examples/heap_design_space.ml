@@ -40,8 +40,6 @@ let () =
          @ [ safe ])
        gaps);
   (* Cross-check two points against the cycle-level simulator. *)
-  print_newline ();
-  print_endline "Simulator cross-check (v and a as generated):";
   let cfg = Tca_experiments.Exp_common.validation_core () in
   List.iter
     (fun gap ->
@@ -52,11 +50,19 @@ let () =
       let rows =
         Tca_experiments.Exp_common.validate_pair ~cfg ~pair ~latency:1.0 ()
       in
-      Tca_util.Table.print
-        ~headers:Tca_experiments.Exp_common.table_headers
-        (Tca_experiments.Exp_common.rows_to_table rows);
-      print_newline ())
+      print_newline ();
+      print_string
+        (Tca_engine.Artifact.to_text
+           (Tca_experiments.Exp_common.validation_artifact
+              ~job:"heap_design_space"
+              ~title:
+                (Printf.sprintf
+                   "Simulator cross-check at app gap %d (v and a as \
+                    generated):"
+                   gap)
+              rows)))
     [ 400; 50 ];
+  print_newline ();
   (* What partial speculation buys (paper Section VIII). *)
   let s = scenario_of_gap 100 in
   match

@@ -304,5 +304,3 @@ let validate_artifact results =
            breakdown):";
         A.Table (stall_table results);
       ])
-
-let print results = print_string (A.to_text (validate_artifact results))

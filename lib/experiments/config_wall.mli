@@ -51,5 +51,3 @@ val validate :
 val validate_artifact : vresult list -> Tca_engine.Artifact.t
 (** The [simulate.config_wall] artifact: the standard validation table
     and summaries plus the simulator's config-stall counters. *)
-
-val print : vresult list -> unit

@@ -69,5 +69,3 @@ let artifact results =
             simulator: %b"
            (hp_more_sensitive results));
     ]
-
-let print results = print_string (Tca_engine.Artifact.to_text (artifact results))

@@ -25,4 +25,3 @@ val run :
 val hp_more_sensitive : core_result list -> bool
 
 val artifact : core_result list -> Tca_engine.Artifact.t
-val print : core_result list -> unit

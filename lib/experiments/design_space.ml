@@ -127,5 +127,3 @@ let artifact () =
     (List.concat_map
        (fun row -> pareto_items row @ energy_items row @ sensitivity_items row)
        scenarios)
-
-let print () = print_string (A.to_text (artifact ()))

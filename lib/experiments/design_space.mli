@@ -19,7 +19,5 @@ val pareto : scenario_row -> Tca_model.Hw_cost.design list * Tca_model.Hw_cost.d
 val energy : scenario_row -> Tca_model.Energy.verdict list
 
 val artifact : unit -> Tca_engine.Artifact.t
-
-val print : unit -> unit
 (** Pareto fronts, energy verdicts, and the sensitivity tornado for each
     scenario. *)

@@ -138,11 +138,6 @@ let validation_table rows =
            ])
        rows)
 
-let rows_to_table rows =
-  List.map
-    (List.map Tca_engine.Artifact.cell_text)
-    (validation_table rows).Tca_engine.Artifact.cells
-
 let points_of_rows rows =
   List.map
     (fun r ->
@@ -184,9 +179,6 @@ let validation_summary_notes rows =
     report "model (paper drain)" (points_of_rows rows);
     report "model (refill drain)" (refill_points_of_rows rows);
   ]
-
-let print_validation_summary rows =
-  List.iter print_endline (validation_summary_notes rows)
 
 let validation_artifact ~job ~title ?(notes = []) rows =
   Tca_engine.Artifact.make ~job ~title
@@ -252,6 +244,23 @@ let workload_pair ?telemetry ~cfg ?(size = 0) kind =
       in
       (p, auto_latency p)
 
+let workload_name kind =
+  fst (List.find (fun (_, k) -> k = kind) workload_kinds)
+
+let simulate_title kind =
+  Printf.sprintf
+    "simulate: %s workload under all four couplings, model vs simulator"
+    (workload_name kind)
+
+let simulate_artifact ?telemetry ?par ?size kind =
+  let cfg = validation_core () in
+  let pair, latency = workload_pair ?telemetry ~cfg ?size kind in
+  validation_artifact
+    ~job:("simulate." ^ workload_name kind)
+    ~title:(simulate_title kind)
+    ~notes:[ Format.asprintf "%a" Meta.pp pair.Meta.meta ]
+    (validate_pair ?telemetry ?par ~cfg ~pair ~latency ())
+
 (* Small instances of the six families for the golden Sim_stats tests:
    big enough to exercise every pipeline mechanism (accel reads/writes,
    branches, cache misses), small enough that ten full runs stay well
@@ -282,26 +291,3 @@ let golden_pairs () =
         (Strfn_workload.generate
            (Strfn_workload.config ~n_calls:100 ~app_instrs_per_call:60 ())) );
   ]
-
-let validation_csv rows =
-  Tca_engine.Artifact.table_csv
-    (Tca_engine.Artifact.table ~name:"validation"
-       ~headers:
-         [
-           "workload"; "v"; "a"; "base_ipc"; "mode"; "sim_speedup";
-           "model_speedup"; "model_refill_speedup";
-         ]
-       (List.map
-          (fun r ->
-            Tca_engine.Artifact.
-              [
-                text r.workload;
-                flt r.v;
-                flt r.a;
-                flt r.base_ipc;
-                text (Tca_model.Mode.to_string r.mode);
-                flt r.sim_speedup;
-                flt r.model_speedup;
-                flt r.model_refill_speedup;
-              ])
-          rows))

@@ -72,12 +72,9 @@ val par_rows :
     to the serial sweep. The item function must be pure modulo its own
     sink. *)
 
-val rows_to_table : validation_row list -> string list list
-val table_headers : string list
-
 val validation_table : validation_row list -> Tca_engine.Artifact.table
-(** The standard 10-column validation table (typed cells); the text
-    rendering equals [rows_to_table]/[table_headers]. *)
+(** The standard 10-column validation table (typed cells), named
+    [validation]. *)
 
 val validation_summary_notes : validation_row list -> string list
 (** Both estimators' error summaries plus trend-preservation flags, as
@@ -95,12 +92,6 @@ val points_of_rows : validation_row list -> Tca_model.Validate.point list
 val refill_points_of_rows :
   validation_row list -> Tca_model.Validate.point list
 
-val print_validation_summary : validation_row list -> unit
-(** [validation_summary_notes], printed. *)
-
-val validation_csv : validation_row list -> string
-(** Machine-readable form of the validation rows. *)
-
 (** {2 Workloads shared by the CLI and the [simulate.*] jobs} *)
 
 type workload_kind = Synthetic | Heap | Dgemm | Hashmap | Regex | Strfn
@@ -117,6 +108,20 @@ val workload_pair :
     (synthetic), app instructions per invocation (heap, hashmap, regex,
     strfn) or the matrix dimension (dgemm). With [telemetry], the
     generation is recorded as a [sim.workload] span. *)
+
+val simulate_title : workload_kind -> string
+(** Title of the [simulate.<workload>] job and its artifact. *)
+
+val simulate_artifact :
+  ?telemetry:Tca_telemetry.Sink.t ->
+  ?par:Tca_util.Parmap.t ->
+  ?size:int ->
+  workload_kind ->
+  Tca_engine.Artifact.t
+(** The [simulate.<workload>] artifact, shared by that job and
+    [tca simulate]: the workload's {!Tca_workloads.Meta} line, then the
+    {!validation_artifact} of its baseline and accelerated traces under
+    all four couplings. [size] is as in {!workload_pair}. *)
 
 val golden_pairs : unit -> (string * Tca_workloads.Meta.pair) list
 (** One deliberately small, deterministic instance of each of the six

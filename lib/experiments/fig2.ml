@@ -47,6 +47,3 @@ let artifact rows =
       A.Note "Reference accelerators (estimated granularities):";
       A.Table markers_table;
     ]
-
-let print rows = print_string (A.to_text (artifact rows))
-let csv rows = A.table_csv (series_table rows)

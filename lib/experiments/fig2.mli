@@ -12,7 +12,3 @@ val run : ?telemetry:Tca_telemetry.Sink.t -> ?points:int -> unit -> row list
 
 val artifact : row list -> Tca_engine.Artifact.t
 (** Sweep table, then the reference-accelerator markers. *)
-
-val print : row list -> unit
-val csv : row list -> string
-(** The sweep table alone (no markers), matching the historical CSV. *)

@@ -119,5 +119,3 @@ let artifact timelines =
                   ])
                 timelines));
       ])
-
-let print timelines = print_string (A.to_text (artifact timelines))

@@ -22,7 +22,3 @@ val run :
 val artifact : timeline list -> Tca_engine.Artifact.t
 (** Bar strips (one character per 2 cycles) as notes, plus a
     machine-readable timeline table in the CSV/JSON views only. *)
-
-val print : timeline list -> unit
-(** Renders each mode's issue activity as a bar strip (one character per
-    2 cycles), striped sections showing the reduced-ILP regions. *)

@@ -36,5 +36,3 @@ let artifact rows =
   Exp_common.validation_artifact ~job:"fig4"
     ~title:"Fig. 4: model vs simulator on the synthetic microbenchmark sweep"
     rows
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

@@ -15,4 +15,3 @@ val run :
 val summary : Exp_common.validation_row list -> (Tca_model.Validate.summary, Tca_model.Diag.t) result
 val trends_hold : Exp_common.validation_row list -> bool
 val artifact : Exp_common.validation_row list -> Tca_engine.Artifact.t
-val print : Exp_common.validation_row list -> unit

@@ -33,5 +33,3 @@ let artifact rows =
       "Fig. 5: heap-manager TCA — simulated (b) vs analytical (a) speedup \
        and error (c) across invocation frequencies"
     rows
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

@@ -26,5 +26,3 @@ let artifact rows =
       "Fig. 6: blocked DGEMM acceleration, measured (sim) vs estimated \
        (model) speedup over the element-wise software kernel"
     rows
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

@@ -111,6 +111,3 @@ let artifact maps =
            ])
          maps
     @ [ A.Table (cells_table maps) ])
-
-let print maps = print_string (A.to_text (artifact maps))
-let csv maps = A.table_csv (cells_table maps)

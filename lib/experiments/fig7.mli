@@ -19,13 +19,7 @@ val run :
     each grid's row sweep with identical results. *)
 
 val artifact : map list -> Tca_engine.Artifact.t
-(** Heatmaps as notes in the text view; the long-format cell table only
-    in the CSV/JSON views. *)
-
-val print : map list -> unit
-(** ASCII heatmaps with 'H' marking the heap-manager curve and 'G' the
-    mean GreenDroid-function curve. *)
-
-val csv : map list -> string
-(** Long format: core, mode, coverage, frequency, speedup (feasible cells
-    only). *)
+(** ASCII heatmaps as notes in the text view, with 'H' marking the
+    heap-manager curve and 'G' the mean GreenDroid-function curve; the
+    long-format cell table (core, mode, coverage, frequency, speedup;
+    feasible cells only) in the CSV/JSON views. *)

@@ -86,6 +86,3 @@ let artifact series =
              s_star a_star);
       ]
     @ maxima_notes)
-
-let print series = print_string (A.to_text (artifact series))
-let csv series = A.table_csv (series_table series)

@@ -22,8 +22,3 @@ val nl_t_local_maxima : series list -> (float * float) list
 val artifact : series list -> Tca_engine.Artifact.t
 (** A thinned table (every 4th point) for the text view, the full series
     table for CSV/JSON, and the peak/optimum notes. *)
-
-val print : series list -> unit
-
-val csv : series list -> string
-(** The full series table. *)

@@ -51,5 +51,3 @@ let artifact (rows, mean_probes) =
              ~probes:(int_of_float (Float.round mean_probes)));
       ]
     rows
-
-let print result = print_string (Tca_engine.Artifact.to_text (artifact result))

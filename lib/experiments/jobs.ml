@@ -1,4 +1,3 @@
-module A = Tca_engine.Artifact
 module Job = Tca_engine.Job
 module Registry = Tca_engine.Registry
 
@@ -131,34 +130,11 @@ let figure_jobs =
 let simulate_job (cli_name, kind) =
   job
     ~name:("simulate." ^ cli_name)
-    ~title:
-      (Printf.sprintf
-         "simulate: %s workload under all four couplings, model vs simulator"
-         cli_name)
+    ~title:(Exp_common.simulate_title kind)
     ~params:[ ("workload", cli_name) ]
     (fun ctx ->
-      let cfg = Exp_common.validation_core () in
-      let pair, latency =
-        Exp_common.workload_pair ?telemetry:ctx.Job.telemetry ~cfg kind
-      in
-      let rows =
-        Exp_common.validate_pair ?telemetry:ctx.Job.telemetry ~par:ctx.Job.par
-          ~cfg ~pair ~latency ()
-      in
-      A.make
-        ~job:("simulate." ^ cli_name)
-        ~title:
-          (Printf.sprintf
-             "simulate: %s workload under all four couplings, model vs \
-              simulator"
-             cli_name)
-        (A.Note
-           (Format.asprintf "%a" Tca_workloads.Meta.pp
-              pair.Tca_workloads.Meta.meta)
-        :: A.Table (Exp_common.validation_table rows)
-        :: List.map
-             (fun n -> A.Note n)
-             (Exp_common.validation_summary_notes rows)))
+      Exp_common.simulate_artifact ?telemetry:ctx.Job.telemetry
+        ~par:ctx.Job.par kind)
 
 let all () =
   figure_jobs @ List.map simulate_job Exp_common.workload_kinds

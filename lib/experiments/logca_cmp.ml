@@ -66,5 +66,3 @@ let artifact rows =
         (Printf.sprintf "LogCA asymptotic kernel speedup = %.2f"
            (Tca_logca.Logca.asymptotic_speedup logca_params));
     ]
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

@@ -20,4 +20,3 @@ val logca_params : Tca_logca.Logca.t
     latency (tightly-coupled data path). *)
 
 val artifact : row list -> Tca_engine.Artifact.t
-val print : row list -> unit

@@ -145,5 +145,3 @@ let artifact rows =
                 ])
               rows));
     ]
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

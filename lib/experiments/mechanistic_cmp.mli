@@ -22,4 +22,3 @@ val run :
     merged trace. *)
 
 val artifact : row list -> Tca_engine.Artifact.t
-val print : row list -> unit

@@ -220,5 +220,3 @@ let sweep_artifact (core, base, rows) =
             t_cont = chi * v * t_commit contention term)"
            worst);
     ]
-
-let print results = print_string (A.to_text (artifact results))

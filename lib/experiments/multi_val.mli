@@ -80,9 +80,3 @@ val sweep_artifact :
     * (Tca_model.Mode.t * float) list)
     list ->
   Tca_engine.Artifact.t
-
-val print :
-  (Tca_workloads.Multi_tca.scenario
-  * (Exp_common.validation_row list * Tca_uarch.Simulator.comparison))
-  list ->
-  unit

@@ -77,5 +77,3 @@ let artifact rows =
         "(the policies differ only where trailing concurrency lets \
          invocations overlap — the NT modes serialise invocations anyway)";
     ]
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

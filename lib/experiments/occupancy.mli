@@ -24,4 +24,3 @@ val run :
     and merged trace. *)
 
 val artifact : row list -> Tca_engine.Artifact.t
-val print : row list -> unit

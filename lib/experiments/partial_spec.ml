@@ -135,5 +135,3 @@ let artifact ?telemetry ?par ?quick rows =
         (Printf.sprintf "simulated speedup grows with speculation coverage: %b"
            (monotone sim));
     ]
-
-let print rows = print_string (Tca_engine.Artifact.to_text (artifact rows))

@@ -40,5 +40,3 @@ val artifact :
   ?quick:bool -> row list -> Tca_engine.Artifact.t
 (** The model blend table, the 95%-confidence note, and the simulator
     cross-check (which this call runs). *)
-
-val print : row list -> unit

@@ -51,5 +51,3 @@ let artifact (rows, mean_scan) =
              ~chars_scanned:(int_of_float mean_scan));
       ]
     rows
-
-let print result = print_string (Tca_engine.Artifact.to_text (artifact result))

@@ -51,5 +51,3 @@ let artifact (rows, mean_bytes) =
              ~bytes_inspected:(int_of_float mean_bytes));
       ]
     rows
-
-let print result = print_string (Tca_engine.Artifact.to_text (artifact result))

@@ -15,5 +15,3 @@ val run :
 
 val artifact :
   Exp_common.validation_row list * float -> Tca_engine.Artifact.t
-
-val print : Exp_common.validation_row list * float -> unit

@@ -26,5 +26,3 @@ let artifact () =
                 ])
               Presets.names));
     ]
-
-let print () = print_string (A.to_text (artifact ()))

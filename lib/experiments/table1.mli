@@ -3,4 +3,3 @@
 
 val rows : unit -> string list list
 val artifact : unit -> Tca_engine.Artifact.t
-val print : unit -> unit

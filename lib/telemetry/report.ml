@@ -12,6 +12,8 @@ type interval_row = {
 type t = {
   events : int;
   cycles : float;
+  runs : int;
+  run_cycles : float;
   stall_totals : (string * float) list;
   pipeline_totals : (string * float) list;
   accel_spans : int;
@@ -97,6 +99,8 @@ let of_events evs =
         r
   in
   let cycles = ref 0.0 in
+  let runs = ref 0 in
+  let run_cycles = ref 0.0 in
   let accel_spans = ref 0 in
   let accel_busy = ref 0.0 in
   let accel_list = ref [] in
@@ -137,6 +141,9 @@ let of_events evs =
                 !r with
                 rob_avg = (try List.assoc "avg" e.e_args with Not_found -> 0.0);
               }
+        | "sim.run", "X" ->
+            incr runs;
+            run_cycles := !run_cycles +. e.e_dur
         | "accel.invoke", "X" ->
             incr accel_spans;
             accel_busy := !accel_busy +. e.e_dur;
@@ -168,6 +175,8 @@ let of_events evs =
   {
     events = List.length evs;
     cycles = !cycles;
+    runs = !runs;
+    run_cycles = !run_cycles;
     stall_totals =
       List.sort (fun (_, a) (_, b) -> compare b a) !stall_totals;
     pipeline_totals =
@@ -230,13 +239,22 @@ let shade f =
   else '#'
 
 let pp fmt t =
-  Format.fprintf fmt "trace: %d events over %.0f cycles@." t.events t.cycles;
+  Format.fprintf fmt "trace: %d events over %.0f cycles" t.events t.cycles;
+  if t.runs > 0 then
+    Format.fprintf fmt " (%d sim run%s, %.0f simulated cycles)" t.runs
+      (if t.runs = 1 then "" else "s")
+      t.run_cycles;
+  Format.fprintf fmt "@.";
+  (* Shares are of the summed run lengths: every run of a sweep starts at
+     cycle 0, so the track extent is only the longest one. *)
+  let simulated = if t.runs > 0 then t.run_cycles else t.cycles in
+  let share v = 100.0 *. v /. Float.max 1.0 simulated in
   (* Stall sources. *)
   let stall_sum = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 t.stall_totals in
   if stall_sum > 0.0 then begin
-    Format.fprintf fmt "@.top stall sources (%.0f stalled cycles, %.1f%% of run):@."
-      stall_sum
-      (100.0 *. stall_sum /. Float.max 1.0 t.cycles);
+    Format.fprintf fmt
+      "@.top stall sources (%.0f stalled cycles, %.1f%% of simulated cycles):@."
+      stall_sum (share stall_sum);
     List.iter
       (fun (name, v) ->
         if v > 0.0 then
@@ -256,8 +274,7 @@ let pp fmt t =
   (* Accelerator occupancy. *)
   Format.fprintf fmt
     "@.accelerator: %d invocations, %.0f busy cycles (%.1f%% occupancy)@."
-    t.accel_spans t.accel_busy
-    (100.0 *. t.accel_busy /. Float.max 1.0 t.cycles);
+    t.accel_spans t.accel_busy (share t.accel_busy);
   if t.accel_spans > 0 then begin
     Format.fprintf fmt "  timeline [";
     Array.iter (fun f -> Format.pp_print_char fmt (shade f)) t.occupancy;

@@ -22,6 +22,10 @@ type interval_row = {
 type t = {
   events : int;  (** total events in the trace *)
   cycles : float;  (** extent of the simulator track *)
+  runs : int;
+      (** [sim.run] spans: one per simulator run recorded in the trace
+          (a validation sweep records many, all starting at cycle 0) *)
+  run_cycles : float;  (** summed [sim.run] durations *)
   stall_totals : (string * float) list;  (** per reason, sorted desc *)
   pipeline_totals : (string * float) list;  (** committed/dispatched/issued *)
   accel_spans : int;
@@ -45,5 +49,7 @@ val of_file : string -> (t, Tca_util.Diag.t) result
 (** Read and parse the file, then {!of_json}. *)
 
 val pp : Format.formatter -> t -> unit
-(** Human-readable rendering: stall table, ASCII occupancy timeline,
-    interval table (elided in the middle when long). *)
+(** Human-readable rendering: run count, stall table, ASCII occupancy
+    timeline, interval table (elided in the middle when long). Stall
+    and occupancy shares are taken of [run_cycles] when the trace has
+    [sim.run] spans, else of [cycles]. *)

@@ -191,9 +191,9 @@ let legacy_figure_ids =
   ]
 
 let test_every_figure_id_registered () =
-  (* Every id `tca figure` historically accepted resolves through the
-     registry, plus one simulate.* job per workload family — so the CLI
-     has no orphan dispatch. *)
+  (* Every paper table/figure and extension id resolves through the
+     registry, plus one simulate.* job per workload family — so
+     `tca run` has no orphan dispatch. *)
   let r = Tca_experiments.Jobs.registry () in
   List.iter
     (fun id ->

@@ -7,6 +7,15 @@ open Tca_model
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
+(* The non-empty CSV lines of one named table of a job's artifact. *)
+let csv_lines (artifact : Tca_engine.Artifact.t) name =
+  match Tca_engine.Artifact.find_table artifact name with
+  | None -> Alcotest.failf "%s has no %S table" artifact.job name
+  | Some t ->
+      List.filter
+        (fun l -> l <> "")
+        (String.split_on_char '\n' (Tca_engine.Artifact.table_csv t))
+
 (* --- Exp_common --- *)
 
 let test_mode_coupling_roundtrip () =
@@ -49,11 +58,8 @@ let test_fig2 () =
   Alcotest.(check bool) "modes converge at coarse grain" true (spread < 0.01)
 
 let test_fig2_csv () =
-  let rows = Fig2.run ~points:5 () in
-  let csv = Fig2.csv rows in
-  Alcotest.(check int) "header + 5 lines" 6
-    (List.length
-       (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)))
+  let lines = csv_lines (Fig2.artifact (Fig2.run ~points:5 ())) "speedup" in
+  Alcotest.(check int) "header + 5 lines" 6 (List.length lines)
 
 (* --- Fig 3 --- *)
 
@@ -248,13 +254,9 @@ let test_fig8 () =
 (* --- CSV emission --- *)
 
 let test_csv_functions () =
-  let rows = Fig8.run ~points:5 () in
-  let csv = Fig8.csv rows in
-  Alcotest.(check int) "fig8 header + 5 rows" 6
-    (List.length (List.filter (fun l -> l <> "") (String.split_on_char '\n' csv)));
-  let maps = Fig7.run ~cols:6 ~rows:3 () in
-  let csv7 = Fig7.csv maps in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv7) in
+  let lines8 = csv_lines (Fig8.artifact (Fig8.run ~points:5 ())) "series" in
+  Alcotest.(check int) "fig8 header + 5 rows" 6 (List.length lines8);
+  let lines = csv_lines (Fig7.artifact (Fig7.run ~cols:6 ~rows:3 ())) "cells" in
   (* 8 maps x at most 18 feasible cells each, plus the header. *)
   Alcotest.(check bool) "fig7 long format populated" true
     (List.length lines > 8 && List.length lines <= (8 * 18) + 1);
@@ -273,9 +275,14 @@ let test_validation_csv () =
       model_refill_speedup = sim;
     }
   in
-  let csv = Exp_common.validation_csv [ mk Mode.L_T 1.5; mk Mode.NL_NT 0.9 ] in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
-  Alcotest.(check int) "header + 2 rows" 3 (List.length lines)
+  let artifact =
+    Exp_common.validation_artifact ~job:"w" ~title:"w"
+      [ mk Mode.L_T 1.5; mk Mode.NL_NT 0.9 ]
+  in
+  let lines = csv_lines artifact "validation" in
+  Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
+  Alcotest.(check string) "validation header"
+    "workload,v,a,ipc,mode,sim,model,error,model-rf,error-rf" (List.hd lines)
 
 (* --- LogCA comparison --- *)
 

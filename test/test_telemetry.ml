@@ -392,6 +392,50 @@ let test_report_from_sim () =
       let rendered = Format.asprintf "%a" Report.pp rep in
       Alcotest.(check bool) "renders" true (String.length rendered > 0)
 
+(* A validation sweep records many simulator runs into one trace, each
+   starting at cycle 0: the stall and occupancy shares are taken of the
+   summed run lengths, not of the longest run. Two runs of 100 and 80
+   cycles, each 75% stalled and 75% accelerator-busy. *)
+let test_report_multi_run_shares () =
+  let sink = Sink.create () in
+  List.iter
+    (fun dur ->
+      Sink.span sink ~cat:"sim" ~ts:0.0 ~dur "sim.run";
+      Sink.counter sink ~cat:"sim" ~ts:dur "sim.stalls"
+        [ ("rob", 0.75 *. dur) ];
+      Sink.span sink ~cat:"sim" ~ts:0.0 ~dur:(0.75 *. dur) "accel.invoke")
+    [ 100.0; 80.0 ];
+  match Report.of_json (Exporter.chrome_trace_json sink) with
+  | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
+  | Ok rep ->
+      let lines =
+        String.split_on_char '\n' (Format.asprintf "%a" Report.pp rep)
+      in
+      (* The percentage on the rendered line starting with [prefix]. *)
+      let share prefix =
+        match List.find_opt (String.starts_with ~prefix) lines with
+        | None -> Alcotest.failf "no %S line rendered" prefix
+        | Some line ->
+            let stop = String.index line '%' in
+            let rec start i =
+              if String.contains "0123456789." line.[i - 1] then start (i - 1)
+              else i
+            in
+            let i = start stop in
+            float_of_string (String.sub line i (stop - i))
+      in
+      List.iter
+        (fun prefix ->
+          let pct = share prefix in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %.1f%% <= 100%%" prefix pct)
+            true (pct <= 100.0);
+          Alcotest.(check (float 0.05)) prefix 75.0 pct)
+        [ "top stall sources"; "accelerator:" ];
+      Alcotest.(check string) "run count"
+        "trace: 6 events over 100 cycles (2 sim runs, 180 simulated cycles)"
+        (List.hd lines)
+
 let test_report_degrades () =
   match Report.of_json (Json.List []) with
   | Ok rep ->
@@ -804,6 +848,8 @@ let () =
       ( "report",
         [
           Alcotest.test_case "from sim" `Quick test_report_from_sim;
+          Alcotest.test_case "multi-run shares" `Quick
+            test_report_multi_run_shares;
           Alcotest.test_case "degrades" `Quick test_report_degrades;
           Alcotest.test_case "rejects garbage" `Quick
             test_report_rejects_garbage;
