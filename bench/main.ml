@@ -12,10 +12,12 @@
    Targets: simulator scaling all
 
    The [simulator] target times the optimized pipeline against the
-   verbatim pre-optimization reference (Pipeline_reference) on the same
-   trace, plus Simulator.run_batch serial vs a domain pool, and records
-   both ratios under "simulator" in the JSON summary. CI guards the
-   single-trace speedup against the committed BENCH_results.json.
+   independent reference implementation of the core (Pipeline_reference)
+   on the same trace in alternating pairs, plus Simulator.run_batch
+   serial vs a domain pool, and records both ratios under "simulator" in
+   the JSON summary: the single-trace speedup is the median per-pair
+   ratio, with its quartiles beside it. CI guards that median against
+   the committed BENCH_results.json.
 
    The [scaling] target runs a fixed job mix fully profiled at 1..N
    domains and records {domains, wall_s, speedup, efficiency} plus the
@@ -78,7 +80,7 @@ let run_simulator () =
   let cfg = Config.hp () in
   let trace = pair.Tca_workloads.Meta.baseline in
   let uops = Trace.length trace in
-  let reps = if !quick then 3 else 10 in
+  let pairs = if !quick then 15 else 41 in
   let time f =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -94,21 +96,35 @@ let run_simulator () =
     Printf.eprintf
       "[simulator] WARNING: optimized stats differ from reference\n";
   (* The identity check above also warmed both paths (and the decode
-     memo), so the timed loops run steady-state. *)
-  let optimized_s =
-    time (fun () ->
-        for _ = 1 to reps do
-          ignore (Pipeline.run_exn cfg trace)
-        done)
+     memo). One run per side per pair, the order flipped every pair so a
+     drift in host speed hits both sides alike; the major collection
+     before each run sits outside its timed window, so neither side pays
+     for the other's garbage. *)
+  let run_once f =
+    Gc.full_major ();
+    time (fun () -> ignore (f () : Sim_stats.t))
   in
-  let reference_s =
-    time (fun () ->
-        for _ = 1 to reps do
-          ignore (Pipeline_reference.run_exn cfg trace)
-        done)
+  let optimized () = run_once (fun () -> Pipeline.run_exn cfg trace)
+  and reference () =
+    run_once (fun () -> Pipeline_reference.run_exn cfg trace)
   in
-  let per_s s = if s > 0.0 then float_of_int (uops * reps) /. s else 0.0 in
-  let speedup = if optimized_s > 0.0 then reference_s /. optimized_s else 0.0 in
+  let samples =
+    Array.init pairs (fun k ->
+        if k mod 2 = 0 then
+          let o = optimized () in
+          (o, reference ())
+        else
+          let r = reference () in
+          (optimized (), r))
+  in
+  let ratios =
+    Array.map (fun (o, r) -> if o > 0.0 then r /. o else 0.0) samples
+  in
+  let quantile p = Tca_util.Stats.percentile_exn ratios p in
+  let speedup = quantile 50.0 in
+  let total side = Array.fold_left (fun acc s -> acc +. side s) 0.0 samples in
+  let optimized_s = total fst and reference_s = total snd in
+  let per_s s = if s > 0.0 then float_of_int (uops * pairs) /. s else 0.0 in
   (* Batched evaluation: the compare_modes shape (baseline + the four
      couplings), replicated, through run_batch serial vs a domain
      pool — with the usual bit-identity requirement. *)
@@ -148,12 +164,13 @@ let run_simulator () =
     if batch_parallel_s > 0.0 then batch_serial_s /. batch_parallel_s else 0.0
   in
   Printf.printf
-    "single trace (%d uops x %d reps): reference %.3f s (%.2e uops/s), \
-     optimized %.3f s (%.2e uops/s) -> %.2fx, stats %s\n\
+    "single trace (%d uops x %d pairs): reference %.3f s (%.2e uops/s), \
+     optimized %.3f s (%.2e uops/s) -> median %.2fx (quartiles %.2f-%.2f), \
+     stats %s\n\
      batch (%d entries): serial %.3f s, parallel %.3f s (workers %d, %.2fx), \
      results %s\n"
-    uops reps reference_s (per_s reference_s) optimized_s (per_s optimized_s)
-    speedup
+    uops pairs reference_s (per_s reference_s) optimized_s (per_s optimized_s)
+    speedup (quantile 25.0) (quantile 75.0)
     (if identical then "bit-identical" else "DIFFER")
     (Array.length entries) batch_serial_s batch_parallel_s pool_workers
     batch_speedup
@@ -162,12 +179,14 @@ let run_simulator () =
   Obj
     [
       ("trace_uops", Int uops);
-      ("reps", Int reps);
+      ("pairs", Int pairs);
       ("reference_s", Float reference_s);
       ("optimized_s", Float optimized_s);
       ("reference_uops_per_s", Float (per_s reference_s));
       ("optimized_uops_per_s", Float (per_s optimized_s));
       ("speedup", Float speedup);
+      ("speedup_q1", Float (quantile 25.0));
+      ("speedup_q3", Float (quantile 75.0));
       ("stats_bit_identical", Bool identical);
       ( "batch",
         Obj

@@ -137,21 +137,6 @@ let with_coupling t coupling = { t with coupling }
 
 let with_tca_units t tca_units = { t with tca_units }
 
-(* Per-unit effective knobs: a unit override wins, otherwise the core's
-   per-coupling / per-occupancy setting applies. The pipelines resolve
-   these once at state creation, outside the hot loop. *)
-let unit_exclusive t (u : Tca_unit.t) =
-  match u.Tca_unit.occupancy with
-  | Some Tca_unit.Exclusive -> true
-  | Some Tca_unit.Pipelined -> false
-  | None -> t.tca_occupancy = Exclusive
-
-let unit_allow_leading t (u : Tca_unit.t) =
-  Option.value ~default:t.coupling.allow_leading u.Tca_unit.allow_leading
-
-let unit_allow_trailing t (u : Tca_unit.t) =
-  Option.value ~default:t.coupling.allow_trailing u.Tca_unit.allow_trailing
-
 let validate t =
   let open Tca_util.Diag.Syntax in
   let bound name v min =

@@ -55,8 +55,8 @@ type t = {
   tca_units : Tca_unit.t array;
       (** the accelerator units, indexed by {!Isa.accel.unit_id} (a
           unit's [id] must equal its position). Defaults to a single
-          {!Tca_unit.default} unit 0, which inherits [coupling] and
-          [tca_occupancy] — the classic single-TCA machine. *)
+          {!Tca_unit.default} unit 0 — the classic single-TCA machine.
+          [coupling] and [tca_occupancy] apply to every unit. *)
   miss_bandwidth : int option;
       (** max new L1 misses injected per cycle (MSHR issue limit);
           [None] = unlimited *)
@@ -93,15 +93,6 @@ val a72 : ?coupling:coupling -> unit -> t
 val with_coupling : t -> coupling -> t
 
 val with_tca_units : t -> Tca_unit.t array -> t
-
-val unit_exclusive : t -> Tca_unit.t -> bool
-(** Effective occupancy of one unit: its override, else the core's
-    [tca_occupancy]. *)
-
-val unit_allow_leading : t -> Tca_unit.t -> bool
-val unit_allow_trailing : t -> Tca_unit.t -> bool
-(** Effective coupling flags of one unit: its overrides, else the
-    core's [coupling]. *)
 
 val validate : t -> (unit, Tca_util.Diag.t) result
 (** Structural sanity: all widths, sizes and latencies within their

@@ -1,7 +1,11 @@
-(* Optimized hot path. Semantics are pinned, bit for bit, to
-   [Pipeline_reference] (the original implementation): the golden tests,
-   the fuzz harness and [bench simulator] all diff the two. The
-   optimizations are purely representational:
+(* Optimized hot path. Its out-of-order core is pinned, bit for bit, to
+   [Pipeline_reference], an independent implementation of the same core:
+   the golden tests, the fuzz harness and [bench simulator] all diff the
+   two. The per-unit accelerator policy (configuration gate, descriptor
+   engine, [Exclusive] free-at cycle, per-unit counters) is not
+   duplicated: both pipelines call [Tca_unit.State], and the exact-cycle
+   tests in test_uarch.ml pin it. The optimizations are purely
+   representational:
 
    - the trace is pre-decoded once into [Trace.Decoded] flat arrays
      (shared and memoized per trace), so the per-cycle loops index int
@@ -18,8 +22,8 @@
      closure/ref based, and per-opcode latencies come from a table built
      at [create];
    - the run loop is split: the [?telemetry:None] + [?probe:None] path
-     does no interval bookkeeping at all, the instrumented path is the
-     reference loop verbatim.
+     does no interval bookkeeping at all; only the instrumented path
+     calls the probe and flushes telemetry intervals.
 
    In steady state the cycle loop allocates nothing: everything it
    touches is a preallocated int array or a mutable int field. *)
@@ -65,46 +69,15 @@ type state = {
   ports : Ports.t;
   miss_ports : Ports.t option;
   dtlb : Tlb.t option;
-  (* Per-TCA-unit state, indexed by [Isa.accel.unit_id] (= the unit's
-     position in [cfg.tca_units]). Effective flags are resolved once at
-     [create] — unit override, else the core-wide knob — so the hot loop
-     only ever indexes flat arrays. With the default single unit every
-     array is the old scalar and the schedules are bit-identical. *)
-  n_units : int;
-  u_free_at : int array;  (* per-unit [accel_free_at] *)
-  u_exclusive : bool array;
-  u_allow_leading : bool array;
-  u_allow_trailing : bool array;
-  u_extra_lat : int array;  (* Tca_unit.extra_invocation_latency *)
-  u_ports : Ports.t option array;
-      (* [Some] = the unit's private writeback-port bank
-         ([Tca_unit.Private]); [None] = contend on the shared ports *)
-  u_invocations : int array;
-  u_busy : int array;
-  u_head_wait : int array;
-  u_serialize : int array;
-  mutable serialize_unit : int;  (* unit owning [serialize_slot] *)
-  (* Configuration-wall mechanics (Tca_unit.config_mode, the simulator
-     counterpart of Equations terms (T1)-(T3)). Every path below is
-     gated on [u_cfg_lat > 0], so the default zero-latency units leave
-     schedules bit-identical to the pre-t_config pipeline. *)
-  u_cfg_mode : Tca_unit.config_mode array;
-  u_cfg_lat : int array;  (* Tca_unit.config_latency *)
-  u_cfg_depth : int array;  (* Tca_unit.config_queue_depth *)
-  u_desc_free_at : int array;
-      (* cycle the unit's serial descriptor engine finishes its backlog;
-         with backlog R = free_at - now > 0, outstanding descriptors are
-         exactly ceil(R / c) (completions spaced c apart), so queue-full
-         is the integer test [R > (depth - 1) * c] *)
-  u_preprog_done : bool array;  (* Preprogrammed one-time cost paid *)
+  n_units : int;  (* telemetry tags events with their unit when > 1 *)
+  units : Tca_unit.State.t;  (* the per-unit accelerator policy *)
   cfg_ready : int array;
-      (* per-ROB-slot: cycle the invocation's descriptor is processed
-         and execution may start (0 for non-queued invocations) *)
-  mutable cfg_paid_ti : int;
-      (* trace index whose synchronous CSR writes are in flight, -1 none *)
-  mutable cfg_ready_at : int;  (* cycle those CSR writes complete *)
+      (* per-ROB-slot: cycle the invocation's configuration is ready
+         ([Tca_unit.State.dispatch]) *)
   rob : int;  (* capacity, cached *)
   (* Config scalars cached flat (one load instead of two). *)
+  allow_leading : bool;
+  allow_trailing : bool;
   issue_width : int;
   dispatch_width : int;
   commit_width : int;
@@ -162,9 +135,6 @@ type state = {
   mutable committed : int;
   mutable branches : int;
   mutable mispredicts : int;
-  mutable accel_invocations : int;
-  mutable accel_busy : int;
-  mutable accel_head_wait : int;
   mutable stall_rob : int;
   mutable stall_iq : int;
   mutable stall_lsq : int;
@@ -187,7 +157,6 @@ let create ?telemetry cfg trace =
   lat.(D.op_fp_mult) <- cfg.Config.latencies.Config.fp_mult;
   lat.(D.op_branch) <- cfg.Config.latencies.Config.int_alu;
   let units = cfg.Config.tca_units in
-  let nu = Array.length units in
   {
     cfg;
     telemetry;
@@ -203,40 +172,15 @@ let create ?telemetry cfg trace =
         (fun width -> Ports.create ~width ~horizon:8192)
         cfg.Config.miss_bandwidth;
     dtlb = Option.map Tlb.create cfg.Config.dtlb;
-    n_units = nu;
-    u_free_at = Array.make nu 0;
-    u_exclusive = Array.map (Config.unit_exclusive cfg) units;
-    u_allow_leading = Array.map (Config.unit_allow_leading cfg) units;
-    u_allow_trailing = Array.map (Config.unit_allow_trailing cfg) units;
-    u_extra_lat =
-      Array.map
-        (fun (u : Tca_unit.t) -> u.Tca_unit.extra_invocation_latency)
+    n_units = Array.length units;
+    units =
+      Tca_unit.State.create
+        ~exclusive:(cfg.Config.tca_occupancy = Config.Exclusive)
         units;
-    u_ports =
-      Array.map
-        (fun (u : Tca_unit.t) ->
-          match u.Tca_unit.commit_port with
-          | Tca_unit.Shared -> None
-          | Tca_unit.Private ->
-              Some (Ports.create ~width:cfg.Config.mem_ports ~horizon:8192))
-        units;
-    u_invocations = Array.make nu 0;
-    u_busy = Array.make nu 0;
-    u_head_wait = Array.make nu 0;
-    u_serialize = Array.make nu 0;
-    serialize_unit = -1;
-    u_cfg_mode =
-      Array.map (fun (u : Tca_unit.t) -> u.Tca_unit.config_mode) units;
-    u_cfg_lat =
-      Array.map (fun (u : Tca_unit.t) -> u.Tca_unit.config_latency) units;
-    u_cfg_depth =
-      Array.map (fun (u : Tca_unit.t) -> u.Tca_unit.config_queue_depth) units;
-    u_desc_free_at = Array.make nu 0;
-    u_preprog_done = Array.make nu false;
     cfg_ready = Array.make r 0;
-    cfg_paid_ti = -1;
-    cfg_ready_at = 0;
     rob = r;
+    allow_leading = cfg.Config.coupling.Config.allow_leading;
+    allow_trailing = cfg.Config.coupling.Config.allow_trailing;
     issue_width = cfg.Config.issue_width;
     dispatch_width = cfg.Config.dispatch_width;
     commit_width = cfg.Config.commit_width;
@@ -284,9 +228,6 @@ let create ?telemetry cfg trace =
     committed = 0;
     branches = 0;
     mispredicts = 0;
-    accel_invocations = 0;
-    accel_busy = 0;
-    accel_head_wait = 0;
     stall_rob = 0;
     stall_iq = 0;
     stall_lsq = 0;
@@ -338,9 +279,9 @@ let older_store_match s load_seq addr =
 (* Partial speculation: a deterministic per-dynamic-instance coin decides
    whether this TCA invocation may execute speculatively (as a
    confidence-based design would, paper Section VIII). *)
-let accel_speculative s slot u =
+let accel_speculative s slot =
   match s.cfg.Config.tca_speculate_fraction with
-  | None -> s.u_allow_leading.(u)
+  | None -> s.allow_leading
   | Some p ->
       let h = s.seq.(slot) * 0x9E3779B9 in
       let h = (h lxor (h lsr 16)) land 0xFFFF in
@@ -416,6 +357,11 @@ let rec complete_scan s k min_next =
     else complete_scan s (k + 1) min_next
 
 let complete_stage s =
+  (* Every port reservation from here on is at or after this cycle. *)
+  Ports.advance s.ports ~now:s.cycle;
+  (match s.miss_ports with
+  | Some mp -> Ports.advance mp ~now:s.cycle
+  | None -> ());
   if s.paw_count > 0 && s.paw_next_due <= s.cycle then drain_accel_writes s;
   if s.executing > 0 && s.next_complete <= s.cycle then
     s.next_complete <- complete_scan s 0 max_int
@@ -483,33 +429,28 @@ let rec accel_writes_loop ports ~now k len acc =
 
 let issue_accel s slot ti u =
   let start =
-    if s.u_exclusive.(u) then max s.cycle s.u_free_at.(u) else s.cycle
+    Tca_unit.State.start s.units u ~cycle:s.cycle ~ready:s.cfg_ready.(slot)
   in
-  (* A queued invocation may not start before its descriptor is
-     processed ([cfg_ready] is 0 for every other kind of invocation). *)
-  let start = if s.cfg_ready.(slot) > start then s.cfg_ready.(slot) else start in
   let reads_len = s.d.reads_len.(ti) in
   let writes_len = s.d.writes_len.(ti) in
   let reads_done =
     accel_reads_loop s ~now:start s.d.reads_off.(ti) 0 reads_len start
   in
-  let compute_done = reads_done + s.d.accel_lat.(ti) + s.u_extra_lat.(u) in
-  let wports = match s.u_ports.(u) with Some p -> p | None -> s.ports in
+  let compute_done = reads_done + s.d.accel_lat.(ti) in
   let write_done =
-    accel_writes_loop wports ~now:compute_done 0 writes_len compute_done
+    accel_writes_loop s.ports ~now:compute_done 0 writes_len compute_done
   in
   let finish = max compute_done write_done in
   if writes_len > 0 then
     push_accel_write s ~finish ~off:s.d.writes_off.(ti) ~len:writes_len;
   s.complete_at.(slot) <- max finish (s.cycle + 1);
-  s.u_free_at.(u) <- s.complete_at.(slot);
-  s.accel_busy <- s.accel_busy + (s.complete_at.(slot) - s.cycle);
-  s.u_busy.(u) <- s.u_busy.(u) + (s.complete_at.(slot) - s.cycle);
+  Tca_unit.State.finish s.units u ~issued:s.cycle
+    ~complete:s.complete_at.(slot);
   match s.telemetry with
   | None -> ()
   | Some sink ->
       (* Invoke-to-complete span; its duration is exactly this
-         invocation's contribution to [accel_busy]. *)
+         invocation's contribution to [Sim_stats.accel_busy_cycles]. *)
       Tca_telemetry.Sink.span sink ~cat:"accel"
         ~args:
           ([
@@ -574,7 +515,7 @@ let rec issue_scan s k issued ialu imult fp =
       else begin
         (* accel *)
         let u = s.d.accel_unit.(ti) in
-        if accel_speculative s slot u || slot = s.head then begin
+        if accel_speculative s slot || slot = s.head then begin
           issue_accel s slot ti u;
           s.st.(slot) <- st_executing;
           s.executing <- s.executing + 1;
@@ -584,8 +525,7 @@ let rec issue_scan s k issued ialu imult fp =
           issue_scan s (k + 1) (issued + 1) ialu imult fp
         end
         else begin
-          s.accel_head_wait <- s.accel_head_wait + 1;
-          s.u_head_wait.(u) <- s.u_head_wait.(u) + 1;
+          Tca_unit.State.wait_for_head s.units u;
           issue_scan s (k + 1) issued ialu imult fp
         end
       end
@@ -625,39 +565,17 @@ let rec dispatch_loop s dispatched =
       dispatched
     end
     else begin
-      (* Configuration gate, evaluated only for accel instructions of a
-         unit with a non-zero config latency (so the default pipeline is
-         untouched). [Sync] (and the one-time [Preprogrammed] cost)
-         blocks dispatch for [config_latency] cycles of CSR writes; a
-         [Queued] unit only blocks while its descriptor queue is full. *)
+      (* Configuration gate of the invocation's unit ((T1)-(T3)). *)
       let cfg_block =
         if opc <> D.op_accel then stall_none
         else
-          let u = s.d.accel_unit.(ti) in
-          let c = s.u_cfg_lat.(u) in
-          if c = 0 then stall_none
-          else
-            let sync_gate () =
-              if s.cfg_paid_ti <> ti then begin
-                s.cfg_paid_ti <- ti;
-                s.cfg_ready_at <- s.cycle + c;
-                stall_config
-              end
-              else if s.cycle < s.cfg_ready_at then stall_config
-              else stall_none
-            in
-            match s.u_cfg_mode.(u) with
-            | Tca_unit.Sync -> sync_gate ()
-            | Tca_unit.Preprogrammed ->
-                if s.u_preprog_done.(u) then stall_none else sync_gate ()
-            | Tca_unit.Queued ->
-                (* backlog R = free_at - now; outstanding = ceil(R / c),
-                   so full <=> R > (depth - 1) * c *)
-                if
-                  s.u_desc_free_at.(u) - s.cycle
-                  > (s.u_cfg_depth.(u) - 1) * c
-                then stall_config_queue
-                else stall_none
+          match
+            Tca_unit.State.gate s.units s.d.accel_unit.(ti) ~instr:ti
+              ~cycle:s.cycle
+          with
+          | Tca_unit.State.Go -> stall_none
+          | Tca_unit.State.Config_write -> stall_config
+          | Tca_unit.State.Config_queue -> stall_config_queue
       in
       if cfg_block <> stall_none then begin
         s.stall_reason <- cfg_block;
@@ -725,30 +643,10 @@ let rec dispatch_loop s dispatched =
       end
       else if opc = D.op_accel then begin
         let u = s.d.accel_unit.(ti) in
-        s.accel_invocations <- s.accel_invocations + 1;
-        s.u_invocations.(u) <- s.u_invocations.(u) + 1;
         s.occupancy_at_accel_sum <- s.occupancy_at_accel_sum + s.count - 1;
-        if not s.u_allow_trailing.(u) then begin
-          s.serialize_slot <- slot;
-          s.serialize_unit <- u
-        end;
-        (* Config bookkeeping: enqueue the descriptor (serial engine,
-           one descriptor per [config_latency] cycles) or mark the
-           one-time programming as paid. [cfg_ready] is cleared first so
-           a reused ROB slot cannot leak a stale descriptor deadline. *)
-        s.cfg_ready.(slot) <- 0;
-        (if s.u_cfg_lat.(u) > 0 then
-           match s.u_cfg_mode.(u) with
-           | Tca_unit.Queued ->
-               let start =
-                 if s.u_desc_free_at.(u) > s.cycle then s.u_desc_free_at.(u)
-                 else s.cycle
-               in
-               let done_at = start + s.u_cfg_lat.(u) in
-               s.u_desc_free_at.(u) <- done_at;
-               s.cfg_ready.(slot) <- done_at
-           | Tca_unit.Preprogrammed -> s.u_preprog_done.(u) <- true
-           | Tca_unit.Sync -> ());
+        if not s.allow_trailing then s.serialize_slot <- slot;
+        s.cfg_ready.(slot) <-
+          Tca_unit.State.dispatch s.units u ~cycle:s.cycle;
         match s.telemetry with
         | None -> ()
         | Some sink ->
@@ -777,9 +675,7 @@ let dispatch_stage s =
     else if r = stall_redirect then s.stall_redirect <- s.stall_redirect + 1
     else if r = stall_serialize then begin
       s.stall_serialize <- s.stall_serialize + 1;
-      (* [serialize_unit] was set with [serialize_slot] and only read
-         while that slot is still in flight, so it is never stale here. *)
-      s.u_serialize.(s.serialize_unit) <- s.u_serialize.(s.serialize_unit) + 1
+      Tca_unit.State.serialize_stall s.units
     end
     else if r = stall_rob then s.stall_rob <- s.stall_rob + 1
     else if r = stall_iq then s.stall_iq <- s.stall_iq + 1
@@ -790,36 +686,12 @@ let dispatch_stage s =
   end;
   dispatched
 
-let executing_occupancy s = s.executing
-
 let stats_of s =
-  {
-    Sim_stats.cycles = s.cycle;
-    committed = s.committed;
-    ipc =
-      (if s.cycle = 0 then 0.0
-       else float_of_int s.committed /. float_of_int s.cycle);
-    branches = s.branches;
-    mispredicts = s.mispredicts;
-    l1 = Mem_hier.l1_stats s.hier;
-    l2 = Mem_hier.l2_stats s.hier;
-    accel_invocations = s.accel_invocations;
-    accel_busy_cycles = s.accel_busy;
-    accel_wait_for_head_cycles = s.accel_head_wait;
-    avg_rob_occupancy =
-      (if s.cycle = 0 then 0.0
-       else float_of_int s.occupancy_sum /. float_of_int s.cycle);
-    avg_rob_at_accel_dispatch =
-      (if s.accel_invocations = 0 then 0.0
-       else
-         float_of_int s.occupancy_at_accel_sum
-         /. float_of_int s.accel_invocations);
-    dtlb =
-      Option.map
-        (fun tlb ->
-          { Mem_hier.hits = Tlb.hits tlb; misses = Tlb.misses tlb })
-        s.dtlb;
-    stalls =
+  Sim_stats.make ~cycles:s.cycle ~committed:s.committed ~branches:s.branches
+    ~mispredicts:s.mispredicts ~hier:s.hier ~dtlb:s.dtlb
+    ~occupancy_sum:s.occupancy_sum
+    ~occupancy_at_accel_sum:s.occupancy_at_accel_sum
+    ~stalls:
       {
         Sim_stats.rob_full = s.stall_rob;
         iq_full = s.stall_iq;
@@ -827,24 +699,10 @@ let stats_of s =
         serialize = s.stall_serialize;
         redirect = s.stall_redirect;
         drained = s.stall_drained;
-      };
-    config_stall_cycles = s.stall_config;
-    config_queue_stall_cycles = s.stall_config_queue;
-    per_unit =
-      (* Single-unit runs keep the breakdown empty: the aggregate accel
-         counters already are that unit's slice, and the golden JSON
-         bytes must not change. *)
-      (if s.n_units <= 1 then []
-       else
-         List.init s.n_units (fun i ->
-             {
-               Sim_stats.unit_id = i;
-               invocations = s.u_invocations.(i);
-               busy_cycles = s.u_busy.(i);
-               wait_for_head_cycles = s.u_head_wait.(i);
-               serialize_stall_cycles = s.u_serialize.(i);
-             }));
-  }
+      }
+    ~config_stall_cycles:s.stall_config
+    ~config_queue_stall_cycles:s.stall_config_queue
+    (Tca_unit.State.unit_stats s.units)
 
 type outcome =
   | Complete of Sim_stats.t
@@ -922,7 +780,8 @@ let finish_telemetry s sink snap outcome_stats =
       [
         ("committed", Tca_util.Json.Int s.committed);
         ("ipc", Tca_util.Json.Float outcome_stats.Sim_stats.ipc);
-        ("accel_invocations", Tca_util.Json.Int s.accel_invocations);
+        ( "accel_invocations",
+          Tca_util.Json.Int outcome_stats.Sim_stats.accel_invocations );
       ]
     "sim.run";
   match Tca_telemetry.Sink.metrics sink with
@@ -936,7 +795,7 @@ let finish_telemetry s sink snap outcome_stats =
       add "sim.runs" 1;
       add "sim.cycles" s.cycle;
       add "sim.committed" s.committed;
-      add "sim.accel_invocations" s.accel_invocations
+      add "sim.accel_invocations" outcome_stats.Sim_stats.accel_invocations
 
 let watchdog_diag s =
   Tca_util.Diag.Watchdog
@@ -961,8 +820,8 @@ let rec run_fast s cap =
     run_fast s cap
   end
 
-(* The instrumented loop: the reference run loop verbatim (per-cycle
-   probe callback, interval accumulation, periodic flush). *)
+(* The instrumented loop: per-cycle probe callback, interval
+   accumulation, periodic flush. *)
 let run_instrumented s cap probe snap =
   let watchdog = ref None in
   while !watchdog = None && (s.next_fetch < s.tlen || s.count > 0) do
@@ -976,7 +835,7 @@ let run_instrumented s cap probe snap =
       (match probe with
       | Some p ->
           p.on_cycle ~cycle:s.cycle ~dispatched ~issued
-            ~executing:(executing_occupancy s) ~rob_occupancy:s.count
+            ~executing:s.executing ~rob_occupancy:s.count
       | None -> ());
       s.cycle <- s.cycle + 1;
       match s.telemetry with
@@ -991,34 +850,32 @@ let run_instrumented s cap probe snap =
   !watchdog
 
 (* A trace invoking a unit id outside [cfg.tca_units] would index the
-   per-unit arrays out of bounds; reject the pairing up front. *)
-let check_trace_units cfg trace =
-  let d = Trace.decoded trace in
-  let nu = Array.length cfg.Config.tca_units in
-  let bad = ref None in
-  for i = d.D.n - 1 downto 0 do
-    if d.D.accel_unit.(i) >= nu then bad := Some (i, d.D.accel_unit.(i))
-  done;
-  match !bad with
-  | None -> Ok ()
-  | Some (i, u) ->
-      Error
-        (Tca_util.Diag.Invalid
-           {
-             field = "Trace";
-             message =
-               Printf.sprintf
-                 "instruction %d invokes TCA unit %d but Config.tca_units \
-                  defines %d unit(s)"
-                 i u nu;
-           })
+   per-unit state out of bounds; reject the pairing up front. *)
+let validate cfg trace =
+  match Config.validate cfg with
+  | Result.Error _ as e -> e
+  | Ok () ->
+      let d = Trace.decoded trace in
+      let nu = Array.length cfg.Config.tca_units in
+      let rec first_bad i =
+        if i >= d.D.n then Ok ()
+        else if d.D.accel_unit.(i) < nu then first_bad (i + 1)
+        else
+          Error
+            (Tca_util.Diag.Invalid
+               {
+                 field = "Trace";
+                 message =
+                   Printf.sprintf
+                     "instruction %d invokes TCA unit %d but \
+                      Config.tca_units defines %d unit(s)"
+                     i d.D.accel_unit.(i) nu;
+               })
+      in
+      first_bad 0
 
 let run ?probe ?telemetry cfg trace =
-  match
-    match Config.validate cfg with
-    | Result.Error _ as e -> e
-    | Ok () -> check_trace_units cfg trace
-  with
+  match validate cfg trace with
   | Result.Error d -> Result.Error d
   | Ok () ->
       let s = create ?telemetry cfg trace in

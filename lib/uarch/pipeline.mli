@@ -8,7 +8,10 @@
     - with [allow_trailing = false] it serialises the pipeline: no younger
       instruction dispatches until it commits;
     - its memory requests arbitrate for the core's memory ports with
-      age-order priority, at most one 64 B line per request.
+      age-order priority, at most one 64 B line per request;
+    - its unit's configuration cost ((T1)-(T3)) and, under [Exclusive]
+      occupancy, the unit's previous invocation gate it through
+      {!Tca_unit.State}.
 
     Trace-driven approximation: mispredicted branches stall the front end
     from their dispatch until resolution plus the redirect penalty, and
@@ -34,6 +37,10 @@ val stats_of_outcome : outcome -> Sim_stats.t
 val default_cycle_budget : Trace.t -> int
 (** The watchdog budget used when [Config.max_cycles] is [None]:
     [100_000 + 500 * length], generous for any real trace. *)
+
+val validate : Config.t -> Trace.t -> (unit, Tca_util.Diag.t) result
+(** The checks {!run} makes before simulating: {!Config.validate}, then
+    that every accel instruction names a unit of [Config.tca_units]. *)
 
 val run :
   ?probe:probe ->

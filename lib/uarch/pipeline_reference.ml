@@ -1,13 +1,20 @@
-(* The pre-optimization pipeline, kept verbatim as a differential
-   oracle: the golden tests, the fuzz harness and the bench harness all
-   run this implementation against the optimized [Pipeline] and assert
-   bit-identical [Sim_stats]. It allocates per-cycle (list churn for
-   pending accelerator writes, closures in the issue stage) and decodes
-   [Isa.instr] records on every access -- exactly the costs the
-   optimized path removes -- so the measured ratio between the two is a
-   machine-independent record of the optimization, used by the CI bench
-   regression guard. Do not "improve" this file; change [Pipeline] and
-   regenerate the goldens instead. *)
+(* An independent oracle for the out-of-order core: the golden tests,
+   the fuzz harness and the bench harness run this implementation
+   against the optimized [Pipeline] and assert bit-identical [Sim_stats].
+   It keeps the straightforward representation the optimized path
+   replaces -- a list of pending accelerator writes, [Isa.instr] records
+   decoded on every access, closures in the issue stage, a backwards ROB
+   scan for store-to-load forwarding -- so it checks the core's
+   semantics from a second implementation, and the measured ratio
+   between the two is a machine-independent record of the optimization,
+   used by the CI bench regression guard. Keep it that way: do not
+   optimize this file.
+
+   What it does not re-implement: the per-unit accelerator policy is
+   [Tca_unit.State] (shared, pinned by the exact-cycle tests), and
+   validation and stats assembly are [Pipeline.validate] and
+   [Sim_stats.make]. It carries no telemetry or probe hooks; telemetry
+   on/off parity is asserted on [Pipeline] by the fuzz harness. *)
 
 (* ROB entry states. *)
 let st_empty = 0
@@ -17,45 +24,15 @@ let st_done = 3
 
 type state = {
   cfg : Config.t;
-  telemetry : Tca_telemetry.Sink.t option;
-      (* Observation only: instrumentation reads simulator state, never
-         writes it, so an attached sink cannot perturb results (asserted
-         by the fuzz harness). *)
   trace : Trace.t;
   hier : Mem_hier.t;
   bp : Bpred.t;
   ports : Ports.t;
   miss_ports : Ports.t option;
   dtlb : Tlb.t option;
-  (* Per-TCA-unit state, indexed by [Isa.accel.unit_id] (= position in
-     [cfg.tca_units]). The effective per-unit flags are looked up from
-     the config on every use — the straightforward form the optimized
-     pipeline pre-resolves into flat arrays. *)
-  u_free_at : int array;  (* per-unit [accel_free_at] *)
-  u_ports : Ports.t option array;
-      (* [Some] = the unit's private writeback-port bank
-         ([Tca_unit.Private]); [None] = contend on the shared ports *)
-  u_invocations : int array;
-  u_busy : int array;
-  u_head_wait : int array;
-  u_serialize : int array;
-  mutable serialize_unit : int;  (* unit owning [serialize_slot] *)
-  (* Configuration-wall mechanics (Tca_unit.config_mode, the simulator
-     counterpart of Equations terms (T1)-(T3)); every path is gated on a
-     non-zero [Tca_unit.config_latency], so default units leave the
-     schedule untouched. *)
-  u_desc_free_at : int array;
-      (* cycle the unit's serial descriptor engine finishes its backlog;
-         with backlog R = free_at - now > 0, outstanding descriptors are
-         exactly ceil(R / c) (completions spaced c apart), so queue-full
-         is the integer test [R > (depth - 1) * c] *)
-  u_preprog_done : bool array;  (* Preprogrammed one-time cost paid *)
+  units : Tca_unit.State.t;  (* the per-unit accelerator policy *)
   cfg_ready : int array;
-      (* per-ROB-slot: cycle the invocation's descriptor is processed
-         and execution may start (0 for non-queued invocations) *)
-  mutable cfg_paid_ti : int;
-      (* trace index whose synchronous CSR writes are in flight, -1 none *)
-  mutable cfg_ready_at : int;  (* cycle those CSR writes complete *)
+      (* per-ROB-slot: cycle the invocation's configuration is ready *)
   rob : int;  (* capacity, cached *)
   (* Parallel ROB arrays, indexed by slot. *)
   tr_idx : int array;
@@ -86,9 +63,6 @@ type state = {
   mutable committed : int;
   mutable branches : int;
   mutable mispredicts : int;
-  mutable accel_invocations : int;
-  mutable accel_busy : int;
-  mutable accel_head_wait : int;
   mutable stall_rob : int;
   mutable stall_iq : int;
   mutable stall_lsq : int;
@@ -101,12 +75,10 @@ type state = {
   mutable occupancy_at_accel_sum : int;
 }
 
-let create ?telemetry cfg trace =
+let create cfg trace =
   let r = cfg.Config.rob_size in
-  let nu = Array.length cfg.Config.tca_units in
   {
     cfg;
-    telemetry;
     trace;
     hier = Mem_hier.create cfg.Config.mem;
     bp = Bpred.create cfg.Config.bpred;
@@ -116,25 +88,11 @@ let create ?telemetry cfg trace =
         (fun width -> Ports.create ~width ~horizon:8192)
         cfg.Config.miss_bandwidth;
     dtlb = Option.map Tlb.create cfg.Config.dtlb;
-    u_free_at = Array.make nu 0;
-    u_ports =
-      Array.map
-        (fun (u : Tca_unit.t) ->
-          match u.Tca_unit.commit_port with
-          | Tca_unit.Shared -> None
-          | Tca_unit.Private ->
-              Some (Ports.create ~width:cfg.Config.mem_ports ~horizon:8192))
+    units =
+      Tca_unit.State.create
+        ~exclusive:(cfg.Config.tca_occupancy = Config.Exclusive)
         cfg.Config.tca_units;
-    u_invocations = Array.make nu 0;
-    u_busy = Array.make nu 0;
-    u_head_wait = Array.make nu 0;
-    u_serialize = Array.make nu 0;
-    serialize_unit = -1;
-    u_desc_free_at = Array.make nu 0;
-    u_preprog_done = Array.make nu false;
     cfg_ready = Array.make r 0;
-    cfg_paid_ti = -1;
-    cfg_ready_at = 0;
     rob = r;
     tr_idx = Array.make r (-1);
     st = Array.make r st_empty;
@@ -162,9 +120,6 @@ let create ?telemetry cfg trace =
     committed = 0;
     branches = 0;
     mispredicts = 0;
-    accel_invocations = 0;
-    accel_busy = 0;
-    accel_head_wait = 0;
     stall_rob = 0;
     stall_iq = 0;
     stall_lsq = 0;
@@ -223,9 +178,9 @@ let op_latency (cfg : Config.t) (op : Isa.op) =
 (* Partial speculation: a deterministic per-dynamic-instance coin decides
    whether this TCA invocation may execute speculatively (as a
    confidence-based design would, paper Section VIII). *)
-let accel_speculative s slot u =
+let accel_speculative s slot =
   match s.cfg.Config.tca_speculate_fraction with
-  | None -> Config.unit_allow_leading s.cfg s.cfg.Config.tca_units.(u)
+  | None -> s.cfg.Config.coupling.Config.allow_leading
   | Some p ->
       let h = s.seq.(slot) * 0x9E3779B9 in
       let h = (h lxor (h lsr 16)) land 0xFFFF in
@@ -235,6 +190,10 @@ let accel_speculative s slot u =
    dispatch --- *)
 
 let complete_stage s =
+  Ports.advance s.ports ~now:s.cycle;
+  (match s.miss_ports with
+  | Some mp -> Ports.advance mp ~now:s.cycle
+  | None -> ());
   (* Retire pending accelerator writes into the cache hierarchy. *)
   let due, still =
     List.partition (fun (at, _) -> at <= s.cycle) s.pending_accel_writes
@@ -309,27 +268,19 @@ let memory_read s ~now addr =
 
 let issue_accel s slot (a : Isa.accel) =
   let u = a.Isa.unit_id in
-  let unit = s.cfg.Config.tca_units.(u) in
   let start =
-    if Config.unit_exclusive s.cfg unit then max s.cycle s.u_free_at.(u)
-    else s.cycle
+    Tca_unit.State.start s.units u ~cycle:s.cycle ~ready:s.cfg_ready.(slot)
   in
-  (* A queued invocation may not start before its descriptor is
-     processed ([cfg_ready] is 0 for every other kind of invocation). *)
-  let start = max start s.cfg_ready.(slot) in
   let reads_done =
     Array.fold_left
       (fun acc addr -> max acc (memory_read s ~now:start addr))
       start a.Isa.reads
   in
-  let compute_done =
-    reads_done + a.Isa.compute_latency + unit.Tca_unit.extra_invocation_latency
-  in
-  let wports = match s.u_ports.(u) with Some p -> p | None -> s.ports in
+  let compute_done = reads_done + a.Isa.compute_latency in
   let write_done =
     Array.fold_left
       (fun acc _addr ->
-        let port_cycle = Ports.reserve wports ~now:compute_done in
+        let port_cycle = Ports.reserve s.ports ~now:compute_done in
         max acc (port_cycle + 1))
       compute_done a.Isa.writes
   in
@@ -337,28 +288,8 @@ let issue_accel s slot (a : Isa.accel) =
   if Array.length a.Isa.writes > 0 then
     s.pending_accel_writes <- (finish, a.Isa.writes) :: s.pending_accel_writes;
   s.complete_at.(slot) <- max finish (s.cycle + 1);
-  s.u_free_at.(u) <- s.complete_at.(slot);
-  s.accel_busy <- s.accel_busy + (s.complete_at.(slot) - s.cycle);
-  s.u_busy.(u) <- s.u_busy.(u) + (s.complete_at.(slot) - s.cycle);
-  match s.telemetry with
-  | None -> ()
-  | Some sink ->
-      (* Invoke-to-complete span; its duration is exactly this
-         invocation's contribution to [accel_busy]. *)
-      Tca_telemetry.Sink.span sink ~cat:"accel"
-        ~args:
-          ([
-             ("reads", Tca_util.Json.Int (Array.length a.Isa.reads));
-             ("writes", Tca_util.Json.Int (Array.length a.Isa.writes));
-             ("compute_latency", Tca_util.Json.Int a.Isa.compute_latency);
-           ]
-          @
-          if Array.length s.cfg.Config.tca_units > 1 then
-            [ ("unit", Tca_util.Json.Int u) ]
-          else [])
-        ~ts:(float_of_int s.cycle)
-        ~dur:(float_of_int (s.complete_at.(slot) - s.cycle))
-        "accel.invoke"
+  Tca_unit.State.finish s.units u ~issued:s.cycle
+    ~complete:s.complete_at.(slot)
 
 let issue_stage s =
   let issued = ref 0 in
@@ -402,20 +333,16 @@ let issue_stage s =
           | `None -> try_issue (memory_read s ~now:s.cycle ins.Isa.addr))
       | Isa.Accel a ->
           let at_head = slot = s.head in
-          if accel_speculative s slot a.Isa.unit_id || at_head then begin
+          if accel_speculative s slot || at_head then begin
             issue_accel s slot a;
             s.st.(slot) <- st_executing;
             s.iq_count <- s.iq_count - 1;
             incr issued
           end
-          else begin
-            s.accel_head_wait <- s.accel_head_wait + 1;
-            s.u_head_wait.(a.Isa.unit_id) <- s.u_head_wait.(a.Isa.unit_id) + 1
-          end
+          else Tca_unit.State.wait_for_head s.units a.Isa.unit_id
     end;
     incr k
-  done;
-  !issued
+  done
 
 (* Reasons the first dispatch slot of a cycle could not be filled, for the
    stall breakdown. [Config_write] and [Config_queue] are counted outside
@@ -463,41 +390,16 @@ let dispatch_stage s =
         continue := false
       end
       else begin
-        (* Configuration gate, evaluated only for accel instructions of
-           a unit with a non-zero config latency (so the default
-           pipeline is untouched). [Sync] (and the one-time
-           [Preprogrammed] cost) blocks dispatch for [config_latency]
-           cycles of CSR writes; a [Queued] unit only blocks while its
-           descriptor queue is full. *)
         let cfg_block =
           match ins.Isa.op with
-          | Isa.Accel a ->
-              let u = a.Isa.unit_id in
-              let unit = s.cfg.Config.tca_units.(u) in
-              let c = unit.Tca_unit.config_latency in
-              if c = 0 then No_stall
-              else
-                let sync_gate () =
-                  if s.cfg_paid_ti <> s.next_fetch then begin
-                    s.cfg_paid_ti <- s.next_fetch;
-                    s.cfg_ready_at <- s.cycle + c;
-                    Config_write
-                  end
-                  else if s.cycle < s.cfg_ready_at then Config_write
-                  else No_stall
-                in
-                (match unit.Tca_unit.config_mode with
-                | Tca_unit.Sync -> sync_gate ()
-                | Tca_unit.Preprogrammed ->
-                    if s.u_preprog_done.(u) then No_stall else sync_gate ()
-                | Tca_unit.Queued ->
-                    (* backlog R = free_at - now; outstanding =
-                       ceil(R / c), so full <=> R > (depth - 1) * c *)
-                    if
-                      s.u_desc_free_at.(u) - s.cycle
-                      > (unit.Tca_unit.config_queue_depth - 1) * c
-                    then Config_queue
-                    else No_stall)
+          | Isa.Accel a -> (
+              match
+                Tca_unit.State.gate s.units a.Isa.unit_id ~instr:s.next_fetch
+                  ~cycle:s.cycle
+              with
+              | Tca_unit.State.Go -> No_stall
+              | Tca_unit.State.Config_write -> Config_write
+              | Tca_unit.State.Config_queue -> Config_queue)
           | _ -> No_stall
         in
         if cfg_block <> No_stall then begin
@@ -535,52 +437,15 @@ let dispatch_stage s =
                 s.mispredicts <- s.mispredicts + 1;
                 s.pending_redirect <- slot;
                 s.pending_redirect_seq <- s.seq.(slot);
-                s.fetch_resume_at <- max_int;
-                match s.telemetry with
-                | None -> ()
-                | Some sink ->
-                    Tca_telemetry.Sink.instant sink ~cat:"branch"
-                      ~args:[ ("pc", Tca_util.Json.Int ins.Isa.pc) ]
-                      ~ts:(float_of_int s.cycle) "flush.mispredict"
+                s.fetch_resume_at <- max_int
               end
             end
         | Isa.Accel a ->
-            let u = a.Isa.unit_id in
-            s.accel_invocations <- s.accel_invocations + 1;
-            s.u_invocations.(u) <- s.u_invocations.(u) + 1;
             s.occupancy_at_accel_sum <- s.occupancy_at_accel_sum + s.count - 1;
-            if
-              not (Config.unit_allow_trailing s.cfg s.cfg.Config.tca_units.(u))
-            then begin
+            if not s.cfg.Config.coupling.Config.allow_trailing then
               s.serialize_slot <- slot;
-              s.serialize_unit <- u
-            end;
-            (* Config bookkeeping: enqueue the descriptor (serial
-               engine, one descriptor per [config_latency] cycles) or
-               mark the one-time programming as paid. [cfg_ready] is
-               cleared first so a reused ROB slot cannot leak a stale
-               descriptor deadline. *)
-            s.cfg_ready.(slot) <- 0;
-            (let unit = s.cfg.Config.tca_units.(u) in
-             if unit.Tca_unit.config_latency > 0 then
-               match unit.Tca_unit.config_mode with
-               | Tca_unit.Queued ->
-                   let start = max s.cycle s.u_desc_free_at.(u) in
-                   let done_at = start + unit.Tca_unit.config_latency in
-                   s.u_desc_free_at.(u) <- done_at;
-                   s.cfg_ready.(slot) <- done_at
-               | Tca_unit.Preprogrammed -> s.u_preprog_done.(u) <- true
-               | Tca_unit.Sync -> ());
-            (match s.telemetry with
-            | None -> ()
-            | Some sink ->
-                Tca_telemetry.Sink.instant sink ~cat:"accel"
-                  ~args:
-                    (("rob_occupancy", Tca_util.Json.Int (s.count - 1))
-                    :: (if Array.length s.cfg.Config.tca_units > 1 then
-                          [ ("unit", Tca_util.Json.Int u) ]
-                        else []))
-                  ~ts:(float_of_int s.cycle) "accel.dispatch")
+            s.cfg_ready.(slot) <-
+              Tca_unit.State.dispatch s.units a.Isa.unit_id ~cycle:s.cycle
         | _ -> ());
         s.next_fetch <- s.next_fetch + 1;
         incr dispatched
@@ -597,54 +462,21 @@ let dispatch_stage s =
     | Redirect -> s.stall_redirect <- s.stall_redirect + 1
     | Serialize ->
         s.stall_serialize <- s.stall_serialize + 1;
-        (* [serialize_unit] was set with [serialize_slot] and only read
-           while that slot is still in flight, so it is never stale. *)
-        s.u_serialize.(s.serialize_unit) <- s.u_serialize.(s.serialize_unit) + 1
+        Tca_unit.State.serialize_stall s.units
     | Rob -> s.stall_rob <- s.stall_rob + 1
     | Iq -> s.stall_iq <- s.stall_iq + 1
     | Lsq -> s.stall_lsq <- s.stall_lsq + 1
     | Config_write -> s.stall_config <- s.stall_config + 1
     | Config_queue -> s.stall_config_queue <- s.stall_config_queue + 1
     | No_stall -> ()
-  end;
-  !dispatched
-
-let executing_occupancy s =
-  let n = ref 0 in
-  for k = 0 to s.count - 1 do
-    let slot = (s.head + k) mod s.rob in
-    if s.st.(slot) = st_executing then incr n
-  done;
-  !n
+  end
 
 let stats_of s =
-  {
-    Sim_stats.cycles = s.cycle;
-    committed = s.committed;
-    ipc =
-      (if s.cycle = 0 then 0.0
-       else float_of_int s.committed /. float_of_int s.cycle);
-    branches = s.branches;
-    mispredicts = s.mispredicts;
-    l1 = Mem_hier.l1_stats s.hier;
-    l2 = Mem_hier.l2_stats s.hier;
-    accel_invocations = s.accel_invocations;
-    accel_busy_cycles = s.accel_busy;
-    accel_wait_for_head_cycles = s.accel_head_wait;
-    avg_rob_occupancy =
-      (if s.cycle = 0 then 0.0
-       else float_of_int s.occupancy_sum /. float_of_int s.cycle);
-    avg_rob_at_accel_dispatch =
-      (if s.accel_invocations = 0 then 0.0
-       else
-         float_of_int s.occupancy_at_accel_sum
-         /. float_of_int s.accel_invocations);
-    dtlb =
-      Option.map
-        (fun tlb ->
-          { Mem_hier.hits = Tlb.hits tlb; misses = Tlb.misses tlb })
-        s.dtlb;
-    stalls =
+  Sim_stats.make ~cycles:s.cycle ~committed:s.committed ~branches:s.branches
+    ~mispredicts:s.mispredicts ~hier:s.hier ~dtlb:s.dtlb
+    ~occupancy_sum:s.occupancy_sum
+    ~occupancy_at_accel_sum:s.occupancy_at_accel_sum
+    ~stalls:
       {
         Sim_stats.rob_full = s.stall_rob;
         iq_full = s.stall_iq;
@@ -652,158 +484,16 @@ let stats_of s =
         serialize = s.stall_serialize;
         redirect = s.stall_redirect;
         drained = s.stall_drained;
-      };
-    config_stall_cycles = s.stall_config;
-    config_queue_stall_cycles = s.stall_config_queue;
-    per_unit =
-      (* Single-unit runs keep the breakdown empty: the aggregate accel
-         counters already are that unit's slice, and the golden JSON
-         bytes must not change. *)
-      (let nu = Array.length s.cfg.Config.tca_units in
-       if nu <= 1 then []
-       else
-         List.init nu (fun i ->
-             {
-               Sim_stats.unit_id = i;
-               invocations = s.u_invocations.(i);
-               busy_cycles = s.u_busy.(i);
-               wait_for_head_cycles = s.u_head_wait.(i);
-               serialize_stall_cycles = s.u_serialize.(i);
-             }));
-  }
+      }
+    ~config_stall_cycles:s.stall_config
+    ~config_queue_stall_cycles:s.stall_config_queue
+    (Tca_unit.State.unit_stats s.units)
 
-
-(* Per-interval telemetry: a snapshot of the cumulative counters at the
-   last flush, so each flush emits exact deltas. Because the final
-   (possibly partial) interval is flushed when the run ends, the deltas
-   of every series sum to the corresponding [Sim_stats] total by
-   construction. *)
-type interval_snap = {
-  mutable last_cycle : int;  (* cycle of the previous flush *)
-  mutable s_rob : int;
-  mutable s_iq : int;
-  mutable s_lsq : int;
-  mutable s_serialize : int;
-  mutable s_redirect : int;
-  mutable s_drained : int;
-  mutable s_committed : int;
-  mutable s_occupancy_sum : int;
-  mutable acc_dispatched : int;  (* accumulated since the last flush *)
-  mutable acc_issued : int;
-}
-
-let flush_interval s sink snap ~now =
-  let len = now - snap.last_cycle in
-  if len > 0 then begin
-    let ts = float_of_int now in
-    let f = float_of_int in
-    Tca_telemetry.Sink.counter sink ~cat:"sim" ~ts "sim.stalls"
-      [
-        ("rob", f (s.stall_rob - snap.s_rob));
-        ("iq", f (s.stall_iq - snap.s_iq));
-        ("lsq", f (s.stall_lsq - snap.s_lsq));
-        ("serialize", f (s.stall_serialize - snap.s_serialize));
-        ("redirect", f (s.stall_redirect - snap.s_redirect));
-        ("drained", f (s.stall_drained - snap.s_drained));
-      ];
-    Tca_telemetry.Sink.counter sink ~cat:"sim" ~ts "sim.pipeline"
-      [
-        ("committed", f (s.committed - snap.s_committed));
-        ("dispatched", f snap.acc_dispatched);
-        ("issued", f snap.acc_issued);
-      ];
-    Tca_telemetry.Sink.counter sink ~cat:"sim" ~ts "sim.rob"
-      [
-        ("occupancy", f s.count);
-        ( "avg",
-          float_of_int (s.occupancy_sum - snap.s_occupancy_sum)
-          /. float_of_int len );
-      ];
-    snap.last_cycle <- now;
-    snap.s_rob <- s.stall_rob;
-    snap.s_iq <- s.stall_iq;
-    snap.s_lsq <- s.stall_lsq;
-    snap.s_serialize <- s.stall_serialize;
-    snap.s_redirect <- s.stall_redirect;
-    snap.s_drained <- s.stall_drained;
-    snap.s_committed <- s.committed;
-    snap.s_occupancy_sum <- s.occupancy_sum;
-    snap.acc_dispatched <- 0;
-    snap.acc_issued <- 0
-  end
-
-let finish_telemetry s sink snap outcome_stats =
-  flush_interval s sink snap ~now:s.cycle;
-  Tca_telemetry.Sink.span sink ~cat:"sim" ~ts:0.0 ~dur:(float_of_int s.cycle)
-    ~args:
-      [
-        ("committed", Tca_util.Json.Int s.committed);
-        ("ipc", Tca_util.Json.Float outcome_stats.Sim_stats.ipc);
-        ("accel_invocations", Tca_util.Json.Int s.accel_invocations);
-      ]
-    "sim.run";
-  match Tca_telemetry.Sink.metrics sink with
-  | None -> ()
-  | Some reg ->
-      let add name v =
-        match Tca_telemetry.Metrics.counter reg name with
-        | Ok c -> Tca_telemetry.Metrics.Counter.add c v
-        | Error _ -> ()
-      in
-      add "sim.runs" 1;
-      add "sim.cycles" s.cycle;
-      add "sim.committed" s.committed;
-      add "sim.accel_invocations" s.accel_invocations
-
-(* A trace invoking a unit id outside [cfg.tca_units] would index the
-   per-unit arrays out of bounds; reject the pairing up front (the same
-   check, and the same diagnostic, as the optimized pipeline's). *)
-let check_trace_units cfg trace =
-  let nu = Array.length cfg.Config.tca_units in
-  let bad = ref None in
-  for i = Trace.length trace - 1 downto 0 do
-    match (Trace.get trace i).Isa.op with
-    | Isa.Accel a when a.Isa.unit_id >= nu -> bad := Some (i, a.Isa.unit_id)
-    | _ -> ()
-  done;
-  match !bad with
-  | None -> Ok ()
-  | Some (i, u) ->
-      Error
-        (Tca_util.Diag.Invalid
-           {
-             field = "Trace";
-             message =
-               Printf.sprintf
-                 "instruction %d invokes TCA unit %d but Config.tca_units \
-                  defines %d unit(s)"
-                 i u nu;
-           })
-
-let run ?probe ?telemetry cfg trace =
-  match
-    match Config.validate cfg with
-    | Result.Error _ as e -> e
-    | Ok () -> check_trace_units cfg trace
-  with
+let run cfg trace =
+  match Pipeline.validate cfg trace with
   | Result.Error d -> Result.Error d
   | Ok () ->
-      let s = create ?telemetry cfg trace in
-      let snap =
-        {
-          last_cycle = 0;
-          s_rob = 0;
-          s_iq = 0;
-          s_lsq = 0;
-          s_serialize = 0;
-          s_redirect = 0;
-          s_drained = 0;
-          s_committed = 0;
-          s_occupancy_sum = 0;
-          acc_dispatched = 0;
-          acc_issued = 0;
-        }
-      in
+      let s = create cfg trace in
       let cap =
         match cfg.Config.max_cycles with
         | Some c -> c
@@ -828,42 +518,19 @@ let run ?probe ?telemetry cfg trace =
         else begin
           complete_stage s;
           commit_stage s;
-          let issued = issue_stage s in
-          let dispatched = dispatch_stage s in
+          issue_stage s;
+          dispatch_stage s;
           s.occupancy_sum <- s.occupancy_sum + s.count;
-          (match probe with
-          | Some p ->
-              p.Pipeline.on_cycle ~cycle:s.cycle ~dispatched ~issued
-                ~executing:(executing_occupancy s) ~rob_occupancy:s.count
-          | None -> ());
-          s.cycle <- s.cycle + 1;
-          match s.telemetry with
-          | None -> ()
-          | Some sink ->
-              snap.acc_dispatched <- snap.acc_dispatched + dispatched;
-              snap.acc_issued <- snap.acc_issued + issued;
-              if s.cycle mod Tca_telemetry.Sink.interval sink = 0 then
-                flush_interval s sink snap ~now:s.cycle
+          s.cycle <- s.cycle + 1
         end
       done;
-      let outcome =
-        match !watchdog with
+      Ok
+        (match !watchdog with
         | Some diag -> Pipeline.Partial { stats = stats_of s; diag }
-        | None -> Pipeline.Complete (stats_of s)
-      in
-      (match s.telemetry with
-      | None -> ()
-      | Some sink ->
-          (match !watchdog with
-          | Some _ ->
-              Tca_telemetry.Sink.instant sink ~cat:"sim"
-                ~ts:(float_of_int s.cycle) "sim.watchdog"
-          | None -> ());
-          finish_telemetry s sink snap (Pipeline.stats_of_outcome outcome));
-      Ok outcome
+        | None -> Pipeline.Complete (stats_of s))
 
-let run_exn ?probe ?telemetry cfg trace =
-  match run ?probe ?telemetry cfg trace with
+let run_exn cfg trace =
+  match run cfg trace with
   | Ok (Pipeline.Complete stats) -> stats
   | Ok (Pipeline.Partial { diag; _ }) | Result.Error diag ->
       raise (Tca_util.Diag.Error diag)

@@ -35,6 +35,40 @@ type t = {
   per_unit : unit_stats list;
 }
 
+let make ~cycles ~committed ~branches ~mispredicts ~hier ~dtlb ~occupancy_sum
+    ~occupancy_at_accel_sum ~stalls ~config_stall_cycles
+    ~config_queue_stall_cycles units =
+  let sum f = List.fold_left (fun acc u -> acc + f u) 0 units in
+  let accel_invocations = sum (fun u -> u.invocations) in
+  let ratio num den =
+    if den = 0 then 0.0 else float_of_int num /. float_of_int den
+  in
+  {
+    cycles;
+    committed;
+    ipc = ratio committed cycles;
+    branches;
+    mispredicts;
+    l1 = Mem_hier.l1_stats hier;
+    l2 = Mem_hier.l2_stats hier;
+    accel_invocations;
+    accel_busy_cycles = sum (fun u -> u.busy_cycles);
+    accel_wait_for_head_cycles = sum (fun u -> u.wait_for_head_cycles);
+    avg_rob_occupancy = ratio occupancy_sum cycles;
+    avg_rob_at_accel_dispatch = ratio occupancy_at_accel_sum accel_invocations;
+    dtlb =
+      Option.map
+        (fun tlb -> { Mem_hier.hits = Tlb.hits tlb; misses = Tlb.misses tlb })
+        dtlb;
+    stalls;
+    config_stall_cycles;
+    config_queue_stall_cycles;
+    (* Single-unit runs keep the breakdown empty: the aggregate accel
+       counters already are that unit's slice, and the golden JSON bytes
+       must not change. *)
+    per_unit = (match units with [] | [ _ ] -> [] | _ -> units);
+  }
+
 let mispredict_rate t =
   if t.branches = 0 then 0.0
   else float_of_int t.mispredicts /. float_of_int t.branches

@@ -58,6 +58,19 @@ type t = {
           pre-[Tca_unit] format the goldens pin. *)
 }
 
+val make :
+  cycles:int -> committed:int -> branches:int -> mispredicts:int ->
+  hier:Mem_hier.t -> dtlb:Tlb.t option -> occupancy_sum:int ->
+  occupancy_at_accel_sum:int -> stalls:stall_breakdown ->
+  config_stall_cycles:int -> config_queue_stall_cycles:int ->
+  unit_stats list -> t
+(** A run's stats from its raw counters and per-unit slices (ordered by
+    unit id). [ipc] and the two ROB averages are derived here:
+    [occupancy_sum] is the ROB occupancy summed over all cycles,
+    [occupancy_at_accel_sum] over accelerator dispatches. The accel
+    aggregates are sums over the units, and [per_unit] keeps the slices
+    only when there are two or more. *)
+
 val mispredict_rate : t -> float
 
 val level_miss_rate : Mem_hier.level_stats -> float

@@ -254,7 +254,9 @@ let check_outcome i trace cfg = function
           record i "watchdog"
             ("Partial carries non-Watchdog diag: " ^ Tca_util.Diag.to_string d))
 
-let uarch_case i g =
+(* A structurally hostile core (every size and width drawn
+   adversarially) and a hostile trace to run on it. *)
+let hostile_case g =
   let open Tca_uarch in
   let spec = Tca_util.Faultgen.uarch_spec g in
   let cfg =
@@ -277,7 +279,47 @@ let uarch_case i g =
     }
   in
   let len = 20 + (abs (Tca_util.Faultgen.size_adversarial g ~max:120) mod 120) in
-  let trace = hostile_trace g ~len in
+  (cfg, hostile_trace g ~len)
+
+(* The same trace on a drawn accelerator table: 1-3 units with random
+   configuration cost, core occupancy Pipelined or Exclusive, the accel
+   instructions spread across the units, and now and then one invocation
+   long enough (latency or line count past 8192) to book memory ports
+   beyond their initial ring. Drawn from a stream of its own, seeded
+   from the case index, so the case's other inputs do not move. *)
+let with_unit_table i tag (cfg : Tca_uarch.Config.t) trace =
+  let open Tca_uarch in
+  let g = Tca_util.Faultgen.create ~seed:(Hashtbl.hash (seed, i, tag)) in
+  let pick n = abs (Tca_util.Faultgen.size_adversarial g ~max:n) mod n in
+  let modes = [| Tca_unit.Sync; Tca_unit.Queued; Tca_unit.Preprogrammed |] in
+  let units =
+    Array.init (1 + pick 3) (fun id ->
+        Tca_unit.make ~config_mode:modes.(pick 3) ~config_latency:(pick 61)
+          ~config_queue_depth:(1 + pick 4) id)
+  in
+  let occupancy = if pick 2 = 0 then Config.Pipelined else Config.Exclusive in
+  let long = ref (pick 6 = 0) and long_reads = pick 2 = 0 in
+  let spread (ins : Isa.instr) =
+    match ins.Isa.op with
+    | Isa.Accel a ->
+        let a = { a with Isa.unit_id = pick (Array.length units) } in
+        let a =
+          if not !long then a
+          else if long_reads then
+            let n = 8193 + pick 1000 in
+            { a with Isa.reads = Array.init n (fun k -> 64 * k) }
+          else { a with Isa.compute_latency = 8192 + pick 2000 }
+        in
+        long := false;
+        { ins with Isa.op = Isa.Accel a }
+    | _ -> ins
+  in
+  ( Config.with_tca_units { cfg with Config.tca_occupancy = occupancy } units,
+    Trace.of_array (Array.map spread trace.Trace.instrs) )
+
+let uarch_case i g =
+  let open Tca_uarch in
+  let cfg, trace = hostile_case g in
   guard i "Pipeline.run" (fun () ->
       check_outcome i trace cfg (Pipeline.run cfg trace));
   (* Force the watchdog: a 2-cycle budget cannot finish any trace here,
@@ -288,7 +330,10 @@ let uarch_case i g =
       | Ok (Pipeline.Complete _) ->
           record i "watchdog" "2-cycle budget reported Complete"
       | (Ok (Pipeline.Partial _) | Error _) as outcome ->
-          check_outcome i trace starved outcome)
+          check_outcome i trace starved outcome);
+  let cfg, trace = with_unit_table i "uarch" cfg trace in
+  guard i "Pipeline.run (unit table)" (fun () ->
+      check_outcome i trace cfg (Pipeline.run cfg trace))
 
 (* Differential oracle: the optimized pipeline must reproduce the
    pre-optimization reference implementation bit for bit — same
@@ -296,28 +341,7 @@ let uarch_case i g =
    configs and traces, whether or not the watchdog trips. *)
 let parity_case i g =
   let open Tca_uarch in
-  let spec = Tca_util.Faultgen.uarch_spec g in
-  let cfg =
-    {
-      (Config.hp ()) with
-      Config.dispatch_width = spec.Tca_util.Faultgen.dispatch_width;
-      issue_width = spec.Tca_util.Faultgen.u_issue_width;
-      commit_width = spec.Tca_util.Faultgen.commit_width;
-      rob_size = spec.Tca_util.Faultgen.u_rob_size;
-      iq_size = spec.Tca_util.Faultgen.iq_size;
-      lsq_size = spec.Tca_util.Faultgen.lsq_size;
-      int_alu_units = spec.Tca_util.Faultgen.int_alu_units;
-      int_mult_units = spec.Tca_util.Faultgen.int_mult_units;
-      fp_units = spec.Tca_util.Faultgen.fp_units;
-      mem_ports = spec.Tca_util.Faultgen.mem_ports;
-      frontend_depth = spec.Tca_util.Faultgen.frontend_depth;
-      commit_depth = spec.Tca_util.Faultgen.commit_depth;
-      tca_speculate_fraction = spec.Tca_util.Faultgen.speculate_fraction;
-      max_cycles = spec.Tca_util.Faultgen.watchdog_cycles;
-    }
-  in
-  let len = 20 + (abs (Tca_util.Faultgen.size_adversarial g ~max:120) mod 120) in
-  let trace = hostile_trace g ~len in
+  let cfg, trace = hostile_case g in
   let key = function
     | Ok o ->
         "ok:"
@@ -328,12 +352,17 @@ let parity_case i g =
           | Pipeline.Complete _ -> "")
     | Error d -> "error:" ^ Tca_util.Diag.to_string d
   in
-  guard i "Pipeline vs Pipeline_reference" (fun () ->
-      let opt = key (Pipeline.run cfg trace) in
-      let oracle = key (Pipeline_reference.run cfg trace) in
-      if opt <> oracle then
-        record i "reference parity"
-          (Printf.sprintf "optimized %s <> reference %s" opt oracle))
+  let parity what cfg trace =
+    guard i what (fun () ->
+        let opt = key (Pipeline.run cfg trace) in
+        let oracle = key (Pipeline_reference.run cfg trace) in
+        if opt <> oracle then
+          record i "reference parity"
+            (Printf.sprintf "optimized %s <> reference %s" opt oracle))
+  in
+  parity "Pipeline vs Pipeline_reference" cfg trace;
+  let cfg, trace = with_unit_table i "parity" cfg trace in
+  parity "Pipeline vs Pipeline_reference (unit table)" cfg trace
 
 let simulator_case i g =
   let open Tca_uarch in

@@ -422,6 +422,58 @@ let test_ports_validation () =
   Alcotest.check_raises "width" (Invalid_argument "Ports.create: width below 1")
     (fun () -> ignore (Ports.create ~width:0 ~horizon:8))
 
+(* A later request for an earlier cycle lands on the ring cell of a live
+   booking: the ring must grow, not re-tag the cell and hand the same
+   cycle out twice. *)
+let test_ports_no_double_booking () =
+  let p = Ports.create ~width:1 ~horizon:8 in
+  Alcotest.(check int) "cycle 10" 10 (Ports.reserve p ~now:10);
+  Alcotest.(check int) "cycle 2, same cell" 2 (Ports.reserve p ~now:2);
+  Alcotest.(check int) "cycle 10 is taken" 11 (Ports.reserve p ~now:10);
+  (* far past the initial reach, and past the ring's growth limit *)
+  Alcotest.(check int) "far ahead" 100_000 (Ports.reserve p ~now:100_000);
+  Alcotest.(check int) "far ahead, taken" 100_001
+    (Ports.reserve p ~now:100_000);
+  Ports.advance p ~now:50_000;
+  Alcotest.(check int) "ring reuse after advance" 50_000
+    (Ports.reserve p ~now:50_000);
+  Alcotest.(check int) "far booking kept" 100_002 (Ports.reserve p ~now:100_000)
+
+(* Parity of the two pipelines on [trace]; returns the optimized stats. *)
+let run_both ?(label = "reference parity") cfg trace =
+  let json s = Tca_util.Json.to_string (Sim_stats.to_json s) in
+  let opt = Pipeline.run_exn cfg trace in
+  Alcotest.(check string) label (json (Pipeline_reference.run_exn cfg trace))
+    (json opt);
+  opt
+
+let accel ?src1 ?dst ?(unit_id = 0) ?(reads = [||]) ?(writes = [||]) latency =
+  Isa.accel ?src1 ?dst ~unit_id ~compute_latency:latency ~reads ~writes ()
+
+let lines base n = Array.init n (fun i -> base + (64 * i))
+
+(* Both pipelines share [Ports], so parity cannot catch a port bug: these
+   pin the schedule. The third invocation's writes are due on the cycles
+   the first one's already hold, more than 8192 cycles after the second
+   invocation booked cycles in between; an overwriting ring lets them
+   share the ports (9018 cycles). *)
+let test_ports_pipeline_exact () =
+  let trace =
+    Trace.of_array
+      (Array.mapi
+         (fun k l -> accel ~writes:(lines (0x100000 * (k + 1)) 16) l)
+         [| 9000; 808; 9000 |])
+  in
+  Alcotest.(check int) "cycles" 9026
+    (run_both (Config.hp ()) trace).Sim_stats.cycles
+
+(* 20,000 line reads on two ports book 10,000 cycles ahead, past the
+   initial 8192-cycle ring: a complete run, not an exception. *)
+let test_ports_long_invocation () =
+  let trace = Trace.of_array [| accel ~reads:(lines 0 20_000) 4 |] in
+  Alcotest.(check bool) "complete" true
+    ((run_both (Config.hp ()) trace).Sim_stats.cycles > 10_000)
+
 (* --- Tlb --- *)
 
 let test_tlb_config_validation () =
@@ -977,15 +1029,7 @@ let test_multi_unit_pipelines_agree () =
           sc.Tca_workloads.Multi_tca.tca_units
       in
       let pair = sc.Tca_workloads.Multi_tca.pair in
-      let agree label cfg trace =
-        let opt = Pipeline.run_exn cfg trace in
-        let ref_ = Pipeline_reference.run_exn cfg trace in
-        Alcotest.(check string)
-          (name ^ "/" ^ label)
-          (Tca_util.Json.to_string (Sim_stats.to_json ref_))
-          (Tca_util.Json.to_string (Sim_stats.to_json opt));
-        opt
-      in
+      let agree label = run_both ~label:(name ^ "/" ^ label) in
       ignore (agree "baseline" cfg pair.Tca_workloads.Meta.baseline);
       List.iter
         (fun c ->
@@ -1070,10 +1114,7 @@ let test_multi_config_validate () =
     (match Config.validate bad_pos with Error _ -> true | Ok () -> false);
   let empty = Config.with_tca_units cfg [||] in
   Alcotest.(check bool) "empty unit table rejected" true
-    (match Config.validate empty with Error _ -> true | Ok () -> false);
-  Alcotest.check_raises "negative extra latency"
-    (Invalid_argument "Tca_unit.make: negative extra invocation latency")
-    (fun () -> ignore (Tca_unit.make ~extra_invocation_latency:(-1) 0))
+    (match Config.validate empty with Error _ -> true | Ok () -> false)
 
 (* A trace invoking a unit the config does not define must be rejected
    up front, with the same diagnostic from both pipelines. *)
@@ -1154,11 +1195,11 @@ let test_multi_sim_stats_roundtrips () =
 
 (* --- Configuration mechanisms (T1)-(T3) --- *)
 
-let config_cfg mode latency =
-  Config.with_tca_units (Config.hp ())
+let config_cfg ?(coupling = Config.coupling_l_t) ?(depth = 2) mode latency =
+  Config.with_tca_units (Config.hp ~coupling ())
     [|
       Tca_unit.make ~config_mode:mode ~config_latency:latency
-        ~config_queue_depth:2 0;
+        ~config_queue_depth:depth 0;
     |]
 
 let test_config_unit_validate () =
@@ -1211,14 +1252,9 @@ let test_config_pipelines_agree () =
     List.map
       (fun c ->
         let cfg = Config.with_coupling cfg c in
-        let trace = pair.Tca_workloads.Meta.accelerated in
-        let opt = Pipeline.run_exn cfg trace in
-        let ref_ = Pipeline_reference.run_exn cfg trace in
-        Alcotest.(check string)
-          (label ^ "/" ^ Config.coupling_name c)
-          (Tca_util.Json.to_string (Sim_stats.to_json ref_))
-          (Tca_util.Json.to_string (Sim_stats.to_json opt));
-        opt)
+        run_both
+          ~label:(label ^ "/" ^ Config.coupling_name c)
+          cfg pair.Tca_workloads.Meta.accelerated)
       Config.all_couplings
   in
   let total f stats = List.fold_left (fun acc s -> acc + f s) 0 stats in
@@ -1277,6 +1313,183 @@ let test_config_pipelines_agree () =
       ("sync stats", List.hd sync);
       ("queued stats", List.nth queued_dense 3);
     ]
+
+(* --- Accelerator policy: Tca_unit.State and exact-cycle closed forms ---
+
+   Both pipelines share [Tca_unit.State], so parity cannot check it. The
+   state machine is pinned here directly, and through both pipelines by
+   micro-scenarios whose cycle counts follow by hand from its rules. *)
+
+let state_of ?(exclusive = false) mode latency depth =
+  Tca_unit.State.create ~exclusive
+    [|
+      Tca_unit.make ~config_mode:mode ~config_latency:latency
+        ~config_queue_depth:depth 0;
+    |]
+
+let gate_t =
+  Alcotest.testable
+    (fun fmt g ->
+      Format.pp_print_string fmt
+        (match g with
+        | Tca_unit.State.Go -> "Go"
+        | Tca_unit.State.Config_write -> "Config_write"
+        | Tca_unit.State.Config_queue -> "Config_queue"))
+    ( = )
+
+let test_state_gate_modes () =
+  let open Tca_unit.State in
+  let expect label want st instr cycle =
+    Alcotest.check gate_t label want (gate st 0 ~instr ~cycle)
+  in
+  expect "latency 0 is inert" Go (state_of Tca_unit.Sync 0 4) 0 0;
+  (* Sync: every invocation pays c = 5 cycles of CSR writes. *)
+  let st = state_of Tca_unit.Sync 5 4 in
+  List.iter
+    (fun (instr, first) ->
+      expect "sync: writes start" Config_write st instr first;
+      expect "sync: in flight" Config_write st instr (first + 4);
+      expect "sync: done" Go st instr (first + 5);
+      Alcotest.(check int) "sync: no descriptor" 0
+        (dispatch st 0 ~cycle:(first + 5)))
+    [ (0, 0); (1, 100) ];
+  (* Preprogrammed: the first invocation pays, the rest are free. *)
+  let st = state_of Tca_unit.Preprogrammed 5 4 in
+  expect "preprog: first pays" Config_write st 0 0;
+  expect "preprog: first done" Go st 0 5;
+  ignore (dispatch st 0 ~cycle:5 : int);
+  expect "preprog: pays once" Go st 1 6;
+  (* Queued, c = 5, depth 3: descriptors complete 5 cycles apart, and the
+     queue is full at exactly 3 outstanding. *)
+  let st = state_of Tca_unit.Queued 5 3 in
+  List.iteri
+    (fun k ready ->
+      expect "queued: room" Go st k 0;
+      Alcotest.(check int) "queued: descriptor ready" ready
+        (dispatch st 0 ~cycle:0))
+    [ 5; 10; 15 ];
+  expect "queued: full at depth" Config_queue st 3 0;
+  expect "queued: still full" Config_queue st 3 4;
+  expect "queued: one completed" Go st 3 5;
+  Alcotest.(check int) "queued: serial engine" 20 (dispatch st 0 ~cycle:5)
+
+let test_state_occupancy_and_counters () =
+  let open Tca_unit.State in
+  let pipelined = state_of Tca_unit.Sync 0 4 in
+  finish pipelined 0 ~issued:0 ~complete:50;
+  Alcotest.(check int) "pipelined: no wait" 10
+    (start pipelined 0 ~cycle:10 ~ready:0);
+  Alcotest.(check int) "config ready gates start" 30
+    (start pipelined 0 ~cycle:10 ~ready:30);
+  let st = state_of ~exclusive:true Tca_unit.Sync 0 4 in
+  ignore (dispatch st 0 ~cycle:0 : int);
+  finish st 0 ~issued:0 ~complete:50;
+  Alcotest.(check int) "exclusive: waits for the unit" 50
+    (start st 0 ~cycle:10 ~ready:0);
+  Alcotest.(check int) "exclusive: later ready wins" 60
+    (start st 0 ~cycle:10 ~ready:60);
+  wait_for_head st 0;
+  serialize_stall st;
+  serialize_stall st;
+  let two = create ~exclusive:false (Array.init 2 Tca_unit.default) in
+  ignore (dispatch two 1 ~cycle:0 : int);
+  serialize_stall two;
+  Alcotest.(check (list int)) "serialize stall charged to the barrier's unit"
+    [ 0; 1 ]
+    (List.map (fun u -> u.Sim_stats.serialize_stall_cycles) (unit_stats two));
+  match unit_stats st with
+  | [ u ] ->
+      Alcotest.(check (list int)) "counters"
+        [ 0; 1; 50; 1; 2 ]
+        [
+          u.Sim_stats.unit_id;
+          u.Sim_stats.invocations;
+          u.Sim_stats.busy_cycles;
+          u.Sim_stats.wait_for_head_cycles;
+          u.Sim_stats.serialize_stall_cycles;
+        ]
+  | _ -> Alcotest.fail "expected one unit"
+
+let accel_only ?(chain = false) ?(units = 1) ~latency n =
+  Trace.of_array
+    (Array.init n (fun i ->
+         if chain then accel ~src1:1 ~dst:1 latency
+         else accel ~unit_id:(i mod units) latency))
+
+(* NL_NT and L_NT serialize a chain of n accel-only invocations, so each
+   invocation's configuration cost lands on the critical path alone:
+   Sync adds c per invocation, Preprogrammed c once, and Queued c - 1
+   per invocation (the descriptor is enqueued at dispatch, the
+   invocation would otherwise issue one cycle later) with an empty
+   engine at every dispatch, so the queue never fills — the documented
+   dense-NT worst case of (T2), made exact. *)
+let test_exact_config_chain () =
+  List.iter
+    (fun coupling ->
+      List.iter
+        (fun n ->
+          let trace = accel_only ~chain:true ~latency:20 n in
+          let run mode c depth =
+            run_both (config_cfg ~coupling ~depth mode c) trace
+          in
+          let base = (run Tca_unit.Sync 0 1).Sim_stats.cycles in
+          List.iter
+            (fun c ->
+              let label what =
+                Printf.sprintf "%s n=%d c=%d %s"
+                  (Config.coupling_name coupling) n c what
+              in
+              let sync = run Tca_unit.Sync c 1 in
+              Alcotest.(check int) (label "sync cycles") (base + (n * c))
+                sync.Sim_stats.cycles;
+              Alcotest.(check int) (label "sync stall") (n * c)
+                sync.Sim_stats.config_stall_cycles;
+              Alcotest.(check int) (label "preprog cycles") (base + c)
+                (run Tca_unit.Preprogrammed c 1).Sim_stats.cycles;
+              List.iter
+                (fun depth ->
+                  let q = run Tca_unit.Queued c depth in
+                  Alcotest.(check int)
+                    (label (Printf.sprintf "queued d=%d cycles" depth))
+                    (base + (n * (c - 1)))
+                    q.Sim_stats.cycles;
+                  Alcotest.(check int)
+                    (label (Printf.sprintf "queued d=%d full" depth))
+                    0 q.Sim_stats.config_queue_stall_cycles)
+                [ 1; 4 ])
+            [ 1; 5; 30; 100 ])
+        [ 8; 10; 12 ])
+    [ Config.coupling_nl_nt; Config.coupling_l_nt ]
+
+(* L_T with core-wide Exclusive occupancy: n independent invocations of
+   latency L serialize on their unit, so one unit takes n * L cycles plus
+   the fixed cost of a single invocation (its cycles minus L, 10 on HP),
+   and two alternating units overlap pairwise: (n / 2) * L plus the same
+   constant. *)
+let test_exact_exclusive_units () =
+  let cfg units =
+    Config.with_tca_units
+      { (Config.hp ()) with Config.tca_occupancy = Config.Exclusive }
+      (Array.init units Tca_unit.default)
+  in
+  List.iter
+    (fun latency ->
+      let single =
+        (run_both (cfg 1) (accel_only ~latency 1)).Sim_stats.cycles - latency
+      in
+      Alcotest.(check int) "single-invocation overhead" 10 single;
+      List.iter
+        (fun n ->
+          let label what = Printf.sprintf "L=%d n=%d %s" latency n what in
+          Alcotest.(check int) (label "one unit")
+            ((n * latency) + single)
+            (run_both (cfg 1) (accel_only ~latency n)).Sim_stats.cycles;
+          Alcotest.(check int) (label "two units")
+            ((n / 2 * latency) + single)
+            (run_both (cfg 2) (accel_only ~units:2 ~latency n))
+              .Sim_stats.cycles)
+        [ 8; 10; 12 ])
+    [ 20; 50; 100 ]
 
 (* --- Golden pins --- *)
 
@@ -1402,6 +1615,12 @@ let () =
           Alcotest.test_case "bandwidth" `Quick test_ports_bandwidth;
           Alcotest.test_case "ring reuse" `Quick test_ports_reuse_after_wrap;
           Alcotest.test_case "validation" `Quick test_ports_validation;
+          Alcotest.test_case "no double booking" `Quick
+            test_ports_no_double_booking;
+          Alcotest.test_case "pipeline schedule exact" `Quick
+            test_ports_pipeline_exact;
+          Alcotest.test_case "long invocation" `Quick
+            test_ports_long_invocation;
         ] );
       ( "tlb",
         [
@@ -1466,6 +1685,16 @@ let () =
           Alcotest.test_case "unit validation" `Quick test_config_unit_validate;
           Alcotest.test_case "pipelines agree + counters" `Slow
             test_config_pipelines_agree;
+        ] );
+      ( "accel_policy",
+        [
+          Alcotest.test_case "state gate per mode" `Quick test_state_gate_modes;
+          Alcotest.test_case "state occupancy + counters" `Quick
+            test_state_occupancy_and_counters;
+          Alcotest.test_case "exact: config chain (NT)" `Quick
+            test_exact_config_chain;
+          Alcotest.test_case "exact: exclusive units (L_T)" `Quick
+            test_exact_exclusive_units;
         ] );
       ( "golden",
         [ Alcotest.test_case "workload pins" `Quick test_golden_pins ] );
