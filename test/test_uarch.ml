@@ -1686,7 +1686,7 @@ let () =
           Alcotest.test_case "pipelines agree + counters" `Slow
             test_config_pipelines_agree;
         ] );
-      ( "accel_policy",
+      ( "unit_policy",
         [
           Alcotest.test_case "state gate per mode" `Quick test_state_gate_modes;
           Alcotest.test_case "state occupancy + counters" `Quick
