@@ -16,23 +16,31 @@
    on the same trace in alternating pairs, plus Simulator.run_batch
    serial vs a domain pool, and records both ratios under "simulator" in
    the JSON summary: the single-trace speedup is the median per-pair
-   ratio, with its quartiles beside it. CI guards that median against
-   the committed BENCH_results.json.
+   ratio, with its quartiles beside it. Its identity flag compares the
+   two pipelines on the baseline and on the accelerated trace under all
+   four couplings. CI guards that median against the committed
+   BENCH_results.json.
 
    The [scaling] target runs a fixed job mix fully profiled at 1..N
    domains and records {domains, wall_s, speedup, efficiency} plus the
    profiler's component attribution per point under "scaling". CI
-   gates the efficiency at 2 domains against the committed curve. *)
+   gates the efficiency at 2 domains against the committed curve.
+
+   Every section of the summary carries its own "meta" block, so one
+   section can be re-recorded alone and still name its origin. *)
 
 let quick = ref false
 let summary_path : string option ref = ref None
 
-(* Provenance of a BENCH_results.json: which commit, toolchain and
-   machine shape produced it. The regression guard ignores this block —
-   it exists so a curve can be traced back to its origin. *)
+(* Provenance of one summary section: which commit (suffixed "-dirty"
+   when the tree had uncommitted changes), toolchain and machine shape
+   produced it. The regression guard ignores this block — it exists so a
+   row can be traced back to its origin. *)
 let run_meta () =
   let git_rev =
-    match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    match
+      Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+    with
     | exception _ -> "unknown"
     | ic -> (
         let line = try input_line ic with End_of_file -> "" in
@@ -49,14 +57,18 @@ let run_meta () =
       ("quick", Bool !quick);
     ]
 
-(* [sections]: each run target's name and the summary it returned. *)
+(* [sections]: each run target's name and the fields it returned. *)
 let write_summary sections =
   match !summary_path with
   | None -> ()
   | Some path ->
       let open Tca_util.Json in
+      let meta = run_meta () in
       let doc =
-        Obj ([ ("quick", Bool !quick); ("meta", run_meta ()) ] @ sections)
+        Obj
+          (List.map
+             (fun (name, fields) -> (name, Obj (fields @ [ ("meta", meta) ])))
+             sections)
       in
       (* Atomic so an interrupted bench never leaves a truncated summary
          for the CI regression guard to parse. *)
@@ -86,15 +98,35 @@ let run_simulator () =
     f ();
     Unix.gettimeofday () -. t0
   in
-  (* The speedup only counts if the stats agree bit for bit. *)
-  let stats_json s = Tca_util.Json.to_string (Sim_stats.to_json s) in
-  let identical =
-    stats_json (Pipeline.run_exn cfg trace)
-    = stats_json (Pipeline_reference.run_exn cfg trace)
+  (* The compare_modes shape: the baseline, then the accelerated trace
+     under each coupling. *)
+  let modes =
+    ("baseline", cfg, trace)
+    :: List.map
+         (fun c ->
+           ( Config.coupling_name c,
+             Config.with_coupling cfg c,
+             pair.Tca_workloads.Meta.accelerated ))
+         Config.all_couplings
   in
+  (* The speedup only counts if the stats agree bit for bit, on every
+     mode: the baseline trace never reaches the accelerator issue path. *)
+  let stats_json s = Tca_util.Json.to_string (Sim_stats.to_json s) in
+  let differing =
+    List.filter_map
+      (fun (name, cfg, trace) ->
+        if
+          stats_json (Pipeline.run_exn cfg trace)
+          = stats_json (Pipeline_reference.run_exn cfg trace)
+        then None
+        else Some name)
+      modes
+  in
+  let identical = differing = [] in
   if not identical then
     Printf.eprintf
-      "[simulator] WARNING: optimized stats differ from reference\n";
+      "[simulator] WARNING: optimized stats differ from reference on %s\n"
+      (String.concat ", " differing);
   (* The identity check above also warmed both paths (and the decode
      memo). One run per side per pair, the order flipped every pair so a
      drift in host speed hits both sides alike; the major collection
@@ -125,18 +157,14 @@ let run_simulator () =
   let total side = Array.fold_left (fun acc s -> acc +. side s) 0.0 samples in
   let optimized_s = total fst and reference_s = total snd in
   let per_s s = if s > 0.0 then float_of_int (uops * pairs) /. s else 0.0 in
-  (* Batched evaluation: the compare_modes shape (baseline + the four
-     couplings), replicated, through run_batch serial vs a domain
-     pool — with the usual bit-identity requirement. *)
-  let couplings = Array.of_list Config.all_couplings in
+  (* Batched evaluation: the modes, replicated, through run_batch serial
+     vs a domain pool — with the usual bit-identity requirement. *)
+  let n_modes = List.length modes in
   let replicas = if !quick then 2 else 4 in
   let entries =
-    Array.init (replicas * 5) (fun i ->
-        match i mod 5 with
-        | 0 -> (cfg, trace)
-        | k ->
-            ( Config.with_coupling cfg couplings.(k - 1),
-              pair.Tca_workloads.Meta.accelerated ))
+    Array.init (replicas * n_modes) (fun i ->
+        let _, cfg, trace = List.nth modes (i mod n_modes) in
+        (cfg, trace))
   in
   let keys results =
     Array.map
@@ -166,39 +194,38 @@ let run_simulator () =
   Printf.printf
     "single trace (%d uops x %d pairs): reference %.3f s (%.2e uops/s), \
      optimized %.3f s (%.2e uops/s) -> median %.2fx (quartiles %.2f-%.2f), \
-     stats %s\n\
+     stats (%d modes) %s\n\
      batch (%d entries): serial %.3f s, parallel %.3f s (workers %d, %.2fx), \
      results %s\n"
     uops pairs reference_s (per_s reference_s) optimized_s (per_s optimized_s)
-    speedup (quantile 25.0) (quantile 75.0)
+    speedup (quantile 25.0) (quantile 75.0) n_modes
     (if identical then "bit-identical" else "DIFFER")
     (Array.length entries) batch_serial_s batch_parallel_s pool_workers
     batch_speedup
     (if batch_identical then "bit-identical" else "DIFFER");
   let open Tca_util.Json in
-  Obj
-    [
-      ("trace_uops", Int uops);
-      ("pairs", Int pairs);
-      ("reference_s", Float reference_s);
-      ("optimized_s", Float optimized_s);
-      ("reference_uops_per_s", Float (per_s reference_s));
-      ("optimized_uops_per_s", Float (per_s optimized_s));
-      ("speedup", Float speedup);
-      ("speedup_q1", Float (quantile 25.0));
-      ("speedup_q3", Float (quantile 75.0));
-      ("stats_bit_identical", Bool identical);
-      ( "batch",
-        Obj
-          [
-            ("entries", Int (Array.length entries));
-            ("serial_s", Float batch_serial_s);
-            ("parallel_s", Float batch_parallel_s);
-            ("workers", Int pool_workers);
-            ("speedup", Float batch_speedup);
-            ("results_bit_identical", Bool batch_identical);
-          ] );
-    ]
+  [
+    ("trace_uops", Int uops);
+    ("pairs", Int pairs);
+    ("reference_s", Float reference_s);
+    ("optimized_s", Float optimized_s);
+    ("reference_uops_per_s", Float (per_s reference_s));
+    ("optimized_uops_per_s", Float (per_s optimized_s));
+    ("speedup", Float speedup);
+    ("speedup_q1", Float (quantile 25.0));
+    ("speedup_q3", Float (quantile 75.0));
+    ("stats_bit_identical", Bool identical);
+    ( "batch",
+      Obj
+        [
+          ("entries", Int (Array.length entries));
+          ("serial_s", Float batch_serial_s);
+          ("parallel_s", Float batch_parallel_s);
+          ("workers", Int pool_workers);
+          ("speedup", Float batch_speedup);
+          ("results_bit_identical", Bool batch_identical);
+        ] );
+  ]
 
 (* --- Scaling curve: the fixed job mix at 1..N domains, profiled --- *)
 
@@ -267,35 +294,34 @@ let run_scaling () =
         profile.T.Profiler.cpu_s)
     points;
   let open Tca_util.Json in
-  Obj
-    [
-      ("n_jobs", Int (List.length js));
-      ("max_domains", Int max_domains);
-      ("artifacts_bit_identical", Bool identical);
-      ( "points",
-        List
-          (List.map
-             (fun (n, wall_s, profile, _) ->
-               let speedup =
-                 if wall_s > 0.0 then serial_wall /. wall_s else 0.0
-               in
-               Obj
-                 [
-                   ("domains", Int n);
-                   ("wall_s", Float wall_s);
-                   ("speedup", Float speedup);
-                   ("efficiency", Float (speedup /. float_of_int n));
-                   ("cpu_s", Float profile.T.Profiler.cpu_s);
-                   ( "attributed_fraction",
-                     Float (T.Profiler.attributed_fraction profile) );
-                   ( "components",
-                     Obj
-                       (List.map
-                          (fun (k, v) -> (k, Float v))
-                          profile.T.Profiler.components) );
-                 ])
-             points) );
-    ]
+  [
+    ("n_jobs", Int (List.length js));
+    ("max_domains", Int max_domains);
+    ("artifacts_bit_identical", Bool identical);
+    ( "points",
+      List
+        (List.map
+           (fun (n, wall_s, profile, _) ->
+             let speedup =
+               if wall_s > 0.0 then serial_wall /. wall_s else 0.0
+             in
+             Obj
+               [
+                 ("domains", Int n);
+                 ("wall_s", Float wall_s);
+                 ("speedup", Float speedup);
+                 ("efficiency", Float (speedup /. float_of_int n));
+                 ("cpu_s", Float profile.T.Profiler.cpu_s);
+                 ( "attributed_fraction",
+                   Float (T.Profiler.attributed_fraction profile) );
+                 ( "components",
+                   Obj
+                     (List.map
+                        (fun (k, v) -> (k, Float v))
+                        profile.T.Profiler.components) );
+               ])
+           points) );
+  ]
 
 let targets = [ ("simulator", run_simulator); ("scaling", run_scaling) ]
 

@@ -17,6 +17,14 @@
    - store-to-load forwarding scans an explicit in-flight store queue
      (the stores between dispatch and commit, in program order) instead
      of walking every older ROB slot;
+   - issue and completion walk two worklists instead of the whole window,
+     so a cycle's work follows the entries that can change state, not
+     ROB occupancy: [iq], the waiting slots in program order (dispatch
+     appends, the issue walk compacts it in place), visits exactly the
+     slots the reference's oldest-first scan finds waiting, in the same
+     order and with the same early stop; [ex], the executing slots in
+     no particular order (completion swaps the last entry into the freed
+     place), is enough because completions are order-independent;
    - ring-buffer indices wrap with a compare instead of [mod], stage
      loops are tail-recursive over int accumulators instead of
      closure/ref based, and per-opcode latencies come from a table built
@@ -109,12 +117,15 @@ type state = {
   mutable head : int;
   mutable tail : int;
   mutable count : int;
-  mutable executing : int;  (* entries in [st_executing] *)
+  (* Worklists of ROB slots; each length is the count of its state. *)
+  iq : int array;  (* [st_waiting] slots, program order *)
+  mutable iq_count : int;
+  ex : int array;  (* [st_executing] slots, unordered *)
+  mutable executing : int;
   mutable next_complete : int;
       (* lower bound on the earliest [complete_at] among executing
-         entries ([max_int] when none): the completion scan runs only on
+         entries ([max_int] when none): the completion walk runs only on
          cycles where something can actually finish *)
-  mutable iq_count : int;
   mutable lsq_count : int;
   mutable next_fetch : int;
   mutable next_seq : int;
@@ -208,9 +219,11 @@ let create ?telemetry cfg trace =
     head = 0;
     tail = 0;
     count = 0;
+    iq = Array.make r (-1);
+    iq_count = 0;
+    ex = Array.make r (-1);
     executing = 0;
     next_complete = max_int;
-    iq_count = 0;
     lsq_count = 0;
     next_fetch = 0;
     next_seq = 0;
@@ -330,31 +343,29 @@ let push_accel_write s ~finish ~off ~len =
   s.paw_count <- s.paw_count + 1;
   if finish < s.paw_next_due then s.paw_next_due <- finish
 
-(* Scans every occupied slot; transitions are order-independent, so the
-   [next_complete] gate in [complete_stage] (skip the scan while nothing
-   is due) cannot change results, only avoid no-op passes. Recomputes
-   the bound from the entries still executing. *)
-let rec complete_scan s k min_next =
-  if k >= s.count then min_next
+(* Walks the executing list. A finished entry's place takes the last
+   entry, which is visited next. Transitions are order-independent, so
+   neither the list's order nor the [next_complete] gate in
+   [complete_stage] (skip the walk while nothing is due) can change
+   results. Recomputes the bound from the entries still executing. *)
+let rec complete_walk s i min_next =
+  if i >= s.executing then min_next
   else
-    let slot = wrap s (s.head + k) in
-    if s.st.(slot) = st_executing then
-      if s.complete_at.(slot) <= s.cycle then begin
-        s.st.(slot) <- st_done;
-        s.executing <- s.executing - 1;
-        if s.pending_redirect = slot && s.pending_redirect_seq = s.seq.(slot)
-        then begin
-          s.fetch_resume_at <- s.cycle + s.frontend_depth;
-          s.pending_redirect <- -1;
-          s.pending_redirect_seq <- -1
-        end;
-        complete_scan s (k + 1) min_next
-      end
-      else
-        complete_scan s (k + 1)
-          (if s.complete_at.(slot) < min_next then s.complete_at.(slot)
-           else min_next)
-    else complete_scan s (k + 1) min_next
+    let slot = s.ex.(i) in
+    let at = s.complete_at.(slot) in
+    if at <= s.cycle then begin
+      s.st.(slot) <- st_done;
+      s.executing <- s.executing - 1;
+      s.ex.(i) <- s.ex.(s.executing);
+      if s.pending_redirect = slot && s.pending_redirect_seq = s.seq.(slot)
+      then begin
+        s.fetch_resume_at <- s.cycle + s.frontend_depth;
+        s.pending_redirect <- -1;
+        s.pending_redirect_seq <- -1
+      end;
+      complete_walk s i min_next
+    end
+    else complete_walk s (i + 1) (if at < min_next then at else min_next)
 
 let complete_stage s =
   (* Every port reservation from here on is at or after this cycle. *)
@@ -364,7 +375,7 @@ let complete_stage s =
   | None -> ());
   if s.paw_count > 0 && s.paw_next_due <= s.cycle then drain_accel_writes s;
   if s.executing > 0 && s.next_complete <= s.cycle then
-    s.next_complete <- complete_scan s 0 max_int
+    s.next_complete <- complete_walk s 0 max_int
 
 let rec commit_loop s n =
   if n < s.commit_width && s.count > 0 then begin
@@ -427,6 +438,14 @@ let rec accel_writes_loop ports ~now k len acc =
     let port_cycle = Ports.reserve ports ~now in
     accel_writes_loop ports ~now (k + 1) len (max acc (port_cycle + 1))
 
+(* The issue walk removes [slot] from the waiting list itself. *)
+let[@inline] start_executing s slot complete =
+  s.st.(slot) <- st_executing;
+  s.complete_at.(slot) <- complete;
+  s.ex.(s.executing) <- slot;
+  s.executing <- s.executing + 1;
+  if complete < s.next_complete then s.next_complete <- complete
+
 let issue_accel s slot ti u =
   let start =
     Tca_unit.State.start s.units u ~cycle:s.cycle ~ready:s.cfg_ready.(slot)
@@ -443,9 +462,9 @@ let issue_accel s slot ti u =
   let finish = max compute_done write_done in
   if writes_len > 0 then
     push_accel_write s ~finish ~off:s.d.writes_off.(ti) ~len:writes_len;
-  s.complete_at.(slot) <- max finish (s.cycle + 1);
-  Tca_unit.State.finish s.units u ~issued:s.cycle
-    ~complete:s.complete_at.(slot);
+  let complete = max finish (s.cycle + 1) in
+  start_executing s slot complete;
+  Tca_unit.State.finish s.units u ~issued:s.cycle ~complete;
   match s.telemetry with
   | None -> ()
   | Some sink ->
@@ -460,79 +479,83 @@ let issue_accel s slot ti u =
            ]
           @ if s.n_units > 1 then [ ("unit", Tca_util.Json.Int u) ] else [])
         ~ts:(float_of_int s.cycle)
-        ~dur:(float_of_int (s.complete_at.(slot) - s.cycle))
+        ~dur:(float_of_int (complete - s.cycle))
         "accel.invoke"
 
-let[@inline] start_executing s slot complete =
-  s.st.(slot) <- st_executing;
-  s.executing <- s.executing + 1;
-  s.complete_at.(slot) <- complete;
-  if complete < s.next_complete then s.next_complete <- complete;
-  s.iq_count <- s.iq_count - 1
-
-(* Scan the window oldest-first for up to [issue_width] ready
-   instructions, bounded by the per-class unit counts. Tail-recursive
-   over int accumulators: no closure, no ref, no allocation. *)
-let rec issue_scan s k issued ialu imult fp =
-  if issued >= s.issue_width || k >= s.count then issued
+(* Walk the waiting list oldest-first for up to [issue_width] ready
+   instructions, bounded by the per-class unit counts. Entry [i] is
+   visited; the entries that stay waiting are compacted down to [j]. At
+   the width limit the unvisited tail moves down in one blit.
+   Tail-recursive over int accumulators: no closure, no ref, no
+   allocation. *)
+let rec issue_walk s i j issued ialu imult fp =
+  if issued >= s.issue_width then begin
+    let rest = s.iq_count - i in
+    Array.blit s.iq i s.iq j rest;
+    s.iq_count <- j + rest;
+    issued
+  end
+  else if i >= s.iq_count then begin
+    s.iq_count <- j;
+    issued
+  end
   else
-    let slot = wrap s (s.head + k) in
-    if s.st.(slot) = st_waiting && deps_ready s slot then begin
+    let slot = s.iq.(i) in
+    if deps_ready s slot then begin
       let ti = s.tr_idx.(slot) in
       let opc = s.d.op.(ti) in
       if opc = D.op_int_alu || opc = D.op_branch then
         if ialu < s.int_alu_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_scan s (k + 1) (issued + 1) (ialu + 1) imult fp
+          issue_walk s (i + 1) j (issued + 1) (ialu + 1) imult fp
         end
-        else issue_scan s (k + 1) issued ialu imult fp
+        else keep_waiting s i j issued ialu imult fp slot
       else if opc = D.op_int_mult then
         if imult < s.int_mult_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_scan s (k + 1) (issued + 1) ialu (imult + 1) fp
+          issue_walk s (i + 1) j (issued + 1) ialu (imult + 1) fp
         end
-        else issue_scan s (k + 1) issued ialu imult fp
+        else keep_waiting s i j issued ialu imult fp slot
       else if opc = D.op_fp_alu || opc = D.op_fp_mult then
         if fp < s.fp_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_scan s (k + 1) (issued + 1) ialu imult (fp + 1)
+          issue_walk s (i + 1) j (issued + 1) ialu imult (fp + 1)
         end
-        else issue_scan s (k + 1) issued ialu imult fp
+        else keep_waiting s i j issued ialu imult fp slot
       else if opc = D.op_store then begin
         (* Address generation; data drains to cache at commit. *)
         start_executing s slot (s.cycle + 1);
-        issue_scan s (k + 1) (issued + 1) ialu imult fp
+        issue_walk s (i + 1) j (issued + 1) ialu imult fp
       end
       else if opc = D.op_load then (
         match older_store_match s s.seq.(slot) s.d.addr.(ti) with
-        | `Blocked -> issue_scan s (k + 1) issued ialu imult fp
+        | `Blocked -> keep_waiting s i j issued ialu imult fp slot
         | `Forward ->
             start_executing s slot (s.cycle + 1);
-            issue_scan s (k + 1) (issued + 1) ialu imult fp
+            issue_walk s (i + 1) j (issued + 1) ialu imult fp
         | `None ->
             start_executing s slot (memory_read s ~now:s.cycle s.d.addr.(ti));
-            issue_scan s (k + 1) (issued + 1) ialu imult fp)
+            issue_walk s (i + 1) j (issued + 1) ialu imult fp)
       else begin
         (* accel *)
         let u = s.d.accel_unit.(ti) in
         if accel_speculative s slot || slot = s.head then begin
           issue_accel s slot ti u;
-          s.st.(slot) <- st_executing;
-          s.executing <- s.executing + 1;
-          if s.complete_at.(slot) < s.next_complete then
-            s.next_complete <- s.complete_at.(slot);
-          s.iq_count <- s.iq_count - 1;
-          issue_scan s (k + 1) (issued + 1) ialu imult fp
+          issue_walk s (i + 1) j (issued + 1) ialu imult fp
         end
         else begin
           Tca_unit.State.wait_for_head s.units u;
-          issue_scan s (k + 1) issued ialu imult fp
+          keep_waiting s i j issued ialu imult fp slot
         end
       end
     end
-    else issue_scan s (k + 1) issued ialu imult fp
+    else keep_waiting s i j issued ialu imult fp slot
 
-let issue_stage s = issue_scan s 0 0 0 0 0
+and keep_waiting s i j issued ialu imult fp slot =
+  s.iq.(j) <- slot;
+  issue_walk s (i + 1) (j + 1) issued ialu imult fp
+
+let issue_stage s = issue_walk s 0 0 0 0 0 0
 
 let rec dispatch_loop s dispatched =
   if dispatched >= s.dispatch_width then dispatched
@@ -612,6 +635,7 @@ let rec dispatch_loop s dispatched =
         s.ren_slot.(dst) <- slot;
         s.ren_seq.(dst) <- s.seq.(slot)
       end;
+      s.iq.(s.iq_count) <- slot;
       s.iq_count <- s.iq_count + 1;
       if is_mem then begin
         s.lsq_count <- s.lsq_count + 1;

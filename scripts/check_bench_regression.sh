@@ -7,8 +7,10 @@
 # gate against: a missing baseline fails the script (exit 2) rather than
 # silently skipping the gate, unless ALLOW_MISSING_BASELINE=1
 # deliberately bootstraps it.
-# The `meta` block (git rev, OCaml version, domain count, quick flag)
-# is informational and deliberately ignored here.
+# Each section carries its own `meta` block (git rev, OCaml version,
+# domain count, quick flag), so one section can be re-recorded alone and
+# still name the commit and host behind it. The blocks are
+# informational and deliberately ignored here.
 #
 # Simulator section — machine-independent by construction: bench/main.ml
 # times the optimized Pipeline against the verbatim pre-optimization
@@ -75,7 +77,7 @@ if jq -e 'has("simulator")' "$fresh" > /dev/null; then
 
     if ! awk -v c="$committed_speedup" -v f="$fresh_speedup" -v t="$tolerance" \
         'BEGIN { exit !(f + 0 >= t * c) }'; then
-      echo "check_bench_regression: simulator speedup regressed more than $(awk -v t="$tolerance" 'BEGIN { printf "%d%%", (1 - t) * 100 }') below the committed value" >&2
+      echo "check_bench_regression: simulator speedup regressed more than $(awk -v t="$tolerance" 'BEGIN { printf "%.0f%%", (1 - t) * 100 }') below the committed value" >&2
       exit 1
     fi
   fi

@@ -778,6 +778,38 @@ let test_pipeline_lp_slower () =
   Alcotest.(check bool) "narrow core slower" true
     (lp.Sim_stats.cycles > hp.Sim_stats.cycles)
 
+(* Every preset sizes its IQ like its ROB, so only a cut-down queue fills
+   behind a deep window: parity on the golden pairs (baseline and every
+   coupling) with small IQ/LSQ sizes. The summed full-queue stalls keep
+   the test from passing without ever filling either queue. *)
+let test_pipeline_small_iq_parity () =
+  let pairs = Tca_experiments.Exp_common.golden_pairs () in
+  let iq_full = ref 0 and lsq_full = ref 0 in
+  List.iter
+    (fun (iq_size, lsq_size) ->
+      let cfg = { (Config.hp ()) with Config.iq_size; lsq_size } in
+      List.iter
+        (fun (name, (pair : Tca_workloads.Meta.pair)) ->
+          List.iter
+            (fun (mode, cfg, trace) ->
+              let label =
+                Printf.sprintf "%s/%s iq %d lsq %d" name mode iq_size lsq_size
+              in
+              let stalls = (run_both ~label cfg trace).Sim_stats.stalls in
+              iq_full := !iq_full + stalls.Sim_stats.iq_full;
+              lsq_full := !lsq_full + stalls.Sim_stats.lsq_full)
+            (("baseline", cfg, pair.Tca_workloads.Meta.baseline)
+            :: List.map
+                 (fun c ->
+                   ( Config.coupling_name c,
+                     Config.with_coupling cfg c,
+                     pair.Tca_workloads.Meta.accelerated ))
+                 Config.all_couplings))
+        pairs)
+    [ (16, 8); (32, 12); (5, 3) ];
+  Alcotest.(check bool) "IQ filled" true (!iq_full > 0);
+  Alcotest.(check bool) "LSQ filled" true (!lsq_full > 0)
+
 (* Random well-formed traces always terminate and commit everything,
    under every coupling. *)
 let random_trace_gen =
@@ -1654,6 +1686,8 @@ let () =
           Alcotest.test_case "watchdog partial" `Quick test_pipeline_watchdog_partial;
           Alcotest.test_case "invalid config" `Quick test_pipeline_invalid_config;
           Alcotest.test_case "LP slower than HP" `Quick test_pipeline_lp_slower;
+          Alcotest.test_case "small IQ/LSQ parity" `Quick
+            test_pipeline_small_iq_parity;
           prop_random_traces_terminate;
           prop_latency_monotone;
           prop_coupling_monotone;
