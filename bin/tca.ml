@@ -786,6 +786,16 @@ let run_cmd =
       value & flag
       & info [ "csv" ] ~doc:"Print the artifacts' CSV views instead of text.")
   in
+  (* The two output views exclude each other: asking for both is a usage
+     error (exit 124), not malformed input. *)
+  let views_t =
+    let check json csv =
+      if json && csv then
+        `Error (true, "--json and --csv are mutually exclusive")
+      else `Ok (json, csv)
+    in
+    Term.(ret (const check $ json_t $ csv_t))
+  in
   let out_t =
     Arg.(
       value
@@ -854,13 +864,9 @@ let run_cmd =
             "Fault-injection (testing): make JOB misbehave. FAULT is \
              raise, transient[:N], hang or corrupt. Repeatable.")
   in
-  let run names jobs cache_dir quick json csv out trace_out metrics_out
+  let run names jobs cache_dir quick (json, csv) out trace_out metrics_out
       deadline retries backoff fail_fast failures_out inject =
     protect @@ fun () ->
-    if json && csv then begin
-      prerr_endline "tca: --json and --csv are mutually exclusive";
-      exit 2
-    end;
     if jobs < 1 then
       die
         (Tca_util.Diag.Invalid { field = "--jobs"; message = "must be >= 1" });
@@ -977,8 +983,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ names_t $ jobs_t $ cache_dir_t $ quick_t $ json_t $ csv_t
-      $ out_t $ trace_out_t $ metrics_out_t $ deadline_t $ retries_t
+      const run $ names_t $ jobs_t $ cache_dir_t $ quick_t $ views_t $ out_t
+      $ trace_out_t $ metrics_out_t $ deadline_t $ retries_t
       $ backoff_t $ fail_fast_t $ failures_t $ inject_t)
 
 (* --- tca list --- *)

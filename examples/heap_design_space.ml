@@ -47,8 +47,11 @@ let () =
         Heap_workload.generate
           (Heap_workload.config ~n_calls:1000 ~app_instrs_per_call:gap ())
       in
-      let rows =
-        Tca_experiments.Exp_common.validate_pair ~cfg ~pair ~latency:1.0 ()
+      let rows, _ =
+        Tca_experiments.Exp_common.(
+          validate_pair ~cfg ~pair
+            ~model:(scenario_speedup pair.Meta.meta ~latency:1.0)
+            ())
       in
       print_newline ();
       print_string

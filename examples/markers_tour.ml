@@ -29,6 +29,12 @@ let row name granularity (rows : Exp_common.validation_row list) =
 
 let () =
   let cfg = Exp_common.validation_core () in
+  let validate (pair : Meta.pair) ~latency =
+    fst
+      (Exp_common.validate_pair ~cfg ~pair
+         ~model:(Exp_common.scenario_speedup pair.Meta.meta ~latency)
+         ())
+  in
   print_endline
     "Fig. 2 reference accelerators, measured on this repository's real \
      substrates (one operating point each):";
@@ -39,8 +45,7 @@ let () =
       (Hashmap_workload.config ~n_lookups:800 ~app_instrs_per_lookup:200 ())
   in
   let hm_rows =
-    Exp_common.validate_pair ~cfg ~pair:hm_pair
-      ~latency:(Exp_common.meta_latency hm_pair.Meta.meta ~cfg) ()
+    validate hm_pair ~latency:(Exp_common.meta_latency hm_pair.Meta.meta ~cfg)
   in
   let hm_g =
     float_of_int
@@ -52,15 +57,14 @@ let () =
     Heap_workload.generate
       (Heap_workload.config ~n_calls:800 ~app_instrs_per_call:200 ())
   in
-  let heap_rows = Exp_common.validate_pair ~cfg ~pair:heap_pair ~latency:1.0 () in
+  let heap_rows = validate heap_pair ~latency:1.0 in
   (* String functions: ~140 uops. *)
   let sf_pair, sf_bytes =
     Strfn_workload.generate
       (Strfn_workload.config ~n_calls:600 ~app_instrs_per_call:300 ())
   in
   let sf_rows =
-    Exp_common.validate_pair ~cfg ~pair:sf_pair
-      ~latency:(Exp_common.meta_latency sf_pair.Meta.meta ~cfg) ()
+    validate sf_pair ~latency:(Exp_common.meta_latency sf_pair.Meta.meta ~cfg)
   in
   let sf_g =
     float_of_int
@@ -73,8 +77,7 @@ let () =
       (Regex_workload.config ~n_records:250 ~app_instrs_per_record:800 ())
   in
   let re_rows =
-    Exp_common.validate_pair ~cfg ~pair:re_pair
-      ~latency:(Exp_common.meta_latency re_pair.Meta.meta ~cfg) ()
+    validate re_pair ~latency:(Exp_common.meta_latency re_pair.Meta.meta ~cfg)
   in
   let re_g =
     float_of_int

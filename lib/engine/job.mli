@@ -11,8 +11,8 @@
 type ctx = {
   telemetry : Tca_telemetry.Sink.t option;
       (** Per-job sink, single-domain: the body may use it directly on
-          its own domain, and must fork/join it (see
-          {!Tca_telemetry.Sink.fork}) for work it spreads over [par]. *)
+          its own domain, and must spread work over [par] with
+          {!Tca_telemetry.Timing.fan_out}, which forks and joins it. *)
   par : Tca_util.Parmap.t;
       (** Intra-job parallelism capability; [Parmap.serial] when the
           engine runs with [--jobs 1]. *)

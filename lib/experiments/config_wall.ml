@@ -180,38 +180,13 @@ let validate_variant ?telemetry ?par ~cfg ~(pair : Meta.pair) ~latency
           ~config_queue_depth:queue_depth 0;
       |]
   in
-  let cmp =
-    Tca_telemetry.Timing.with_span telemetry
-      ("validate.config." ^ vname)
-      (fun () ->
-        Simulator.compare_modes_exn ?telemetry ?par ~cfg
-          ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated ())
-  in
   let meta = pair.Meta.meta in
-  let ipc = cmp.Simulator.baseline.Sim_stats.ipc in
-  let core = Exp_common.model_core_of cfg ~ipc in
-  let scenario = Exp_common.scenario_of_meta ~config meta ~latency in
-  let scenario_refill =
-    Exp_common.scenario_of_meta ~drain:Tca_interval.Drain.Refill_aware
-      ~config meta ~latency
-  in
-  let rows =
-    List.map
-      (fun (r : Simulator.mode_result) ->
-        let mode = Exp_common.mode_of_coupling r.Simulator.coupling in
-        {
-          Exp_common.workload = meta.Meta.name ^ "+" ^ vname;
-          v = meta.Meta.v;
-          a = meta.Meta.a;
-          base_ipc = ipc;
-          mode;
-          sim_speedup = r.Simulator.speedup;
-          model_speedup =
-            Tca_model.Equations.speedup_exn core scenario mode;
-          model_refill_speedup =
-            Tca_model.Equations.speedup_exn core scenario_refill mode;
-        })
-      cmp.Simulator.modes
+  let rows, cmp =
+    Exp_common.validate_pair ?telemetry ?par
+      ~label:(meta.Meta.name ^ "+" ^ vname)
+      ~cfg ~pair
+      ~model:(Exp_common.scenario_speedup ~config meta ~latency)
+      ()
   in
   let stalls =
     List.map

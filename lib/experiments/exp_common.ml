@@ -58,60 +58,63 @@ let error_pct r =
 let refill_error_pct r =
   100.0 *. (r.model_refill_speedup -. r.sim_speedup) /. r.sim_speedup
 
-let validate_pair ?telemetry ?par ~cfg ~(pair : Meta.pair) ~latency () =
+let scenario_speedup ?config meta ~latency ~drain core mode =
+  Tca_model.Equations.speedup_exn core
+    (scenario_of_meta ~drain ?config meta ~latency)
+    mode
+
+let validate_pair ?telemetry ?par ?label ~cfg ~(pair : Meta.pair) ~model () =
+  let meta = pair.Meta.meta in
+  let label = Option.value label ~default:meta.Meta.name in
   let cmp =
-    Tca_telemetry.Timing.with_span telemetry
-      ("validate." ^ pair.Meta.meta.Meta.name)
-      (fun () ->
+    Tca_telemetry.Timing.with_span telemetry ("validate." ^ label) (fun () ->
         Simulator.compare_modes_exn ?telemetry ?par ~cfg
           ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated ())
   in
   let ipc = cmp.Simulator.baseline.Sim_stats.ipc in
   let core = model_core_of cfg ~ipc in
-  let scenario = scenario_of_meta pair.Meta.meta ~latency in
-  let scenario_refill =
-    scenario_of_meta ~drain:Tca_interval.Drain.Refill_aware pair.Meta.meta
-      ~latency
+  let rows =
+    List.map
+      (fun (r : Simulator.mode_result) ->
+        let mode = mode_of_coupling r.Simulator.coupling in
+        {
+          workload = label;
+          v = meta.Meta.v;
+          a = meta.Meta.a;
+          base_ipc = ipc;
+          mode;
+          sim_speedup = r.Simulator.speedup;
+          model_speedup = model ~drain:Tca_interval.Drain.Auto core mode;
+          model_refill_speedup =
+            model ~drain:Tca_interval.Drain.Refill_aware core mode;
+        })
+      cmp.Simulator.modes
   in
-  List.map
-    (fun (r : Simulator.mode_result) ->
-      let mode = mode_of_coupling r.Simulator.coupling in
-      {
-        workload = pair.Meta.meta.Meta.name;
-        v = pair.Meta.meta.Meta.v;
-        a = pair.Meta.meta.Meta.a;
-        base_ipc = ipc;
-        mode;
-        sim_speedup = r.Simulator.speedup;
-        model_speedup = Tca_model.Equations.speedup_exn core scenario mode;
-        model_refill_speedup =
-          Tca_model.Equations.speedup_exn core scenario_refill mode;
-      })
-    cmp.Simulator.modes
+  (rows, cmp)
 
-(* Run each sweep item (workload generation + validation) as one task:
-   fork a child sink per item, evaluate the items through [par], join the
-   children back in item order. The concatenated rows and the merged
-   trace are identical to a serial sweep's. *)
-let par_rows ?telemetry ?(par = Tca_util.Parmap.serial) f items =
-  let items = Array.of_list items in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) items
+let validation_sweep ?telemetry ?par ?latency point items =
+  let cfg = validation_core () in
+  let points =
+    Tca_telemetry.Timing.fan_out ?telemetry ?par
+      (fun ~telemetry item ->
+        let pair, side =
+          Tca_telemetry.Timing.with_span telemetry "sim.workload" (fun () ->
+              point item)
+        in
+        let meta = pair.Meta.meta in
+        let latency =
+          match latency with Some l -> l | None -> meta_latency meta ~cfg
+        in
+        let rows, _ =
+          validate_pair ?telemetry ~cfg ~pair
+            ~model:(scenario_speedup meta ~latency)
+            ()
+        in
+        (rows, side))
+      (Array.of_list items)
   in
-  let results =
-    par.Tca_util.Parmap.run
-      (fun i -> f ~telemetry:sinks.(i) items.(i))
-      (Array.init (Array.length items) Fun.id)
-  in
-  (match telemetry with
-  | None -> ()
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child
-          | None -> ())
-        sinks);
-  List.concat_map Fun.id (Array.to_list results)
+  let points = Array.to_list points in
+  (List.concat_map fst points, List.map snd points)
 
 let table_headers =
   [
@@ -259,7 +262,10 @@ let simulate_artifact ?telemetry ?par ?size kind =
     ~job:("simulate." ^ workload_name kind)
     ~title:(simulate_title kind)
     ~notes:[ Format.asprintf "%a" Meta.pp pair.Meta.meta ]
-    (validate_pair ?telemetry ?par ~cfg ~pair ~latency ())
+    (fst
+       (validate_pair ?telemetry ?par ~cfg ~pair
+          ~model:(scenario_speedup pair.Meta.meta ~latency)
+          ()))
 
 (* Small instances of the six families for the golden Sim_stats tests:
    big enough to exercise every pipeline mechanism (accel reads/writes,

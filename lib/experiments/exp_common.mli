@@ -45,32 +45,55 @@ val error_pct : validation_row -> float
 
 val refill_error_pct : validation_row -> float
 
+val scenario_speedup :
+  ?config:Tca_model.Params.config_cost ->
+  Tca_workloads.Meta.t ->
+  latency:float ->
+  drain:Tca_interval.Drain.spec ->
+  Tca_model.Params.core ->
+  Tca_model.Mode.t ->
+  float
+(** The paper's eqs. (4)-(9) speedup of the workload's
+    {!scenario_of_meta}: partially applied to a meta and a latency, the
+    single-unit [~model] of {!validate_pair}. *)
+
 val validate_pair :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
+  ?label:string ->
   cfg:Tca_uarch.Config.t ->
   pair:Tca_workloads.Meta.pair ->
-  latency:float ->
+  model:
+    (drain:Tca_interval.Drain.spec ->
+    Tca_model.Params.core ->
+    Tca_model.Mode.t ->
+    float) ->
   unit ->
-  validation_row list
-(** Run baseline + four couplings in the simulator, evaluate the model
-    with the measured baseline IPC, and return one row per mode. With
+  validation_row list * Tca_uarch.Simulator.comparison
+(** Run baseline + four couplings in the simulator, evaluate [model]
+    with the measured baseline IPC under both drain estimators ([Auto]
+    for [model_speedup], [Refill_aware] for [model_refill_speedup]),
+    and return one row per mode plus the raw comparison. [label]
+    (default the workload's name) fills the [workload] column. With
     [?telemetry], the five simulator runs share the sink and the whole
-    point is wrapped in a [validate.<workload>] wall-clock span. [?par]
+    point is wrapped in a [validate.<label>] wall-clock span. [?par]
     (default serial) spreads the five runs over a pool with identical
     results. *)
 
-val par_rows :
+val validation_sweep :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
-  (telemetry:Tca_telemetry.Sink.t option -> 'a -> validation_row list) ->
+  ?latency:float ->
+  ('a -> Tca_workloads.Meta.pair * 'b) ->
   'a list ->
-  validation_row list
-(** Evaluate one sweep item per task through [par] and concatenate the
-    row lists in item order. Each task gets a fork of [?telemetry],
-    joined back in item order, so rows and merged trace are identical
-    to the serial sweep. The item function must be pure modulo its own
-    sink. *)
+  validation_row list * 'b list
+(** [validation_sweep point items] runs one {!validate_pair} point per
+    item on the {!validation_core}, spread over [par] with
+    {!Tca_telemetry.Timing.fan_out}. [point item] generates the item's
+    trace pair (inside a [sim.workload] span) plus a side result; the
+    model is {!scenario_speedup} at [latency] (default: the pair's
+    {!meta_latency}). Returns the rows and the side results, both in
+    item order, identical for every [par]. *)
 
 val validation_table : validation_row list -> Tca_engine.Artifact.table
 (** The standard 10-column validation table (typed cells), named

@@ -30,18 +30,13 @@ let interval_trace ~leading ~trailing ~accel_latency =
   Codegen.emit_block gen b trailing;
   Trace.Builder.build b
 
-let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(leading = 150)
-    ?(trailing = 150) ?(accel_latency = 40) () =
+let run ?telemetry ?par ?(leading = 150) ?(trailing = 150)
+    ?(accel_latency = 40) () =
   Tca_telemetry.Timing.with_span telemetry "fig3.run" @@ fun () ->
   let trace = interval_trace ~leading ~trailing ~accel_latency in
-  let couplings = Array.of_list Config.all_couplings in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) couplings
-  in
   let timelines =
-    par.Tca_util.Parmap.run
-      (fun i ->
-        let coupling = couplings.(i) in
+    Tca_telemetry.Timing.fan_out ?telemetry ?par
+      (fun ~telemetry coupling ->
         (* One short interval: use a perfect predictor so the strip shows
            the TCA coupling effects, not cold-predictor noise. *)
         let cfg =
@@ -58,22 +53,14 @@ let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(leading = 150)
                    ~rob_occupancy:_ -> buf := issued :: !buf);
           }
         in
-        let stats = Pipeline.run_exn ~probe ?telemetry:sinks.(i) cfg trace in
+        let stats = Pipeline.run_exn ~probe ?telemetry cfg trace in
         {
           mode = Exp_common.mode_of_coupling coupling;
           cycles = stats.Sim_stats.cycles;
           issued = Array.of_list (List.rev !buf);
         })
-      (Array.init (Array.length couplings) Fun.id)
+      (Array.of_list Config.all_couplings)
   in
-  (match telemetry with
-  | None -> ()
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child
-          | None -> ())
-        sinks);
   Array.to_list timelines
 
 let bar = [| ' '; '.'; ':'; '|'; '#' |]

@@ -10,27 +10,16 @@ let accel_latency = 20
 
 let run ?telemetry ?par ?(quick = false) () =
   Tca_telemetry.Timing.with_span telemetry "fig4.run" @@ fun () ->
-  let cfg = Exp_common.validation_core () in
   let n_units = if quick then 1200 else 4000 in
-  Exp_common.par_rows ?telemetry ?par
-    (fun ~telemetry n_chunks ->
-      let scfg =
-        Synthetic.config ~app:app_config ~n_units ~n_chunks ~accel_latency
-          ~seed:(41 + n_chunks) ()
-      in
-      let pair =
-        Tca_telemetry.Timing.with_span telemetry "sim.workload" (fun () ->
-            Synthetic.generate scfg)
-      in
-      Exp_common.validate_pair ?telemetry ~cfg ~pair
-        ~latency:(float_of_int accel_latency) ())
-    (List.filter (fun c -> c <= n_units) (chunk_counts ~quick))
-
-let summary rows =
-  Tca_model.Validate.summarize (Exp_common.points_of_rows rows)
-
-let trends_hold rows =
-  Tca_model.Validate.trends_preserved (Exp_common.points_of_rows rows)
+  fst
+    (Exp_common.validation_sweep ?telemetry ?par
+       ~latency:(float_of_int accel_latency)
+       (fun n_chunks ->
+         ( Synthetic.generate
+             (Synthetic.config ~app:app_config ~n_units ~n_chunks
+                ~accel_latency ~seed:(41 + n_chunks) ()),
+           () ))
+       (List.filter (fun c -> c <= n_units) (chunk_counts ~quick)))
 
 let artifact rows =
   Exp_common.validation_artifact ~job:"fig4"

@@ -12,6 +12,4 @@ val run :
 (** [quick] (default false) shrinks the trace for test use; [?par]
     evaluates the chunk counts in parallel with identical rows. *)
 
-val summary : Exp_common.validation_row list -> (Tca_model.Validate.summary, Tca_model.Diag.t) result
-val trends_hold : Exp_common.validation_row list -> bool
 val artifact : Exp_common.validation_row list -> Tca_engine.Artifact.t

@@ -11,6 +11,4 @@ val run :
     practical ceiling for a materialised trace). One workload row group
     per accelerator dimension. *)
 
-val summary : Exp_common.validation_row list -> (Tca_model.Validate.summary, Tca_model.Diag.t) result
-val trends_hold : Exp_common.validation_row list -> bool
 val artifact : Exp_common.validation_row list -> Tca_engine.Artifact.t

@@ -31,39 +31,12 @@ let composition_of ?drain (sc : Multi_tca.scenario) ~cfg =
 
 let validate ?telemetry ?par ~cfg (sc : Multi_tca.scenario) =
   let cfg = Config.with_tca_units cfg sc.Multi_tca.tca_units in
-  let pair = sc.Multi_tca.pair in
-  let cmp =
-    Tca_telemetry.Timing.with_span telemetry
-      ("validate." ^ pair.Meta.meta.Meta.name)
-      (fun () ->
-        Simulator.compare_modes_exn ?telemetry ?par ~cfg
-          ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated ())
-  in
-  let ipc = cmp.Simulator.baseline.Sim_stats.ipc in
-  let core = Exp_common.model_core_of cfg ~ipc in
-  let comp = composition_of sc ~cfg in
-  let comp_refill =
-    composition_of ~drain:Tca_interval.Drain.Refill_aware sc ~cfg
-  in
-  let rows =
-    List.map
-      (fun (r : Simulator.mode_result) ->
-        let mode = Exp_common.mode_of_coupling r.Simulator.coupling in
-        {
-          Exp_common.workload = pair.Meta.meta.Meta.name;
-          v = pair.Meta.meta.Meta.v;
-          a = pair.Meta.meta.Meta.a;
-          base_ipc = ipc;
-          mode;
-          sim_speedup = r.Simulator.speedup;
-          model_speedup =
-            Tca_model.Equations.composed_speedup_exn core comp mode;
-          model_refill_speedup =
-            Tca_model.Equations.composed_speedup_exn core comp_refill mode;
-        })
-      cmp.Simulator.modes
-  in
-  (rows, cmp)
+  Exp_common.validate_pair ?telemetry ?par ~cfg ~pair:sc.Multi_tca.pair
+    ~model:(fun ~drain core mode ->
+      Tca_model.Equations.composed_speedup_exn core
+        (composition_of ~drain sc ~cfg)
+        mode)
+    ()
 
 let scenarios ?(quick = false) () =
   let n_pairs = if quick then 150 else 400 in
@@ -71,26 +44,13 @@ let scenarios ?(quick = false) () =
     (fun k -> Multi_tca.generate (Multi_tca.config ~n_pairs k))
     Multi_tca.all_kinds
 
-let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
+let run ?telemetry ?par ?(quick = false) () =
   Tca_telemetry.Timing.with_span telemetry "multi_val.run" @@ fun () ->
   let cfg = Exp_common.validation_core () in
-  let scs = Array.of_list (scenarios ~quick ()) in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) scs
-  in
-  let results =
-    par.Tca_util.Parmap.run
-      (fun i -> (scs.(i), validate ?telemetry:sinks.(i) ~cfg scs.(i)))
-      (Array.init (Array.length scs) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  Array.to_list results
+  Array.to_list
+    (Tca_telemetry.Timing.fan_out ?telemetry ?par
+       (fun ~telemetry sc -> (sc, validate ?telemetry ~cfg sc))
+       (Array.of_list (scenarios ~quick ())))
 
 (* Per-unit simulator breakdown across all scenarios and modes: the
    [Sim_stats.per_unit] counters the refactor added, which only exist

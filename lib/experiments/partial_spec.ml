@@ -35,7 +35,7 @@ type sim_row = {
   model_speedup : float;
 }
 
-let validate ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
+let validate ?telemetry ?par ?(quick = false) () =
   let open Tca_uarch in
   let n_calls = if quick then 600 else 1500 in
   let pair =
@@ -52,15 +52,10 @@ let validate ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
   let s =
     Exp_common.scenario_of_meta pair.Tca_workloads.Meta.meta ~latency:1.0
   in
-  let ps = [| 0.0; 0.25; 0.5; 0.75; 1.0 |] in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) ps
-  in
-  let eval i =
-    let p = ps.(i) in
+  let eval ~telemetry p =
     let run_cfg = { cfg with Config.tca_speculate_fraction = Some p } in
     let stats =
-      Pipeline.run_exn ?telemetry:sinks.(i) run_cfg
+      Pipeline.run_exn ?telemetry run_cfg
         pair.Tca_workloads.Meta.accelerated
     in
     {
@@ -69,17 +64,9 @@ let validate ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
       model_speedup = Partial.speedup model_core s ~trailing:true ~p_speculate:p;
     }
   in
-  let rows =
-    par.Tca_util.Parmap.run eval (Array.init (Array.length ps) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  Array.to_list rows
+  Array.to_list
+    (Tca_telemetry.Timing.fan_out ?telemetry ?par eval
+       [| 0.0; 0.25; 0.5; 0.75; 1.0 |])
 
 let monotone rows =
   let rec go = function

@@ -2,39 +2,18 @@ open Tca_workloads
 
 let gaps ~quick = if quick then [ 300 ] else [ 1200; 600; 300; 150; 75 ]
 
-let run ?telemetry ?(par = Tca_util.Parmap.serial) ?(quick = false) () =
+let run ?telemetry ?par ?(quick = false) () =
   Tca_telemetry.Timing.with_span telemetry "strfn_val.run" @@ fun () ->
-  let cfg = Exp_common.validation_core () in
   let n_calls = if quick then 400 else 1200 in
-  let gaps_a = Array.of_list (gaps ~quick) in
-  let sinks =
-    Array.map (fun _ -> Option.map Tca_telemetry.Sink.fork telemetry) gaps_a
+  let rows, bytes =
+    Exp_common.validation_sweep ?telemetry ?par
+      (fun gap ->
+        Strfn_workload.generate
+          (Strfn_workload.config ~n_calls ~app_instrs_per_call:gap
+             ~seed:(11 + gap) ()))
+      (gaps ~quick)
   in
-  let eval i =
-    let gap = gaps_a.(i) in
-    let scfg =
-      Strfn_workload.config ~n_calls ~app_instrs_per_call:gap ~seed:(11 + gap)
-        ()
-    in
-    let pair, bytes =
-      Tca_telemetry.Timing.with_span sinks.(i) "sim.workload" (fun () ->
-          Strfn_workload.generate scfg)
-    in
-    let latency = Exp_common.meta_latency pair.Meta.meta ~cfg in
-    (Exp_common.validate_pair ?telemetry:sinks.(i) ~cfg ~pair ~latency (), bytes)
-  in
-  let per_gap =
-    par.Tca_util.Parmap.run eval (Array.init (Array.length gaps_a) Fun.id)
-  in
-  (match telemetry with
-  | Some into ->
-      Array.iter
-        (function
-          | Some child -> Tca_telemetry.Sink.join ~into child | None -> ())
-        sinks
-  | None -> ());
-  let rows = List.concat_map fst (Array.to_list per_gap) in
-  (rows, snd per_gap.(Array.length per_gap - 1))
+  (rows, List.hd (List.rev bytes))
 
 let artifact (rows, mean_bytes) =
   Exp_common.validation_artifact ~job:"strfn"

@@ -98,28 +98,6 @@ let write_chrome_trace sink path =
         (lane_metadata events @ List.map event_json events);
       output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n")
 
-let write_jsonl ?metrics sink path =
-  with_out path (fun oc ->
-      let line j =
-        output_string oc (Json.to_string j);
-        output_char oc '\n'
-      in
-      line
-        (Json.Obj
-           [
-             ("kind", Json.String "meta");
-             ("producer", Json.String "tca-telemetry");
-             ("events", Json.Int (Sink.length sink));
-             ("interval", Json.Int (Sink.interval sink));
-           ]);
-      List.iter (fun e -> line (event_json e)) (Sink.events sink);
-      match (metrics, Sink.metrics sink) with
-      | Some reg, _ | None, Some reg ->
-          line
-            (Json.Obj
-               [ ("kind", Json.String "metrics"); ("metrics", Metrics.to_json reg) ])
-      | None, None -> ())
-
 let write_metrics_json reg path =
   with_out path (fun oc ->
       output_string oc (Json.to_string_indent (Metrics.to_json reg));

@@ -1,14 +1,9 @@
-(** Render a {!Sink} buffer (and optionally a {!Metrics} registry) to
-    the two machine-readable formats:
-
-    - {b Chrome [trace_event]}: a single JSON object
-      [{"traceEvents": [...], ...}] loadable in Perfetto
-      ({:https://ui.perfetto.dev}) or [chrome://tracing]. Timestamps
-      map cycle numbers (or microseconds, for wall-clock spans) onto
-      the format's microsecond [ts] field.
-    - {b JSON lines}: one JSON object per line — first a [meta] line,
-      then every event, then (if a registry is attached) one final
-      [metrics] line — for [jq]-style ad-hoc analysis. *)
+(** Render a {!Sink} buffer as a Chrome [trace_event] file — a single
+    JSON object [{"traceEvents": [...], ...}] loadable in Perfetto
+    ({:https://ui.perfetto.dev}) or [chrome://tracing], whose
+    timestamps map cycle numbers (or microseconds, for wall-clock
+    spans) onto the format's microsecond [ts] field — and a
+    {!Metrics} registry as one JSON document. *)
 
 val chrome_trace_json : Sink.t -> Tca_util.Json.t
 (** The trace as a JSON value (used by the golden tests). *)
@@ -19,11 +14,6 @@ val event_json : Sink.event -> Tca_util.Json.t
 val write_chrome_trace : Sink.t -> string -> (unit, Tca_util.Diag.t) result
 (** Write the Chrome trace to a file. [Error (Invalid _)] on I/O
     failure (unwritable path). *)
-
-val write_jsonl :
-  ?metrics:Metrics.t -> Sink.t -> string -> (unit, Tca_util.Diag.t) result
-(** Write the JSON-lines form; [?metrics] overrides the sink's own
-    registry if both are present. *)
 
 val write_metrics_json : Metrics.t -> string -> (unit, Tca_util.Diag.t) result
 (** Write just a registry snapshot as one indented JSON document. *)

@@ -2,7 +2,7 @@
 
     A sink is an in-memory, append-only buffer of timestamped events —
     counter samples, spans and instants — later rendered by
-    {!Exporter} as JSON-lines or a Chrome [trace_event] file.
+    {!Exporter} as a Chrome [trace_event] file.
 
     The instrumented code (the pipeline, the model sweeps, the CLI)
     takes a [Sink.t option] as an optional [?telemetry] argument:
@@ -81,7 +81,8 @@ val clear : t -> unit
     order} once all tasks have settled. Because a serial execution
     also emits task [i]'s events before task [i+1]'s, the joined
     event sequence is identical to the serial one — only wall-clock
-    timestamps and durations differ. *)
+    timestamps and durations differ. {!Timing.fan_out} is the one
+    implementation of this protocol over a {!Tca_util.Parmap.t}. *)
 
 val fork : t -> t
 (** A fresh, empty sink with the parent's sampling interval; carries a

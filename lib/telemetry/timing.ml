@@ -54,3 +54,17 @@ let with_span ?(args = []) telemetry name f =
         update_registry sink name ((stop -. start) /. 1e6)
       in
       Fun.protect ~finally:finish f
+
+let fan_out ?telemetry ?(par = Tca_util.Parmap.serial) f xs =
+  let sinks = Array.map (fun _ -> Option.map Sink.fork telemetry) xs in
+  let results =
+    par.Tca_util.Parmap.run
+      (fun i -> f ~telemetry:sinks.(i) xs.(i))
+      (Array.init (Array.length xs) Fun.id)
+  in
+  (match telemetry with
+  | None -> ()
+  | Some into ->
+      with_span telemetry "telemetry.join" (fun () ->
+          Array.iter (Option.iter (fun child -> Sink.join ~into child)) sinks));
+  results

@@ -16,7 +16,10 @@
     All functions accept [Sink.t option] so call sites can pass their
     [?telemetry] argument straight through; [None] runs the thunk with
     zero bookkeeping. Exceptions propagate unchanged, and the span is
-    still recorded (spans measure elapsed time, not success). *)
+    still recorded (spans measure elapsed time, not success).
+
+    {!fan_out}, the parallel map with per-task sinks, lives here too:
+    its join is itself a wall-clock span. *)
 
 val now_us : unit -> float
 (** Microseconds of monotonic time elapsed since this module's first
@@ -39,3 +42,20 @@ val record_span :
     "now" — only safe if nothing happened between measuring [seconds]
     and this call, since a late recorded start can place a parent after
     its first child and confuse {!Profiler}'s nesting sweep. *)
+
+val fan_out :
+  ?telemetry:Sink.t ->
+  ?par:Tca_util.Parmap.t ->
+  (telemetry:Sink.t option -> 'a -> 'b) ->
+  'a array ->
+  'b array
+(** [fan_out ?telemetry ?par f xs] is [Array.map] through [par]
+    (default {!Tca_util.Parmap.serial}) with the {!Sink} fork/join
+    protocol around it: element [i] runs [f] with its own
+    {!Sink.fork} of [telemetry] ([None] when telemetry is off, and then
+    no sink is created), and once every element has settled the
+    children are joined back into [telemetry] in element order, under a
+    [telemetry.join] span. Results and the joined event sequence are
+    therefore the same for every [par]. This is the one place parallel
+    work forks sinks. If an element raises, the exception propagates as
+    [par] reports it and no child is joined. *)

@@ -273,160 +273,6 @@ let of_json j =
     config_stall_cycles; config_queue_stall_cycles; per_unit;
   }
 
-let of_json_string s =
-  let open Tca_util.Diag.Syntax in
-  let* j = Tca_util.Json.parse s in
-  of_json j
-
-let csv_header =
-  [
-    "cycles"; "committed"; "ipc"; "branches"; "mispredicts";
-    "l1_hits"; "l1_misses"; "l2_hits"; "l2_misses"; "dtlb_hits"; "dtlb_misses";
-    "accel_invocations"; "accel_busy_cycles"; "accel_wait_for_head_cycles";
-    "avg_rob_occupancy"; "avg_rob_at_accel_dispatch";
-    "stall_rob"; "stall_iq"; "stall_lsq"; "stall_serialize"; "stall_redirect";
-    "stall_drained"; "config_stall"; "config_queue_stall"; "per_unit";
-  ]
-
-(* One CSV cell for the whole per-unit breakdown:
-   [id:inv:busy:wait:ser] segments joined by '|', empty for single-unit
-   runs — keeps the schema flat while staying loss-free. *)
-let per_unit_to_cell per_unit =
-  String.concat "|"
-    (List.map
-       (fun u ->
-         Printf.sprintf "%d:%d:%d:%d:%d" u.unit_id u.invocations u.busy_cycles
-           u.wait_for_head_cycles u.serialize_stall_cycles)
-       per_unit)
-
-let per_unit_of_cell cell =
-  let invalid message =
-    Error (Tca_util.Diag.Parse { field = "Sim_stats.of_csv_row"; input = cell; message })
-  in
-  if cell = "" then Ok []
-  else
-    let rec parse_segments = function
-      | [] -> Ok []
-      | seg :: rest -> (
-          match
-            String.split_on_char ':' seg |> List.map int_of_string_opt
-          with
-          | [ Some unit_id; Some invocations; Some busy_cycles;
-              Some wait_for_head_cycles; Some serialize_stall_cycles ] ->
-              Result.map
-                (fun rest ->
-                  { unit_id; invocations; busy_cycles; wait_for_head_cycles;
-                    serialize_stall_cycles }
-                  :: rest)
-                (parse_segments rest)
-          | _ -> invalid (Printf.sprintf "bad per-unit segment %S" seg))
-    in
-    parse_segments (String.split_on_char '|' cell)
-
-let csv_row t =
-  let opt f = function Some l -> string_of_int (f l) | None -> "" in
-  let hits (l : Mem_hier.level_stats) = l.Mem_hier.hits in
-  let misses (l : Mem_hier.level_stats) = l.Mem_hier.misses in
-  [
-    string_of_int t.cycles; string_of_int t.committed;
-    Printf.sprintf "%.6f" t.ipc;
-    string_of_int t.branches; string_of_int t.mispredicts;
-    string_of_int t.l1.Mem_hier.hits; string_of_int t.l1.Mem_hier.misses;
-    opt hits t.l2; opt misses t.l2; opt hits t.dtlb; opt misses t.dtlb;
-    string_of_int t.accel_invocations; string_of_int t.accel_busy_cycles;
-    string_of_int t.accel_wait_for_head_cycles;
-    Printf.sprintf "%.6f" t.avg_rob_occupancy;
-    Printf.sprintf "%.6f" t.avg_rob_at_accel_dispatch;
-    string_of_int t.stalls.rob_full; string_of_int t.stalls.iq_full;
-    string_of_int t.stalls.lsq_full; string_of_int t.stalls.serialize;
-    string_of_int t.stalls.redirect; string_of_int t.stalls.drained;
-    string_of_int t.config_stall_cycles;
-    string_of_int t.config_queue_stall_cycles;
-    per_unit_to_cell t.per_unit;
-  ]
-
-let of_csv_row cells =
-  let invalid message =
-    Error
-      (Tca_util.Diag.Parse
-         { field = "Sim_stats.of_csv_row"; input = String.concat "," cells;
-           message })
-  in
-  match cells with
-  | [ cycles; committed; ipc; branches; mispredicts; l1_hits; l1_misses;
-      l2_hits; l2_misses; dtlb_hits; dtlb_misses; accel_invocations;
-      accel_busy_cycles; accel_wait_for_head_cycles; avg_rob_occupancy;
-      avg_rob_at_accel_dispatch; stall_rob; stall_iq; stall_lsq;
-      stall_serialize; stall_redirect; stall_drained; config_stall;
-      config_queue_stall; per_unit ] -> (
-      let int name s =
-        match int_of_string_opt s with
-        | Some v -> Ok v
-        | None -> invalid (Printf.sprintf "bad integer %S for %s" s name)
-      in
-      let flt name s =
-        match float_of_string_opt s with
-        | Some v -> Ok v
-        | None -> invalid (Printf.sprintf "bad float %S for %s" s name)
-      in
-      let level name hits misses =
-        match (hits, misses) with
-        | "", "" -> Ok None
-        | h, m ->
-            let open Tca_util.Diag.Syntax in
-            let* hits = int (name ^ "_hits") h in
-            let+ misses = int (name ^ "_misses") m in
-            Some { Mem_hier.hits; misses }
-      in
-      let open Tca_util.Diag.Syntax in
-      let* cycles = int "cycles" cycles in
-      let* committed = int "committed" committed in
-      let* ipc = flt "ipc" ipc in
-      let* branches = int "branches" branches in
-      let* mispredicts = int "mispredicts" mispredicts in
-      let* l1_hits = int "l1_hits" l1_hits in
-      let* l1_misses = int "l1_misses" l1_misses in
-      let* l2 = level "l2" l2_hits l2_misses in
-      let* dtlb = level "dtlb" dtlb_hits dtlb_misses in
-      let* accel_invocations = int "accel_invocations" accel_invocations in
-      let* accel_busy_cycles = int "accel_busy_cycles" accel_busy_cycles in
-      let* accel_wait_for_head_cycles =
-        int "accel_wait_for_head_cycles" accel_wait_for_head_cycles
-      in
-      let* avg_rob_occupancy = flt "avg_rob_occupancy" avg_rob_occupancy in
-      let* avg_rob_at_accel_dispatch =
-        flt "avg_rob_at_accel_dispatch" avg_rob_at_accel_dispatch
-      in
-      let* rob_full = int "stall_rob" stall_rob in
-      let* iq_full = int "stall_iq" stall_iq in
-      let* lsq_full = int "stall_lsq" stall_lsq in
-      let* serialize = int "stall_serialize" stall_serialize in
-      let* redirect = int "stall_redirect" stall_redirect in
-      let* drained = int "stall_drained" stall_drained in
-      let* config_stall_cycles = int "config_stall" config_stall in
-      let* config_queue_stall_cycles =
-        int "config_queue_stall" config_queue_stall
-      in
-      let+ per_unit = per_unit_of_cell per_unit in
-      {
-        cycles; committed; ipc; branches; mispredicts;
-        l1 = { Mem_hier.hits = l1_hits; misses = l1_misses };
-        l2; dtlb; accel_invocations; accel_busy_cycles;
-        accel_wait_for_head_cycles; avg_rob_occupancy;
-        avg_rob_at_accel_dispatch;
-        stalls = { rob_full; iq_full; lsq_full; serialize; redirect; drained };
-        config_stall_cycles; config_queue_stall_cycles; per_unit;
-      })
-  | _ ->
-      invalid
-        (Printf.sprintf "expected %d cells, got %d" (List.length csv_header)
-           (List.length cells))
-
-let pp_csv fmt t =
-  Format.fprintf fmt "%s@.%s@."
-    (String.concat "," csv_header)
-    (String.concat "," (csv_row t))
-
 let speedup ~baseline ~accelerated =
   if accelerated.cycles = 0 then
     Error

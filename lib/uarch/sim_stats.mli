@@ -103,24 +103,6 @@ val of_json : Tca_util.Json.t -> (t, Tca_util.Diag.t) result
     and pre-t_config documents parse. [to_json (of_json j)] reproduces
     [j]'s bytes for any document {!to_json} produced. *)
 
-val of_json_string : string -> (t, Tca_util.Diag.t) result
-(** {!Tca_util.Json.parse} followed by {!of_json}. *)
-
-val csv_header : string list
-
-val csv_row : t -> string list
-(** Flat CSV cells matching {!csv_header}; absent L2/DTLB levels are
-    empty cells, and the per-unit breakdown is one packed cell
-    ([id:inv:busy:wait:ser] segments joined by ['|'], empty for
-    single-unit runs). *)
-
-val of_csv_row : string list -> (t, Tca_util.Diag.t) result
-(** Inverse of {!csv_row} up to the row's own float formatting:
-    [csv_row (of_csv_row r)] = [r] for any row {!csv_row} produced. *)
-
-val pp_csv : Format.formatter -> t -> unit
-(** Two lines: {!csv_header} then {!csv_row}. *)
-
 val speedup : baseline:t -> accelerated:t -> (float, Tca_util.Diag.t) result
 (** Ratio of baseline to accelerated cycle counts;
     [Error (Invalid _)] when the accelerated run has zero cycles. *)

@@ -1,6 +1,6 @@
 (** Minimal JSON: a value type, compact/indented printers and a strict
     parser. Used by the telemetry exporters ({!Tca_telemetry}) for the
-    JSON-lines and Chrome [trace_event] formats, by [Sim_stats.to_json],
+    Chrome [trace_event] and metrics documents, by [Sim_stats.to_json],
     and by [tca trace-report] to read a trace back. Deliberately tiny —
     no external dependency, no streaming — because every producer and
     consumer in this repository handles documents that fit in memory. *)

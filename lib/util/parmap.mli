@@ -24,6 +24,3 @@ val serial : t
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** List façade over [run], preserving order. *)
-
-val concat_map_list : t -> ('a -> 'b list) -> 'a list -> 'b list
-(** [List.concat_map] with the element bodies run through [run]. *)

@@ -306,33 +306,22 @@ let test_cache_disk_roundtrip () =
 (* --- scheduler: the bit-identity invariant --- *)
 
 (* Cheap deterministic jobs that still exercise par + telemetry: the
-   body spreads chunks over ctx.par with forked sinks, like the real
+   body spreads chunks over ctx.par with [Timing.fan_out], like the real
    drivers do. *)
 let synth_job name n =
   Job.make ~name ~title:name (fun (ctx : Job.ctx) ->
-      let sinks =
-        Array.init n (fun _ ->
-            Option.map Tca_telemetry.Sink.fork ctx.Job.telemetry)
-      in
       let cells =
-        ctx.Job.par.Tca_util.Parmap.run
-          (fun i ->
+        Tca_telemetry.Timing.fan_out ?telemetry:ctx.Job.telemetry
+          ~par:ctx.Job.par
+          (fun ~telemetry i ->
             Option.iter
               (fun s ->
                 Tca_telemetry.Sink.instant s ~ts:(float_of_int i)
                   (Printf.sprintf "%s.%d" name i))
-              sinks.(i);
+              telemetry;
             [ A.int i; A.flt (sin (float_of_int i)) ])
           (Array.init n Fun.id)
       in
-      (match ctx.Job.telemetry with
-      | Some into ->
-          Array.iter
-            (function
-              | Some child -> Tca_telemetry.Sink.join ~into child
-              | None -> ())
-            sinks
-      | None -> ());
       A.make ~job:name ~title:name
         [
           A.Table
@@ -350,10 +339,13 @@ let event_shape (e : Tca_telemetry.Sink.event) =
   (e.Tca_telemetry.Sink.name, e.Tca_telemetry.Sink.cat,
    e.Tca_telemetry.Sink.ph, e.Tca_telemetry.Sink.pid)
 
-let test_scheduler_jobs_bit_identity () =
-  let js = List.init 6 (fun i -> synth_job (Printf.sprintf "s%d" i) (5 + i)) in
-  let serial = Scheduler.run ~collect_telemetry:true ~jobs:1 js in
-  let parallel = Scheduler.run ~collect_telemetry:true ~jobs:4 js in
+(* Artifacts and merged telemetry of a [--jobs 1] and a [--jobs 4] run
+   of the same job list. *)
+let check_jobs_identity js =
+  let serial = Scheduler.run ~quick:true ~collect_telemetry:true ~jobs:1 js in
+  let parallel =
+    Scheduler.run ~quick:true ~collect_telemetry:true ~jobs:4 js
+  in
   Alcotest.(check (list string)) "artifacts bit-identical"
     (fingerprints serial) (fingerprints parallel);
   let shape outcomes =
@@ -366,19 +358,28 @@ let test_scheduler_jobs_bit_identity () =
   Alcotest.(check bool) "merged telemetry identical" true
     (shape serial = shape parallel)
 
+let test_scheduler_jobs_bit_identity () =
+  check_jobs_identity
+    (List.init 6 (fun i -> synth_job (Printf.sprintf "s%d" i) (5 + i)))
+
 let test_scheduler_real_jobs_bit_identity () =
   (* The same invariant over real registered drivers (quick sweeps):
-     model-only and simulator-backed jobs alike. *)
+     model-only and simulator-backed jobs alike, with one job of each
+     fan-out shape (a validation sweep, a per-point simulator sweep, a
+     scenario fan-out and nested per-variant mode comparisons). *)
   let r = Tca_experiments.Jobs.registry () in
   let js =
-    match Registry.resolve r [ "table1"; "logca"; "fig3"; "fig8" ] with
+    match
+      Registry.resolve r
+        [
+          "table1"; "logca"; "fig3"; "fig8"; "hashmap"; "partial";
+          "simulate.multi_tca"; "simulate.config_wall";
+        ]
+    with
     | Ok js -> js
     | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
   in
-  let serial = Scheduler.run ~quick:true ~jobs:1 js in
-  let parallel = Scheduler.run ~quick:true ~jobs:4 js in
-  Alcotest.(check (list string)) "artifacts bit-identical"
-    (fingerprints serial) (fingerprints parallel)
+  check_jobs_identity js
 
 let test_scheduler_outcome_order_and_seconds () =
   let js = [ synth_job "a" 3; synth_job "b" 4 ] in

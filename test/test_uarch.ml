@@ -1200,29 +1200,18 @@ let test_multi_sim_stats_roundtrips () =
             (Tca_util.Json.to_string (Sim_stats.to_json stats'))
       | Error d ->
           Alcotest.fail (label ^ ": of_json " ^ Tca_util.Diag.to_string d));
-      match Sim_stats.of_json_string (Tca_util.Json.to_string (Sim_stats.to_json stats)) with
+      match
+        Result.bind
+          (Tca_util.Json.parse
+             (Tca_util.Json.to_string (Sim_stats.to_json stats)))
+          Sim_stats.of_json
+      with
       | Ok stats' ->
           Alcotest.(check bool) (label ^ ": json string roundtrip") true
             (stats = stats')
       | Error d ->
           Alcotest.fail
-            (label ^ ": of_json_string " ^ Tca_util.Diag.to_string d))
-    [ ("multi", multi); ("single", single) ];
-  List.iter
-    (fun (label, stats) ->
-      let row = Sim_stats.csv_row stats in
-      Alcotest.(check int)
-        (label ^ ": csv arity")
-        (List.length Sim_stats.csv_header)
-        (List.length row);
-      match Sim_stats.of_csv_row row with
-      | Ok stats' ->
-          Alcotest.(check (list string))
-            (label ^ ": csv roundtrip")
-            row
-            (Sim_stats.csv_row stats')
-      | Error d ->
-          Alcotest.fail (label ^ ": of_csv_row " ^ Tca_util.Diag.to_string d))
+            (label ^ ": json string " ^ Tca_util.Diag.to_string d))
     [ ("multi", multi); ("single", single) ]
 
 (* --- Configuration mechanisms (T1)-(T3) --- *)
@@ -1322,25 +1311,12 @@ let test_config_pipelines_agree () =
      exercised here. *)
   List.iter
     (fun (label, stats) ->
-      (match Sim_stats.of_json (Sim_stats.to_json stats) with
+      match Sim_stats.of_json (Sim_stats.to_json stats) with
       | Ok stats' ->
           Alcotest.(check bool) (label ^ ": json roundtrip") true
             (stats = stats')
       | Error d ->
-          Alcotest.fail (label ^ ": of_json " ^ Tca_util.Diag.to_string d));
-      let row = Sim_stats.csv_row stats in
-      Alcotest.(check int)
-        (label ^ ": csv arity")
-        (List.length Sim_stats.csv_header)
-        (List.length row);
-      match Sim_stats.of_csv_row row with
-      | Ok stats' ->
-          Alcotest.(check (list string))
-            (label ^ ": csv roundtrip")
-            row
-            (Sim_stats.csv_row stats')
-      | Error d ->
-          Alcotest.fail (label ^ ": of_csv_row " ^ Tca_util.Diag.to_string d))
+          Alcotest.fail (label ^ ": of_json " ^ Tca_util.Diag.to_string d))
     [
       ("sync stats", List.hd sync);
       ("queued stats", List.nth queued_dense 3);
