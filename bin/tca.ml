@@ -249,18 +249,21 @@ let model_cmd =
       & info [ "latency" ] ~docv:"CYCLES"
           ~doc:"Explicit accelerator latency per invocation.")
   in
-  let run core a v factor latency t_config config_mode depth invocations
-      drain =
-    protect @@ fun () ->
-    let accel =
+  (* The two ways to give the accelerator's speed exclude each other:
+     asking for both is a usage error (exit 124). *)
+  let accel_t =
+    let check factor latency =
       match (factor, latency) with
-      | Some f, None -> Tca_model.Params.Factor f
-      | None, Some l -> Tca_model.Params.Latency l
-      | None, None -> Tca_model.Params.Factor 3.0
+      | Some f, None -> `Ok (Tca_model.Params.Factor f)
+      | None, Some l -> `Ok (Tca_model.Params.Latency l)
+      | None, None -> `Ok (Tca_model.Params.Factor 3.0)
       | Some _, Some _ ->
-          prerr_endline "--factor and --latency are mutually exclusive";
-          exit 2
+          `Error (true, "--factor and --latency are mutually exclusive")
     in
+    Term.(ret (const check $ factor_t $ latency_t))
+  in
+  let run core a v accel t_config config_mode depth invocations drain =
+    protect @@ fun () ->
     let config = config_of_cli t_config config_mode depth invocations in
     let s = or_die (Tca_model.Params.scenario ~drain ~config ~a ~v ~accel ()) in
     Format.printf "core:     %a@." Tca_model.Params.pp_core core;
@@ -305,7 +308,7 @@ let model_cmd =
   in
   Cmd.v (Cmd.info "model" ~doc)
     Term.(
-      const run $ core_t $ a_t $ v_t $ factor_t $ latency_t $ t_config_t
+      const run $ core_t $ a_t $ v_t $ accel_t $ t_config_t
       $ config_mode_t $ config_depth_t $ config_invocations_t $ drain_t)
 
 (* --- engine plumbing (tca run / tca list / tca profile) --- *)

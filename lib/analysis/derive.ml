@@ -77,24 +77,10 @@ let of_pair ~(cfg : Config.t) ~baseline ~accelerated =
         and avg_writes = fi !writes /. ni
         and avg_fresh_lines = fi !fresh /. ni
         and avg_compute_latency = fi !compute /. ni in
-        let l1_hit =
-          fi cfg.Config.mem.Mem_hier.l1.Cache.hit_latency
-        in
-        let miss_extra =
-          match cfg.Config.mem.Mem_hier.l2 with
-          | Some l2 -> fi l2.Cache.hit_latency
-          | None -> fi cfg.Config.mem.Mem_hier.mem_latency
-        in
-        let ports = fi cfg.Config.mem_ports in
-        let read_time =
-          if avg_reads <= 0.0 then 0.0
-          else
-            l1_hit
-            +. ((avg_reads -. 1.0) /. ports)
-            +. (Float.min 1.0 avg_fresh_lines *. miss_extra)
-        in
         let accel_latency =
-          read_time +. avg_compute_latency +. (avg_writes /. ports)
+          Config.accel_latency_estimate cfg ~reads:avg_reads
+            ~writes:avg_writes ~fresh_lines:avg_fresh_lines
+            ~compute:avg_compute_latency
         in
         Ok
           {

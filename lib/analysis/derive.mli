@@ -1,8 +1,8 @@
 (** Analytical-model inputs derived statically from a trace pair.
 
-    Everything [Tca_workloads.Meta] records by construction (the workload
-    generator knows its own [a], [v], read/write sets) is here recovered
-    from the traces alone: the accelerated fraction from the instruction
+    Everything [Tca_workloads.Meta] records ([a], [v], the read/write
+    sets) is here recovered by an independent pass over the traces: the
+    accelerated fraction from the instruction
     count difference, the invocation rate from the [Accel] count, the
     per-invocation footprint from the accelerator read/write sets, and
     the expected fresh (L1-missing) lines per invocation from a static
@@ -26,8 +26,8 @@ type t = {
           trace through the configured hierarchy *)
   avg_compute_latency : float;
   accel_latency : float;
-      (** per-invocation latency estimate in cycles, same formula as
-          [Meta.accel_latency_estimate] *)
+      (** per-invocation latency estimate in cycles
+          ({!Tca_uarch.Config.accel_latency_estimate}) *)
   mean_leading : float;
       (** mean instructions between an invocation and its predecessor
           (or trace start) in the accelerated trace *)

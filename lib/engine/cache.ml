@@ -1,7 +1,6 @@
 type t = {
   dir : string option;
   mem : (string, Artifact.t) Hashtbl.t;
-  metrics : Tca_telemetry.Metrics.t option;
   mutable hits : int;
   mutable misses : int;
   mutable quarantined : int;
@@ -18,7 +17,7 @@ let version_salt = "tca-engine-v2"
    the damage does to the JSON inside. *)
 let entry_magic = "tca-cache-1"
 
-let create ?dir ?metrics () =
+let create ?dir () =
   (match dir with
   | Some d when not (Sys.file_exists d) -> (
       try Unix.mkdir d 0o755 with Unix.Unix_error _ -> ())
@@ -26,21 +25,12 @@ let create ?dir ?metrics () =
   {
     dir;
     mem = Hashtbl.create 64;
-    metrics;
     hits = 0;
     misses = 0;
     quarantined = 0;
   }
 
 let dir t = t.dir
-
-let bump t name =
-  match t.metrics with
-  | None -> ()
-  | Some reg -> (
-      match Tca_telemetry.Metrics.counter reg name with
-      | Ok c -> Tca_telemetry.Metrics.Counter.incr c
-      | Error _ -> ())
 
 let key _t (job : Job.t) ~quick =
   Digest.to_hex
@@ -95,8 +85,7 @@ let quarantine t d file =
      Sys.rename src (Filename.concat qdir file)
    with Sys_error _ | Unix.Unix_error _ -> (
      try Sys.remove src with Sys_error _ -> ()));
-  t.quarantined <- t.quarantined + 1;
-  bump t "engine.cache.quarantined"
+  t.quarantined <- t.quarantined + 1
 
 let disk_find t k =
   match t.dir with
@@ -116,18 +105,15 @@ let find t k =
   match Hashtbl.find_opt t.mem k with
   | Some artifact ->
       t.hits <- t.hits + 1;
-      bump t "engine.cache.hits";
       Some artifact
   | None -> (
       match disk_find t k with
       | Some artifact ->
           Hashtbl.replace t.mem k artifact;
           t.hits <- t.hits + 1;
-          bump t "engine.cache.hits";
           Some artifact
       | None ->
           t.misses <- t.misses + 1;
-          bump t "engine.cache.misses";
           None)
 
 let store t k artifact =

@@ -25,10 +25,8 @@
 
 type t
 
-val create : ?dir:string -> ?metrics:Tca_telemetry.Metrics.t -> unit -> t
-(** With [dir], the directory is created (one level) if missing. With
-    [metrics], the cache bumps the counters [engine.cache.hits],
-    [engine.cache.misses] and [engine.cache.quarantined] as it runs. *)
+val create : ?dir:string -> unit -> t
+(** With [dir], the directory is created (one level) if missing. *)
 
 val dir : t -> string option
 

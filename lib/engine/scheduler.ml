@@ -178,15 +178,7 @@ let supervise (j : Job.t) ~fingerprint ~policy ~collect_telemetry ~quick
   in
   attempt 1
 
-let bump metrics name delta =
-  match metrics with
-  | None -> ()
-  | Some reg -> (
-      match Tca_telemetry.Metrics.counter reg name with
-      | Ok c -> Tca_telemetry.Metrics.Counter.add c delta
-      | Error _ -> ())
-
-let run ?cache ?(policy = default_policy) ?metrics ?(quick = false)
+let run ?cache ?(policy = default_policy) ?(quick = false)
     ?(collect_telemetry = false) ?host_telemetry ?(jobs = 1) js =
   let module T = Tca_telemetry in
   let host name f = T.Timing.with_span host_telemetry name f in
@@ -274,21 +266,6 @@ let run ?cache ?(policy = default_policy) ?metrics ?(quick = false)
                   Cache.store c k a
               | _ -> ())
             looked_up));
-  Array.iter
-    (fun o ->
-      match o.status with
-      | Done _ ->
-          bump metrics
-            (if o.cached then "engine.tasks.cached" else "engine.tasks.succeeded")
-            1;
-          if o.attempts > 1 then
-            bump metrics "engine.tasks.retried" (o.attempts - 1)
-      | Failed f ->
-          bump metrics "engine.tasks.failed" 1;
-          if f.attempts > 1 then
-            bump metrics "engine.tasks.retried" (f.attempts - 1)
-      | Skipped -> bump metrics "engine.tasks.skipped" 1)
-    outcomes;
   Array.to_list outcomes
 
 (* --- failure reporting --- *)

@@ -67,7 +67,6 @@ type outcome = {
 val run :
   ?cache:Cache.t ->
   ?policy:policy ->
-  ?metrics:Tca_telemetry.Metrics.t ->
   ?quick:bool ->
   ?collect_telemetry:bool ->
   ?host_telemetry:Tca_telemetry.Sink.t ->
@@ -77,9 +76,8 @@ val run :
 (** Execute the jobs; outcomes are returned in input order. [jobs]
     (default [1]) is the total parallelism: the pool gets [jobs - 1]
     worker domains and the calling domain participates. Only [Done]
-    artifacts of fresh runs are stored to the cache. With [metrics],
-    bumps [engine.tasks.{succeeded,failed,skipped,cached,retried}].
-    Never raises on job failure — inspect outcome statuses.
+    artifacts of fresh runs are stored to the cache. Never raises on
+    job failure — inspect outcome statuses.
 
     Profiling hooks, all zero-cost when the respective sink is absent:
     with [collect_telemetry], each fresh task's sink additionally

@@ -31,15 +31,11 @@ let scenario_of_meta ?drain ?config (meta : Meta.t) ~latency =
   Tca_model.Params.scenario_exn ?drain ?config ~a:meta.Meta.a ~v:meta.Meta.v
     ~accel:(Tca_model.Params.Latency latency) ()
 
-let meta_latency (meta : Meta.t) ~(cfg : Config.t) =
-  let miss_extra_latency =
-    match cfg.Config.mem.Mem_hier.l2 with
-    | Some l2 -> l2.Cache.hit_latency
-    | None -> cfg.Config.mem.Mem_hier.mem_latency
-  in
-  Meta.accel_latency_estimate meta
-    ~l1_hit_latency:cfg.Config.mem.Mem_hier.l1.Cache.hit_latency
-    ~miss_extra_latency ~mem_ports:cfg.Config.mem_ports ()
+let meta_latency (meta : Meta.t) ~cfg =
+  Config.accel_latency_estimate cfg ~reads:meta.Meta.avg_reads_per_invocation
+    ~writes:meta.Meta.avg_writes_per_invocation
+    ~fresh_lines:meta.Meta.avg_fresh_lines_per_invocation
+    ~compute:(float_of_int meta.Meta.compute_latency)
 
 type validation_row = {
   workload : string;

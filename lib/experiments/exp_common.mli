@@ -26,7 +26,7 @@ val meta_latency :
   Tca_workloads.Meta.t -> cfg:Tca_uarch.Config.t -> float
 (** The architect's latency estimate for the workload's TCA: compute
     latency plus first-order memory time through the configured L1 and
-    ports (see {!Tca_workloads.Meta.accel_latency_estimate}). *)
+    ports (see {!Tca_uarch.Config.accel_latency_estimate}). *)
 
 type validation_row = {
   workload : string;

@@ -135,6 +135,24 @@ let a72 ?(coupling = coupling_l_t) () =
 
 let with_coupling t coupling = { t with coupling }
 
+let accel_latency_estimate t ~reads ~writes ~fresh_lines ~compute =
+  let ports = float_of_int t.mem_ports in
+  let read_time =
+    if reads <= 0.0 then 0.0
+    else
+      let miss_extra =
+        match t.mem.Mem_hier.l2 with
+        | Some l2 -> l2.Cache.hit_latency
+        | None -> t.mem.Mem_hier.mem_latency
+      in
+      (* Overlapping non-blocking misses cost one extra depth when any
+         fresh line is expected. *)
+      float_of_int t.mem.Mem_hier.l1.Cache.hit_latency
+      +. ((reads -. 1.0) /. ports)
+      +. (Float.min 1.0 fresh_lines *. float_of_int miss_extra)
+  in
+  read_time +. compute +. (writes /. ports)
+
 let with_tca_units t tca_units = { t with tca_units }
 
 let validate t =

@@ -92,6 +92,16 @@ val a72 : ?coupling:coupling -> unit -> t
 
 val with_coupling : t -> coupling -> t
 
+val accel_latency_estimate :
+  t -> reads:float -> writes:float -> fresh_lines:float -> compute:float ->
+  float
+(** First-order estimate of one TCA invocation's latency from its mean
+    footprint: the L1 hit latency for the first read line, one line per
+    memory port per cycle after it, one next-level depth (L2 hit, else
+    memory) when any fresh read line is expected, [compute] cycles, then
+    writes at one line per port per cycle — the "explicitly provided
+    latency" the model takes for memory-traffic TCAs. *)
+
 val with_tca_units : t -> Tca_unit.t array -> t
 
 val validate : t -> (unit, Tca_util.Diag.t) result

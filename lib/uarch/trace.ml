@@ -363,16 +363,10 @@ module Builder = struct
     Array.blit b.buf 0 nbuf 0 b.len;
     b.buf <- nbuf
 
-  let next_pc b = 4 * b.len
-
   let add b ins =
     if b.len = Array.length b.buf then grow b;
-    b.buf.(b.len) <- { ins with Isa.pc = next_pc b };
+    b.buf.(b.len) <- { ins with Isa.pc = 4 * b.len };
     b.len <- b.len + 1
-
-  let add_here b f =
-    let ins = f ~pc:(next_pc b) in
-    add b ins
 
   let add_at_site b ins =
     if b.len = Array.length b.buf then grow b;

@@ -120,15 +120,11 @@ module Builder : sig
   (** Appends, overriding the instruction's [pc] with the next sequential
       value. *)
 
-  val add_here : t -> (pc:int -> Isa.instr) -> unit
-  (** For branches that need their own PC (predictor indexing). *)
-
   val add_at_site : t -> Isa.instr -> unit
   (** Appends keeping the instruction's own [pc]: used for branches that
       belong to a recurring static site (loops, library calls), so the
       branch predictor sees repeated PCs as it would in a real binary. *)
 
   val length : t -> int
-  val next_pc : t -> int
   val build : t -> trace
 end

@@ -164,3 +164,16 @@ let emit_block t b n =
   for _ = 1 to n do
     emit t b
   done
+
+let call_sites ?config ~app_rng ~gap_rng ~mean_gap calls emit =
+  let gen = create ?config ~rng:app_rng () in
+  let b = Trace.Builder.create () in
+  let half = max 1 (mean_gap / 2) in
+  Array.iter
+    (fun call ->
+      if mean_gap > 0 then
+        emit_block gen b
+          (Tca_util.Prng.int_in gap_rng (mean_gap - half) (mean_gap + half));
+      emit b call)
+    calls;
+  Trace.Builder.build b

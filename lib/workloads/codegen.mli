@@ -64,6 +64,22 @@ val emit : t -> Tca_uarch.Trace.Builder.t -> unit
 val emit_block : t -> Tca_uarch.Trace.Builder.t -> int -> unit
 (** Append [n] application μops. *)
 
+val call_sites :
+  ?config:config ->
+  app_rng:Tca_util.Prng.t ->
+  gap_rng:Tca_util.Prng.t ->
+  mean_gap:int ->
+  'a array ->
+  (Tca_uarch.Trace.Builder.t -> 'a -> unit) ->
+  Tca_uarch.Trace.t
+(** [call_sites ?config ~app_rng ~gap_rng ~mean_gap calls emit] builds
+    one variant of a call-site workload: before each call, an
+    application block from a generator over [config] and [app_rng] (see
+    {!create}), its length drawn from [gap_rng] uniformly in
+    [\[mean_gap - h, mean_gap + h\]], [h = max 1 (mean_gap / 2)] (none
+    when [mean_gap <= 0]); then [emit b call]. Fresh rngs of the same
+    seeds give two variants the same application instructions. *)
+
 val data_base : int
 (** Base address of the generator's working-set region (static data,
     below any heap arena). *)

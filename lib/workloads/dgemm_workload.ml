@@ -114,7 +114,6 @@ let accelerated cfg ~dim =
   (* Same loop-counter prologue as the baseline build. *)
   Trace.Builder.add b (Isa.int_alu ~dst:r_idx ());
   let nd = cfg.block / dim in
-  let total_reads = ref 0 and total_writes = ref 0 and invocations = ref 0 in
   for_each_block cfg (fun ~i0 ~j0 ~k0 ->
       for si = 0 to nd - 1 do
         for sj = 0 to nd - 1 do
@@ -134,9 +133,6 @@ let accelerated cfg ~dim =
               @ block_lines cfg cfg.c_base ~i ~j ~dim
             in
             let writes = block_lines cfg cfg.c_base ~i ~j ~dim in
-            total_reads := !total_reads + List.length reads;
-            total_writes := !total_writes + List.length writes;
-            incr invocations;
             (* The chain through r_acc orders accumulations into the same
                C sub-block, as hardware dependence checks would. *)
             Trace.Builder.add b
@@ -149,15 +145,11 @@ let accelerated cfg ~dim =
           done
         done
       done);
-  (Trace.Builder.build b, !invocations, !total_reads, !total_writes)
+  Trace.Builder.build b
 
 let pair cfg ~dim =
   let base = baseline cfg in
-  let accel, invocations, reads, writes = accelerated cfg ~dim in
-  let non_accel_in_accel = Tca_uarch.Trace.length accel - invocations in
-  let acceleratable_instrs =
-    max 0 (Tca_uarch.Trace.length base - non_accel_in_accel)
-  in
+  let accel = accelerated cfg ~dim in
   let fi = float_of_int in
   (* Fresh (non-L1-resident) lines per invocation: the A and B blocks are
      brought in once per block-product and then reused by the
@@ -173,8 +165,6 @@ let pair cfg ~dim =
   in
   Meta.make
     ~name:(Printf.sprintf "dgemm-%dx%d" dim dim)
-    ~baseline:base ~accelerated:accel ~invocations ~acceleratable_instrs
-    ~avg_reads:(fi reads /. fi invocations)
-    ~avg_writes:(fi writes /. fi invocations)
-    ~avg_fresh_lines:fresh
+    ~baseline:base ~accelerated:accel
+    ~fresh_lines:(fun ~reads:_ -> fresh)
     ~compute_latency:(Mma.compute_latency dim) ()

@@ -41,65 +41,33 @@ let plan cfg =
   in
   let keys = Array.init n_keys (fun i -> (i * 7919) + 13) in
   Array.iter (fun k -> ignore (Table.insert table k (k * 3))) keys;
-  let lookups =
-    Array.init cfg.n_lookups (fun _ ->
-        let key =
-          if Tca_util.Prng.bernoulli rng cfg.hit_fraction then
-            Tca_util.Prng.choose rng keys
-          else 1_000_000_000 + Tca_util.Prng.int rng 1_000_000
-        in
-        Table.find table key)
-  in
-  (lookups, Table.mean_probes table)
+  Array.init cfg.n_lookups (fun _ ->
+      let key =
+        if Tca_util.Prng.bernoulli rng cfg.hit_fraction then
+          Tca_util.Prng.choose rng keys
+        else 1_000_000_000 + Tca_util.Prng.int rng 1_000_000
+      in
+      Table.find table key)
 
 let generate cfg =
-  let lookups, _ = plan cfg in
+  let lookups = plan cfg in
   let mean_probes =
     Tca_util.Stats.mean_exn
       (Array.map (fun (r : Table.probe_result) -> float_of_int r.Table.probes) lookups)
   in
-  let acceleratable = ref 0 in
-  let total_lines = ref 0 in
-  let build variant =
-    let app_rng = Tca_util.Prng.create (cfg.seed + 0x99) in
-    let gen = Codegen.create ~config:cfg.app ~rng:app_rng () in
-    let gap_rng = Tca_util.Prng.create (cfg.seed + 0x77) in
-    let b = Trace.Builder.create () in
-    if variant = `Baseline then acceleratable := 0;
-    if variant = `Accelerated then total_lines := 0;
-    Array.iter
-      (fun (r : Table.probe_result) ->
-        let gap =
-          if cfg.app_instrs_per_lookup = 0 then 0
-          else
-            let half = max 1 (cfg.app_instrs_per_lookup / 2) in
-            Tca_util.Prng.int_in gap_rng
-              (cfg.app_instrs_per_lookup - half)
-              (cfg.app_instrs_per_lookup + half)
-        in
-        Codegen.emit_block gen b gap;
-        (match variant with
-        | `Baseline ->
-            Cost_model.emit_find b ~bucket_addrs:r.Table.bucket_addrs;
-            acceleratable :=
-              !acceleratable + Cost_model.software_uops ~probes:r.Table.probes
-        | `Accelerated ->
-            Cost_model.emit_find_accel b ~bucket_addrs:r.Table.bucket_addrs;
-            total_lines :=
-              !total_lines
-              + List.length
-                  (List.sort_uniq compare
-                     (List.map (fun a -> a land lnot 63) r.Table.bucket_addrs)));
+  let build emit_find =
+    Codegen.call_sites ~config:cfg.app
+      ~app_rng:(Tca_util.Prng.create (cfg.seed + 0x99))
+      ~gap_rng:(Tca_util.Prng.create (cfg.seed + 0x77))
+      ~mean_gap:cfg.app_instrs_per_lookup lookups
+      (fun b (r : Table.probe_result) ->
+        emit_find b ~bucket_addrs:r.Table.bucket_addrs;
         (* The application consumes the looked-up value. *)
         Trace.Builder.add b
           (Isa.int_alu ~src1:Cost_model.result_reg ~dst:1 ()))
-      lookups;
-    Trace.Builder.build b
   in
-  let baseline = build `Baseline in
-  let acceleratable_instrs = !acceleratable in
-  let accelerated = build `Accelerated in
-  let avg_reads = float_of_int !total_lines /. float_of_int cfg.n_lookups in
+  let baseline = build Cost_model.emit_find in
+  let accelerated = build Cost_model.emit_find_accel in
   (* Probed buckets are effectively random over the table; the fraction
      beyond what an L1 can keep resident arrives from the next level. *)
   let table_bytes = 16 * (1 lsl cfg.capacity_pow2) in
@@ -109,8 +77,7 @@ let generate cfg =
   in
   let pair =
     Meta.make ~name:"hashmap" ~baseline ~accelerated
-      ~invocations:cfg.n_lookups ~acceleratable_instrs ~avg_reads
-      ~avg_fresh_lines:(avg_reads *. miss_fraction)
+      ~fresh_lines:(fun ~reads -> reads *. miss_fraction)
       ~compute_latency:Cost_model.accel_compute_latency ()
   in
   (pair, mean_probes)

@@ -67,32 +67,18 @@ let plan_calls rng cfg =
 let generate cfg =
   let plan_rng = Tca_util.Prng.create (cfg.seed + 0x11ea) in
   let calls, heap = plan_calls plan_rng cfg in
-  let acceleratable = ref 0 in
   let build variant =
-    let app_rng = Tca_util.Prng.create (cfg.seed + 0xa44) in
-    let gen = Codegen.create ~config:cfg.app ~rng:app_rng () in
-    let gap_rng = Tca_util.Prng.create (cfg.seed + 0x9a4) in
     let heap_rng = Tca_util.Prng.create (cfg.seed + 0xf111) in
-    let b = Trace.Builder.create () in
-    if variant = `Baseline then acceleratable := 0;
-    Array.iter
-      (fun call ->
-        let gap =
-          if cfg.app_instrs_per_call = 0 then 0
-          else
-            let half = max 1 (cfg.app_instrs_per_call / 2) in
-            Tca_util.Prng.int_in gap_rng
-              (cfg.app_instrs_per_call - half)
-              (cfg.app_instrs_per_call + half)
-        in
-        Codegen.emit_block gen b gap;
+    Codegen.call_sites ~config:cfg.app
+      ~app_rng:(Tca_util.Prng.create (cfg.seed + 0xa44))
+      ~gap_rng:(Tca_util.Prng.create (cfg.seed + 0x9a4))
+      ~mean_gap:cfg.app_instrs_per_call calls
+      (fun b call ->
         match call with
         | Malloc cls ->
             let head_addr = Tcmalloc.freelist_head_addr heap cls in
             (match variant with
-            | `Baseline ->
-                Cost_model.emit_malloc b ~rng:heap_rng ~head_addr;
-                acceleratable := !acceleratable + Cost_model.malloc_uops
+            | `Baseline -> Cost_model.emit_malloc b ~rng:heap_rng ~head_addr
             | `Accelerated -> Cost_model.emit_malloc_accel b);
             (* Application consumes the returned pointer right away: a
                store through it and a dependent reload. The address must
@@ -113,14 +99,10 @@ let generate cfg =
             Trace.Builder.add b (Isa.int_alu ~src1:ptr_reg ~dst:ptr_reg ());
             (match variant with
             | `Baseline ->
-                Cost_model.emit_free b ~rng:heap_rng ~head_addr ~ptr_reg;
-                acceleratable := !acceleratable + Cost_model.free_uops
+                Cost_model.emit_free b ~rng:heap_rng ~head_addr ~ptr_reg
             | `Accelerated -> Cost_model.emit_free_accel b ~ptr_reg))
-      calls;
-    Trace.Builder.build b
   in
   let baseline = build `Baseline in
-  let acceleratable_instrs = !acceleratable in
   let accelerated = build `Accelerated in
-  Meta.make ~name:"heap" ~baseline ~accelerated ~invocations:cfg.n_calls
-    ~acceleratable_instrs ~compute_latency:Cost_model.accel_latency ()
+  Meta.make ~name:"heap" ~baseline ~accelerated
+    ~compute_latency:Cost_model.accel_latency ()

@@ -1,3 +1,5 @@
+open Tca_uarch
+
 type t = {
   name : string;
   baseline_instrs : int;
@@ -13,19 +15,36 @@ type t = {
 }
 
 type pair = {
-  baseline : Tca_uarch.Trace.t;
-  accelerated : Tca_uarch.Trace.t;
+  baseline : Trace.t;
+  accelerated : Trace.t;
   meta : t;
 }
 
-let make ~name ~baseline ~accelerated ~invocations ~acceleratable_instrs
-    ?(avg_reads = 0.0) ?(avg_writes = 0.0) ?(avg_fresh_lines = 0.0)
+let make ~name ~baseline ~accelerated ?(fresh_lines = fun ~reads:_ -> 0.0)
     ~compute_latency () =
-  let baseline_instrs = Tca_uarch.Trace.length baseline in
+  let baseline_instrs = Trace.length baseline in
   if baseline_instrs = 0 then invalid_arg "Meta.make: empty baseline";
+  let accelerated_instrs = Trace.length accelerated in
+  let invocations, reads, writes =
+    Array.fold_left
+      (fun ((n, r, w) as acc) (ins : Isa.instr) ->
+        match ins.Isa.op with
+        | Isa.Accel x ->
+            (n + 1, r + Array.length x.Isa.reads, w + Array.length x.Isa.writes)
+        | _ -> acc)
+      (0, 0, 0) accelerated.Trace.instrs
+  in
+  let acceleratable_instrs =
+    baseline_instrs - (accelerated_instrs - invocations)
+  in
+  if acceleratable_instrs < 0 || acceleratable_instrs > baseline_instrs then
+    invalid_arg "Meta.make: acceleratable fraction out of range";
+  let per_invocation n =
+    if invocations = 0 then 0.0
+    else float_of_int n /. float_of_int invocations
+  in
+  let avg_reads = per_invocation reads in
   let nb = float_of_int baseline_instrs in
-  let a = float_of_int acceleratable_instrs /. nb in
-  if a < 0.0 || a > 1.0 then invalid_arg "Meta.make: acceleratable fraction out of range";
   {
     baseline;
     accelerated;
@@ -33,36 +52,17 @@ let make ~name ~baseline ~accelerated ~invocations ~acceleratable_instrs
       {
         name;
         baseline_instrs;
-        accelerated_instrs = Tca_uarch.Trace.length accelerated;
+        accelerated_instrs;
         invocations;
         acceleratable_instrs;
         v = float_of_int invocations /. nb;
-        a;
+        a = float_of_int acceleratable_instrs /. nb;
         avg_reads_per_invocation = avg_reads;
-        avg_writes_per_invocation = avg_writes;
-        avg_fresh_lines_per_invocation = avg_fresh_lines;
+        avg_writes_per_invocation = per_invocation writes;
+        avg_fresh_lines_per_invocation = fresh_lines ~reads:avg_reads;
         compute_latency;
       };
   }
-
-let accel_latency_estimate t ~l1_hit_latency ?(miss_extra_latency = 0)
-    ~mem_ports () =
-  let ports = float_of_int mem_ports in
-  let read_time =
-    if t.avg_reads_per_invocation <= 0.0 then 0.0
-    else
-      let miss_depth =
-        (* Overlapping non-blocking misses cost one extra depth when any
-           fresh line is expected. *)
-        Float.min 1.0 t.avg_fresh_lines_per_invocation
-        *. float_of_int miss_extra_latency
-      in
-      float_of_int l1_hit_latency
-      +. ((t.avg_reads_per_invocation -. 1.0) /. ports)
-      +. miss_depth
-  in
-  let write_time = t.avg_writes_per_invocation /. ports in
-  read_time +. float_of_int t.compute_latency +. write_time
 
 let pp fmt t =
   Format.fprintf fmt

@@ -1,6 +1,7 @@
 (** Shared description of a baseline/accelerated workload pair: the
     quantities the analytical model takes as inputs ([a], [v], accelerator
-    timing) plus bookkeeping for the experiment drivers. *)
+    timing) plus bookkeeping for the experiment drivers. {!make} reads
+    them off the traces, so a generator only emits instructions. *)
 
 type t = {
   name : string;
@@ -30,26 +31,19 @@ val make :
   name:string ->
   baseline:Tca_uarch.Trace.t ->
   accelerated:Tca_uarch.Trace.t ->
-  invocations:int ->
-  acceleratable_instrs:int ->
-  ?avg_reads:float ->
-  ?avg_writes:float ->
-  ?avg_fresh_lines:float ->
+  ?fresh_lines:(reads:float -> float) ->
   compute_latency:int ->
   unit ->
   pair
-(** Derives [v], [a] and the instruction counts; validates
-    [0 <= a <= 1]. *)
-
-val accel_latency_estimate :
-  t -> l1_hit_latency:int -> ?miss_extra_latency:int -> mem_ports:int ->
-  unit -> float
-(** First-order architect's estimate of one TCA invocation's execution
-    time: L1 hit latency for the first line, one line per port per cycle
-    thereafter, a next-level penalty when fresh (non-resident) lines are
-    expected ([miss_extra_latency], e.g. the L2 hit latency; overlapping
-    misses charge one depth), then compute, then write injection — the
-    "explicitly provided latency" fed to the model for memory-traffic
-    TCAs. *)
+(** Reads the model inputs off the traces: [invocations] counts the
+    accelerated trace's [Accel] instructions, [acceleratable_instrs] is
+    the baseline length minus the accelerated trace's other
+    instructions, [v] and [a] divide those by the baseline length, and
+    the read and write means average the invocations' declared lines (0
+    without an invocation). [fresh_lines ~reads] (default 0) maps the
+    mean reads to the expected fresh (non-L1-resident) lines: the
+    generator's knowledge of its reuse pattern, which traces lack.
+    Raises [Invalid_argument] on an empty baseline or an implied
+    acceleratable count outside [\[0, baseline length\]]. *)
 
 val pp : Format.formatter -> t -> unit

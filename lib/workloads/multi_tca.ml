@@ -134,18 +134,10 @@ let generate cfg =
     done;
     Trace.Builder.build b
   in
-  let avg_reads =
-    match cfg.kind with
-    | Contended -> float_of_int (Array.length (contended_reads 0))
-    | Alternating | Chained -> 0.0
-  in
   let pair =
     Meta.make ~name:(kind_name cfg.kind)
       ~baseline:(build `Baseline)
       ~accelerated:(build `Accelerated)
-      ~invocations:(2 * cfg.n_pairs)
-      ~acceleratable_instrs:(2 * cfg.n_pairs * cfg.unit_len)
-      ~avg_reads
       ~compute_latency:((cfg.latency0 + cfg.latency1) / 2)
       ()
   in

@@ -75,52 +75,23 @@ let generate cfg =
     Tca_util.Stats.mean_exn
       (Array.map (fun (_, c) -> float_of_int c) searches)
   in
-  let acceleratable = ref 0 in
-  let total_lines = ref 0 in
-  let build variant =
-    let app_rng = Tca_util.Prng.create (cfg.seed + 0x3e) in
-    let gen = Codegen.create ~config:cfg.app ~rng:app_rng () in
-    let gap_rng = Tca_util.Prng.create (cfg.seed + 0x5c) in
-    let b = Trace.Builder.create () in
-    if variant = `Baseline then acceleratable := 0;
-    if variant = `Accelerated then total_lines := 0;
-    Array.iter
-      (fun (offset, chars_scanned) ->
-        let gap =
-          if cfg.app_instrs_per_record = 0 then 0
-          else
-            let half = max 1 (cfg.app_instrs_per_record / 2) in
-            Tca_util.Prng.int_in gap_rng
-              (cfg.app_instrs_per_record - half)
-              (cfg.app_instrs_per_record + half)
-        in
-        Codegen.emit_block gen b gap;
-        (match variant with
-        | `Baseline ->
-            Cost_model.emit_search b ~text_base ~start:offset ~chars_scanned;
-            acceleratable := !acceleratable + Cost_model.software_uops ~chars_scanned
-        | `Accelerated ->
-            Cost_model.emit_search_accel b ~text_base ~start:offset
-              ~chars_scanned;
-            total_lines :=
-              !total_lines
-              + List.length
-                  (Cost_model.scanned_lines ~text_base ~start:offset
-                     ~chars_scanned));
+  let build emit_search =
+    Codegen.call_sites ~config:cfg.app
+      ~app_rng:(Tca_util.Prng.create (cfg.seed + 0x3e))
+      ~gap_rng:(Tca_util.Prng.create (cfg.seed + 0x5c))
+      ~mean_gap:cfg.app_instrs_per_record searches
+      (fun b (offset, chars_scanned) ->
+        emit_search b ~text_base ~start:offset ~chars_scanned;
         Trace.Builder.add b
           (Isa.int_alu ~src1:Cost_model.result_reg ~dst:2 ()))
-      searches;
-    Trace.Builder.build b
   in
-  let baseline = build `Baseline in
-  let acceleratable_instrs = !acceleratable in
-  let accelerated = build `Accelerated in
-  let avg_reads = float_of_int !total_lines /. float_of_int cfg.n_records in
+  let baseline = build Cost_model.emit_search in
+  let accelerated = build Cost_model.emit_search_accel in
   (* A streaming scan over a large corpus rarely finds its text in the
      L1: every line is a first touch. *)
   let pair =
-    Meta.make ~name:"regex" ~baseline ~accelerated ~invocations:cfg.n_records
-      ~acceleratable_instrs ~avg_reads ~avg_fresh_lines:avg_reads
+    Meta.make ~name:"regex" ~baseline ~accelerated
+      ~fresh_lines:(fun ~reads -> reads)
       ~compute_latency:
         (Tca_regex.Cost_model.accel_compute_latency
            ~chars_scanned:(int_of_float mean_scan))

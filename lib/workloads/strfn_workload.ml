@@ -55,48 +55,24 @@ let generate cfg =
          (fun (s : Arena.scan) -> float_of_int s.Arena.bytes_inspected)
          calls)
   in
-  let acceleratable = ref 0 in
-  let total_lines = ref 0 in
-  let build variant =
-    let app_rng = Tca_util.Prng.create (cfg.seed + 0x21) in
-    let gen = Codegen.create ~config:cfg.app ~rng:app_rng () in
-    let gap_rng = Tca_util.Prng.create (cfg.seed + 0x43) in
-    let b = Trace.Builder.create () in
-    if variant = `Baseline then acceleratable := 0;
-    if variant = `Accelerated then total_lines := 0;
-    Array.iter
-      (fun (scan : Arena.scan) ->
-        let gap =
-          if cfg.app_instrs_per_call = 0 then 0
-          else
-            let half = max 1 (cfg.app_instrs_per_call / 2) in
-            Tca_util.Prng.int_in gap_rng
-              (cfg.app_instrs_per_call - half)
-              (cfg.app_instrs_per_call + half)
-        in
-        Codegen.emit_block gen b gap;
-        (match variant with
-        | `Baseline ->
-            Cost_model.emit_call b ~addrs:scan.Arena.addrs;
-            acceleratable :=
-              !acceleratable
-              + Cost_model.software_uops
-                  ~bytes_inspected:scan.Arena.bytes_inspected
-        | `Accelerated ->
-            Cost_model.emit_call_accel b ~addrs:scan.Arena.addrs
-              ~bytes_inspected:scan.Arena.bytes_inspected;
-            total_lines :=
-              !total_lines
-              + List.length (Cost_model.lines_of_addrs scan.Arena.addrs));
+  let build emit_call =
+    Codegen.call_sites ~config:cfg.app
+      ~app_rng:(Tca_util.Prng.create (cfg.seed + 0x21))
+      ~gap_rng:(Tca_util.Prng.create (cfg.seed + 0x43))
+      ~mean_gap:cfg.app_instrs_per_call calls
+      (fun b (scan : Arena.scan) ->
+        emit_call b scan;
         Trace.Builder.add b
           (Isa.int_alu ~src1:Cost_model.result_reg ~dst:3 ()))
-      calls;
-    Trace.Builder.build b
   in
-  let baseline = build `Baseline in
-  let acceleratable_instrs = !acceleratable in
-  let accelerated = build `Accelerated in
-  let avg_reads = float_of_int !total_lines /. float_of_int cfg.n_calls in
+  let baseline =
+    build (fun b scan -> Cost_model.emit_call b ~addrs:scan.Arena.addrs)
+  in
+  let accelerated =
+    build (fun b scan ->
+        Cost_model.emit_call_accel b ~addrs:scan.Arena.addrs
+          ~bytes_inspected:scan.Arena.bytes_inspected)
+  in
   (* The string pool is tens of kB: partially L1-resident. Fraction
      missing = pool beyond the L1. *)
   let pool_bytes = (cfg.max_len + 2) * cfg.n_strings in
@@ -104,9 +80,8 @@ let generate cfg =
     Float.max 0.0 (1.0 -. (float_of_int (32 * 1024) /. float_of_int pool_bytes))
   in
   let pair =
-    Meta.make ~name:"strfn" ~baseline ~accelerated ~invocations:cfg.n_calls
-      ~acceleratable_instrs ~avg_reads
-      ~avg_fresh_lines:(avg_reads *. miss_fraction)
+    Meta.make ~name:"strfn" ~baseline ~accelerated
+      ~fresh_lines:(fun ~reads -> reads *. miss_fraction)
       ~compute_latency:
         (Cost_model.accel_compute_latency
            ~bytes_inspected:(int_of_float mean_bytes))

@@ -101,6 +101,4 @@ let generate cfg =
   Meta.make ~name:"synthetic"
     ~baseline:(build `Baseline)
     ~accelerated:(build `Accelerated)
-    ~invocations:cfg.n_chunks
-    ~acceleratable_instrs:(cfg.n_chunks * cfg.unit_len)
     ~compute_latency:cfg.accel_latency ()

@@ -7,7 +7,9 @@
 #
 # This is a --help-level check: it proves the documented surface exists
 # (subcommand spelled right, flags not renamed/removed) without running
-# the experiments themselves. Run from the repository root:
+# the experiments. The pure model commands (modes, model, design; each
+# milliseconds) are also run as documented and must exit 0, which
+# catches a rejected option value. Run from the repository root:
 #
 #   dune build bin/tca.exe && scripts/check_docs_cli.sh
 #
@@ -103,6 +105,15 @@ while IFS= read -r line; do
       fail=1
     fi
   done
+  case $sub in
+    modes|model|design)
+      if ! run_err=$("$TCA" "$sub" "$@" 2>&1 >/dev/null); then
+        echo "FAIL: documented command exits non-zero: tca $sub $*" >&2
+        printf '%s\n' "$run_err" | sed 's/^/      /' >&2
+        fail=1
+      fi
+      ;;
+  esac
 done <<EOF
 $(extract_commands $DOCS)
 EOF

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Golden-drift guard for CI: regenerate test/golden/*.golden with the
-# current tree's simulator and fail if any pinned byte moved or a pin is
-# missing from git. The golden test in test/test_uarch.ml already fails
+# current tree's generators and simulator and fail if any pinned byte
+# moved or a pin is missing from git. The golden test in test/test_uarch.ml already fails
 # when the *simulator* drifts away from the committed pins; this script
 # closes the converse hole — a semantic change whose author reran
 # gen_golden but forgot to commit the result (or hand-edited a pin)

@@ -208,13 +208,19 @@ let test_derive_matches_meta () =
           Alcotest.(check int)
             (name ^ " invocations")
             meta.Tca_workloads.Meta.invocations d.Derive.invocations;
+          Alcotest.(check int) (name ^ " acceleratable")
+            meta.Tca_workloads.Meta.acceleratable_instrs
+            d.Derive.acceleratable_instrs;
           Alcotest.(check (float 1e-9)) (name ^ " a")
             meta.Tca_workloads.Meta.a d.Derive.a;
           Alcotest.(check (float 1e-9)) (name ^ " v")
             meta.Tca_workloads.Meta.v d.Derive.v;
           Alcotest.(check (float 1e-6))
             (name ^ " reads")
-            meta.Tca_workloads.Meta.avg_reads_per_invocation d.Derive.avg_reads)
+            meta.Tca_workloads.Meta.avg_reads_per_invocation d.Derive.avg_reads;
+          Alcotest.(check (float 1e-6)) (name ^ " writes")
+            meta.Tca_workloads.Meta.avg_writes_per_invocation
+            d.Derive.avg_writes)
     (Lazy.force workload_pairs)
 
 (* Failure paths: [of_pair] must reject inputs that are not a

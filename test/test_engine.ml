@@ -570,7 +570,6 @@ let test_scheduler_corrupt_artifact_differs () =
   | _ -> Alcotest.fail "corrupt injection must still produce an artifact"
 
 let test_scheduler_metrics () =
-  let metrics = Tca_telemetry.Metrics.create () in
   let js =
     Inject.wrap
       [ ("s1", Inject.Raise); ("s2", Inject.Transient_failures 1) ]
@@ -579,11 +578,17 @@ let test_scheduler_metrics () =
   let policy =
     { Scheduler.default_policy with Scheduler.retries = 1; backoff_s = 0.0 }
   in
-  let _ = Scheduler.run ~policy ~metrics js in
-  let v name = Tca_telemetry.Metrics.counter_value metrics name in
-  Alcotest.(check int) "succeeded" 2 (v "engine.tasks.succeeded");
-  Alcotest.(check int) "failed" 1 (v "engine.tasks.failed");
-  Alcotest.(check int) "retried" 1 (v "engine.tasks.retried")
+  let outcomes = Scheduler.run ~policy js in
+  let report = Scheduler.failure_report outcomes in
+  let count field =
+    Option.bind (Tca_util.Json.member field report) Tca_util.Json.to_int_opt
+  in
+  Alcotest.(check (option int)) "succeeded" (Some 2) (count "succeeded");
+  Alcotest.(check (option int)) "failed" (Some 1) (count "failed");
+  Alcotest.(check int) "retried" 1
+    (List.fold_left
+       (fun n (o : Scheduler.outcome) -> n + max 0 (o.Scheduler.attempts - 1))
+       0 outcomes)
 
 (* --- Profiling instrumentation: task spans + host phases --- *)
 

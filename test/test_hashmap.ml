@@ -160,8 +160,6 @@ let test_workload_structure () =
   let pair, mean_probes = Tca_workloads.Hashmap_workload.generate cfg in
   let open Tca_workloads in
   Alcotest.(check int) "invocations" 200 pair.Meta.meta.Meta.invocations;
-  Alcotest.(check int) "accels" 200
-    (Tca_uarch.Trace.counts pair.Meta.accelerated).Tca_uarch.Trace.accels;
   Alcotest.(check int) "no accel in baseline" 0
     (Tca_uarch.Trace.counts pair.Meta.baseline).Tca_uarch.Trace.accels;
   Alcotest.(check bool) "probes at moderate load" true

@@ -1558,7 +1558,24 @@ let golden_reference (pair : Tca_workloads.Meta.pair) =
                 pair.Tca_workloads.Meta.accelerated))
          Config.all_couplings)
 
+(* pairs.golden pins the generators themselves: for each golden pair
+   and each [Multi_tca] kind at its default config, the MD5 of both
+   traces' interchange text and the [Meta.pp] line. *)
+let golden_pair_line (name, (pair : Tca_workloads.Meta.pair)) =
+  let md5 trace =
+    let path = Filename.temp_file "tca-pairs" ".trace" in
+    Out_channel.with_open_bin path (fun oc -> Trace.to_channel oc trace);
+    let digest = Digest.to_hex (Digest.file path) in
+    Sys.remove path;
+    digest
+  in
+  Format.asprintf "%s\t%s\t%s\t%a\n" name
+    (md5 pair.Tca_workloads.Meta.baseline)
+    (md5 pair.Tca_workloads.Meta.accelerated)
+    Tca_workloads.Meta.pp pair.Tca_workloads.Meta.meta
+
 let test_golden_pins () =
+  let golden = Tca_experiments.Exp_common.golden_pairs () in
   List.iter
     (fun (name, pair) ->
       let pinned = read_golden name in
@@ -1568,7 +1585,17 @@ let test_golden_pins () =
       Alcotest.(check string)
         (name ^ ": reference pipeline matches golden")
         pinned (golden_reference pair))
-    (Tca_experiments.Exp_common.golden_pairs ())
+    golden;
+  let multi =
+    List.map
+      (fun k ->
+        let open Tca_workloads.Multi_tca in
+        (kind_name k, (generate (config k)).pair))
+      Tca_workloads.Multi_tca.all_kinds
+  in
+  Alcotest.(check string) "pairs: generators match golden"
+    (read_golden "pairs")
+    (String.concat "" (List.map golden_pair_line (golden @ multi)))
 
 let () =
   Alcotest.run "tca_uarch"

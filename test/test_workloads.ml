@@ -72,6 +72,40 @@ let test_codegen_mix () =
   Alcotest.(check bool) "has stores" true (c.Trace.stores > 300);
   Alcotest.(check bool) "no accels" true (c.Trace.accels = 0)
 
+let accel ~reads ~writes ~compute_latency =
+  Isa.accel ~compute_latency
+    ~reads:(Array.init reads (fun k -> 64 * k))
+    ~writes:(Array.init writes (fun k -> 0x1000 + (64 * k)))
+    ()
+
+(* Calls are single accel instructions, which [Codegen] never emits, so
+   the instructions before each one are its application block. *)
+let test_call_sites () =
+  List.iter
+    (fun mean_gap ->
+      let t =
+        Codegen.call_sites ~app_rng:(Tca_util.Prng.create 1)
+          ~gap_rng:(Tca_util.Prng.create mean_gap) ~mean_gap
+          (Array.make 200 ())
+          (fun b () ->
+            Trace.Builder.add b (accel ~reads:0 ~writes:0 ~compute_latency:1))
+      in
+      let h = if mean_gap = 0 then 0 else max 1 (mean_gap / 2) in
+      let block = ref 0 and calls = ref 0 in
+      Trace.iter
+        (fun ins ->
+          match ins.Isa.op with
+          | Isa.Accel _ ->
+              if abs (!block - mean_gap) > h then
+                Alcotest.failf "mean %d: block of %d" mean_gap !block;
+              incr calls;
+              block := 0
+          | _ -> incr block)
+        t;
+      Alcotest.(check (pair int int)) "calls, trailing code" (200, 0)
+        (!calls, !block))
+    [ 0; 1; 2; 3; 10; 60; 101 ]
+
 (* --- Meta --- *)
 
 let tiny_trace n =
@@ -82,56 +116,65 @@ let tiny_trace n =
   Trace.Builder.build b
 
 let test_meta_make () =
-  let pair =
-    Meta.make ~name:"t" ~baseline:(tiny_trace 100) ~accelerated:(tiny_trace 60)
-      ~invocations:5 ~acceleratable_instrs:50 ~compute_latency:3 ()
+  (* Three invocations declaring 2, 3 and 7 read lines and 0, 1 and 1
+     write lines, after 80 other instructions: they replace 20 of the
+     100 baseline instructions. *)
+  let accelerated =
+    Trace.of_array
+      (Array.append (tiny_trace 80).Trace.instrs
+         (Array.map
+            (fun (reads, writes) -> accel ~reads ~writes ~compute_latency:3)
+            [| (2, 0); (3, 1); (7, 1) |]))
   in
-  Alcotest.(check bool) "v" true (feq pair.Meta.meta.Meta.v 0.05);
-  Alcotest.(check bool) "a" true (feq pair.Meta.meta.Meta.a 0.5);
-  Alcotest.(check int) "baseline count" 100 pair.Meta.meta.Meta.baseline_instrs
+  let m =
+    (Meta.make ~name:"t" ~baseline:(tiny_trace 100) ~accelerated
+       ~fresh_lines:(fun ~reads -> reads /. 2.0)
+       ~compute_latency:3 ())
+      .Meta.meta
+  in
+  Alcotest.(check (list int)) "invocations, acceleratable" [ 3; 20 ]
+    Meta.[ m.invocations; m.acceleratable_instrs ];
+  Alcotest.(check (list (float 0.0))) "v, a, reads, writes, fresh"
+    [ 0.03; 0.2; 4.0; 2.0 /. 3.0; 2.0 ]
+    Meta.[ m.v; m.a; m.avg_reads_per_invocation;
+           m.avg_writes_per_invocation; m.avg_fresh_lines_per_invocation ];
+  (* No invocation, as synthetic's valid n_chunks = 0 generates. *)
+  let m =
+    (Synthetic.generate
+       (Synthetic.config ~n_units:20 ~n_chunks:0 ~accel_latency:5 ()))
+      .Meta.meta
+  in
+  Alcotest.(check (list (float 0.0))) "no invocation: v, a, reads, writes"
+    [ 0.0; 0.0; 0.0; 0.0 ]
+    Meta.[ m.v; m.a; m.avg_reads_per_invocation; m.avg_writes_per_invocation ]
 
 let test_meta_validation () =
+  (* More non-invocation instructions than the whole baseline. *)
   Alcotest.check_raises "a out of range"
     (Invalid_argument "Meta.make: acceleratable fraction out of range")
     (fun () ->
       ignore
         (Meta.make ~name:"t" ~baseline:(tiny_trace 10)
-           ~accelerated:(tiny_trace 5) ~invocations:1
-           ~acceleratable_instrs:20 ~compute_latency:1 ()))
+           ~accelerated:(tiny_trace 20) ~compute_latency:1 ()))
 
 let test_meta_latency_estimate () =
-  let pair =
-    Meta.make ~name:"t" ~baseline:(tiny_trace 10) ~accelerated:(tiny_trace 5)
-      ~invocations:1 ~acceleratable_instrs:5 ~avg_reads:9.0 ~avg_writes:4.0
-      ~compute_latency:6 ()
+  (* One invocation on Config.hp: 2-cycle L1, 12-cycle L2, two ports. *)
+  let estimate ?fresh_lines ~reads ~writes compute_latency =
+    let accelerated = Trace.of_array [| accel ~reads ~writes ~compute_latency |]
+    and baseline = tiny_trace 10 in
+    Tca_experiments.Exp_common.meta_latency ~cfg:(Config.hp ())
+      (Meta.make ~name:"t" ~baseline ~accelerated ?fresh_lines
+         ~compute_latency ())
+        .Meta.meta
   in
-  (* l1=2, ports=2: 2 + (9-1)/2 + 6 + 4/2 = 14 *)
-  Alcotest.(check bool) "estimate" true
-    (feq
-       (Meta.accel_latency_estimate pair.Meta.meta ~l1_hit_latency:2
-          ~mem_ports:2 ())
-       14.0);
-  (* With fresh lines, one extra miss depth is charged. *)
-  let pair2 =
-    Meta.make ~name:"t" ~baseline:(tiny_trace 10) ~accelerated:(tiny_trace 5)
-      ~invocations:1 ~acceleratable_instrs:5 ~avg_reads:9.0 ~avg_writes:4.0
-      ~avg_fresh_lines:2.0 ~compute_latency:6 ()
-  in
-  Alcotest.(check bool) "miss-aware estimate" true
-    (feq
-       (Meta.accel_latency_estimate pair2.Meta.meta ~l1_hit_latency:2
-          ~miss_extra_latency:12 ~mem_ports:2 ())
-       26.0);
-  (* Zero reads: only compute and writes. *)
-  let pair3 =
-    Meta.make ~name:"t" ~baseline:(tiny_trace 10) ~accelerated:(tiny_trace 5)
-      ~invocations:1 ~acceleratable_instrs:5 ~compute_latency:1 ()
-  in
-  Alcotest.(check bool) "no memory" true
-    (feq
-       (Meta.accel_latency_estimate pair3.Meta.meta ~l1_hit_latency:2
-          ~mem_ports:2 ())
-       1.0)
+  Alcotest.(check (list (float 1e-9)))
+    "2 + (9-1)/2 + 6 + 4/2; plus one L2 depth for fresh lines; compute only"
+    [ 14.0; 26.0; 1.0 ]
+    [
+      estimate ~reads:9 ~writes:4 6;
+      estimate ~fresh_lines:(fun ~reads:_ -> 2.0) ~reads:9 ~writes:4 6;
+      estimate ~reads:0 ~writes:0 1;
+    ]
 
 (* --- Synthetic --- *)
 
@@ -190,8 +233,6 @@ let test_heap_workload_structure () =
   let cfg = Heap_workload.config ~n_calls:100 ~app_instrs_per_call:50 () in
   let pair = Heap_workload.generate cfg in
   Alcotest.(check int) "invocations" 100 pair.Meta.meta.Meta.invocations;
-  Alcotest.(check int) "accel instructions" 100
-    (Trace.counts pair.Meta.accelerated).Trace.accels;
   Alcotest.(check int) "no accel in baseline" 0
     (Trace.counts pair.Meta.baseline).Trace.accels;
   Alcotest.(check bool) "acceleratable fraction sane" true
@@ -213,15 +254,29 @@ let test_heap_workload_determinism () =
     (Trace.length p1.Meta.accelerated)
     (Trace.length p2.Meta.accelerated)
 
-let test_heap_workload_variants_share_app_code () =
-  (* Baseline instrs = accelerated non-accel instrs + heap sequences -
-     the pointer-consuming app instructions appear in both. *)
-  let cfg = Heap_workload.config ~n_calls:40 ~app_instrs_per_call:20 ~seed:8 () in
-  let pair = Heap_workload.generate cfg in
-  let acceleratable = pair.Meta.meta.Meta.acceleratable_instrs in
-  Alcotest.(check int) "instruction accounting"
-    pair.Meta.meta.Meta.baseline_instrs
-    (pair.Meta.meta.Meta.accelerated_instrs - 40 + acceleratable)
+(* The accelerated trace without its invocations is a subsequence of
+   the baseline, PCs aside (the builder numbers them in order). *)
+let test_variants_share_app_code () =
+  let strip (ins : Isa.instr) = { ins with Isa.pc = 0 } in
+  List.iter
+    (fun (name, (pair : Meta.pair)) ->
+      let base = Array.map strip pair.Meta.baseline.Trace.instrs in
+      let j = ref 0 in
+      Trace.iter
+        (fun ins ->
+          match ins.Isa.op with
+          | Isa.Accel _ -> ()
+          | _ ->
+              while !j < Array.length base && base.(!j) <> strip ins do
+                incr j
+              done;
+              if !j = Array.length base then
+                Alcotest.failf "%s: application code differs" name;
+              incr j)
+        pair.Meta.accelerated)
+    (List.filter
+       (fun (name, _) -> List.mem name [ "heap"; "hashmap"; "regex"; "strfn" ])
+       (Tca_experiments.Exp_common.golden_pairs ()))
 
 let test_heap_workload_validation () =
   Alcotest.check_raises "n_calls"
@@ -252,8 +307,6 @@ let test_dgemm_accelerated_structure () =
       Alcotest.(check int)
         (Printf.sprintf "invocations dim %d" dim)
         expected_invocations pair.Meta.meta.Meta.invocations;
-      Alcotest.(check int) "accels in trace" expected_invocations
-        (Trace.counts pair.Meta.accelerated).Trace.accels;
       (* Reads cover three dim x dim blocks: at least one line per row
          of A, B and C. *)
       Alcotest.(check bool) "reads per invocation" true
@@ -314,6 +367,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_codegen_determinism;
           Alcotest.test_case "validation" `Quick test_codegen_validation;
           Alcotest.test_case "mix" `Quick test_codegen_mix;
+          Alcotest.test_case "call sites" `Quick test_call_sites;
         ] );
       ( "meta",
         [
@@ -334,7 +388,8 @@ let () =
           Alcotest.test_case "structure" `Quick test_heap_workload_structure;
           Alcotest.test_case "expected fraction" `Quick test_heap_workload_expected_fraction;
           Alcotest.test_case "determinism" `Quick test_heap_workload_determinism;
-          Alcotest.test_case "variants share app code" `Quick test_heap_workload_variants_share_app_code;
+          Alcotest.test_case "variants share app code" `Quick
+            test_variants_share_app_code;
           Alcotest.test_case "validation" `Quick test_heap_workload_validation;
         ] );
       ( "dgemm_workload",
