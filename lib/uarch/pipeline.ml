@@ -4,8 +4,8 @@
    two. The per-unit accelerator policy (configuration gate, descriptor
    engine, [Exclusive] free-at cycle, per-unit counters) is not
    duplicated: both pipelines call [Tca_unit.State], and the exact-cycle
-   tests in test_uarch.ml pin it. The optimizations are purely
-   representational:
+   tests in test_uarch.ml pin it. The optimizations change the
+   representation and skip work that provably changes nothing:
 
    - the trace is pre-decoded once into [Trace.Decoded] flat arrays
      (shared and memoized per trace), so the per-cycle loops index int
@@ -17,21 +17,35 @@
    - store-to-load forwarding scans an explicit in-flight store queue
      (the stores between dispatch and commit, in program order) instead
      of walking every older ROB slot;
-   - issue and completion walk two worklists instead of the whole window,
-     so a cycle's work follows the entries that can change state, not
-     ROB occupancy: [iq], the waiting slots in program order (dispatch
-     appends, the issue walk compacts it in place), visits exactly the
-     slots the reference's oldest-first scan finds waiting, in the same
-     order and with the same early stop; [ex], the executing slots in
-     no particular order (completion swaps the last entry into the freed
-     place), is enough because completions are order-independent;
+   - issue follows wakeups instead of walking the window: at dispatch a
+     slot counts its pending producers ([producer_pending]) and hangs one
+     edge on each one's wakeup list; a finishing producer walks its list
+     and sets the ready bit of every consumer whose count reaches zero.
+     Issue scans the [ready] bitmap in program order from the head, so
+     it visits exactly the slots the reference's oldest-first scan finds
+     waiting with ready operands, in the same order and with the same
+     early stop at [issue_width]. Loads blocked on an older store and
+     accelerators waiting for the head keep their bit, as they keep
+     waiting in the reference; issuing clears it. Completion walks [ex],
+     the executing slots in no particular order (completion swaps the
+     last entry into the freed place), which is enough because
+     completions are order-independent;
    - ring-buffer indices wrap with a compare instead of [mod], stage
      loops are tail-recursive over int accumulators instead of
      closure/ref based, and per-opcode latencies come from a table built
      at [create];
    - the run loop is split: the [?telemetry:None] + [?probe:None] path
      does no interval bookkeeping at all; only the instrumented path
-     calls the probe and flushes telemetry intervals.
+     calls the probe and flushes telemetry intervals;
+   - the uninstrumented loop jumps quiet stretches: after a cycle in
+     which nothing completed, committed, issued or dispatched, every
+     cycle repeats it until the next event (a completion, the head's
+     commit, a due accelerator write, the end of a redirect, a unit's
+     configuration gate opening), so [run_fast] moves straight there,
+     never past [cap + 1], where the watchdog fires as it would when
+     stepping, and adds the skipped cycles' counters in bulk. The
+     instrumented loop steps every cycle: its probe and its interval
+     flush see each one.
 
    In steady state the cycle loop allocates nothing: everything it
    touches is a preallocated int array or a mutable int field. *)
@@ -102,10 +116,15 @@ type state = {
   st : int array;
   complete_at : int array;
   seq : int array;
-  dep1_slot : int array;
-  dep1_seq : int array;
-  dep2_slot : int array;
-  dep2_seq : int array;
+  producer_pending : int array;  (* operands still waiting on a producer *)
+  (* Wakeup lists, one per producer slot, linked through [wake_next]:
+     edge [2 * slot + k] is operand [k] of consumer [slot], so every edge
+     has a preallocated node. A list is emptied when its producer
+     finishes, before either end can commit. *)
+  wake_head : int array;  (* first edge of each slot's list, -1 none *)
+  wake_next : int array;  (* next edge, indexed by edge *)
+  ready : int array;
+      (* bitmap over slots, 32 a word: waiting with every operand ready *)
   (* Rename table: architectural register -> youngest producer. *)
   ren_slot : int array;
   ren_seq : int array;
@@ -117,9 +136,7 @@ type state = {
   mutable head : int;
   mutable tail : int;
   mutable count : int;
-  (* Worklists of ROB slots; each length is the count of its state. *)
-  iq : int array;  (* [st_waiting] slots, program order *)
-  mutable iq_count : int;
+  mutable iq_count : int;  (* [st_waiting] slots *)
   ex : int array;  (* [st_executing] slots, unordered *)
   mutable executing : int;
   mutable next_complete : int;
@@ -207,10 +224,10 @@ let create ?telemetry cfg trace =
     st = Array.make r st_empty;
     complete_at = Array.make r 0;
     seq = Array.make r (-1);
-    dep1_slot = Array.make r (-1);
-    dep1_seq = Array.make r (-1);
-    dep2_slot = Array.make r (-1);
-    dep2_seq = Array.make r (-1);
+    producer_pending = Array.make r 0;
+    wake_head = Array.make r (-1);
+    wake_next = Array.make (2 * r) (-1);
+    ready = Array.make ((r + 31) / 32) 0;
     ren_slot = Array.make Isa.num_arch_regs (-1);
     ren_seq = Array.make Isa.num_arch_regs (-1);
     stq = Array.make r (-1);
@@ -219,7 +236,6 @@ let create ?telemetry cfg trace =
     head = 0;
     tail = 0;
     count = 0;
-    iq = Array.make r (-1);
     iq_count = 0;
     ex = Array.make r (-1);
     executing = 0;
@@ -257,17 +273,67 @@ let create ?telemetry cfg trace =
    conditional subtraction replaces the reference's [mod]. *)
 let[@inline] wrap s i = if i >= s.rob then i - s.rob else i
 
-(* A producer is still pending iff its slot holds the same dynamic
-   instruction (sequence number matches) and it has not completed. A
-   mismatching sequence means the producer committed and its slot was
-   reused (or freed): the value is architecturally available. *)
-let[@inline] producer_pending s slot seq =
-  slot >= 0 && s.st.(slot) <> st_empty && s.seq.(slot) = seq
-  && s.st.(slot) <> st_done
+let[@inline] imin (a : int) b = if a < b then a else b
 
-let[@inline] deps_ready s slot =
-  (not (producer_pending s s.dep1_slot.(slot) s.dep1_seq.(slot)))
-  && not (producer_pending s s.dep2_slot.(slot) s.dep2_seq.(slot))
+(* --- the ready bitmap --- *)
+
+(* Bit index of a one-bit word below 2^32: the top five bits of its
+   product with a de Bruijn constant are distinct for each bit. *)
+let debruijn = 0x077CB531
+
+let debruijn_bit =
+  let t = Array.make 32 0 in
+  for i = 0 to 31 do
+    t.((((1 lsl i) * debruijn) land 0xFFFFFFFF) lsr 27) <- i
+  done;
+  t
+
+let[@inline] set_ready s slot =
+  let w = slot lsr 5 in
+  s.ready.(w) <- s.ready.(w) lor (1 lsl (slot land 31))
+
+(* The first ready slot in [p, e), or [e] when there is none. *)
+let rec next_ready s p e =
+  if p >= e then e
+  else
+    let w = p lsr 5 in
+    let bits = s.ready.(w) land (-1 lsl (p land 31)) in
+    if bits = 0 then next_ready s ((w + 1) lsl 5) e
+    else
+      let low = bits land -bits in
+      let slot =
+        (w lsl 5) + debruijn_bit.(((low * debruijn) land 0xFFFFFFFF) lsr 27)
+      in
+      if slot < e then slot else e
+
+(* Operand [k] of the slot being dispatched reads [reg]. Its producer is
+   still pending iff the renamed slot holds the same dynamic instruction
+   (sequence number matches) and has not completed; a mismatch means the
+   producer committed and the value is architecturally available. A
+   pending producer gets the edge on its wakeup list. Returns 1 when the
+   operand waits, else 0. *)
+let wait_on s slot k reg =
+  if reg < 0 then 0
+  else
+    let p = s.ren_slot.(reg) in
+    if p >= 0 && s.seq.(p) = s.ren_seq.(reg) && s.st.(p) <> st_done then begin
+      let e = (2 * slot) + k in
+      s.wake_next.(e) <- s.wake_head.(p);
+      s.wake_head.(p) <- e;
+      1
+    end
+    else 0
+
+(* A producer finished: each edge on its list is one pending operand of
+   the edge's slot, which becomes ready with its last one. *)
+let rec wake s e =
+  if e >= 0 then begin
+    let c = e lsr 1 in
+    let n = s.producer_pending.(c) - 1 in
+    s.producer_pending.(c) <- n;
+    if n = 0 then set_ready s c;
+    wake s s.wake_next.(e)
+  end
 
 (* Youngest in-flight store older (in program order, i.e. by sequence
    number) than the load, to the same address. Walks the store queue
@@ -355,6 +421,8 @@ let rec complete_walk s i min_next =
     let at = s.complete_at.(slot) in
     if at <= s.cycle then begin
       s.st.(slot) <- st_done;
+      wake s s.wake_head.(slot);
+      s.wake_head.(slot) <- -1;
       s.executing <- s.executing - 1;
       s.ex.(i) <- s.ex.(s.executing);
       if s.pending_redirect = slot && s.pending_redirect_seq = s.seq.(slot)
@@ -438,8 +506,11 @@ let rec accel_writes_loop ports ~now k len acc =
     let port_cycle = Ports.reserve ports ~now in
     accel_writes_loop ports ~now (k + 1) len (max acc (port_cycle + 1))
 
-(* The issue walk removes [slot] from the waiting list itself. *)
+(* Issues [slot]: it leaves the waiting set and starts executing. *)
 let[@inline] start_executing s slot complete =
+  let w = slot lsr 5 in
+  s.ready.(w) <- s.ready.(w) land lnot (1 lsl (slot land 31));
+  s.iq_count <- s.iq_count - 1;
   s.st.(slot) <- st_executing;
   s.complete_at.(slot) <- complete;
   s.ex.(s.executing) <- slot;
@@ -482,80 +553,71 @@ let issue_accel s slot ti u =
         ~dur:(float_of_int (complete - s.cycle))
         "accel.invoke"
 
-(* Walk the waiting list oldest-first for up to [issue_width] ready
-   instructions, bounded by the per-class unit counts. Entry [i] is
-   visited; the entries that stay waiting are compacted down to [j]. At
-   the width limit the unvisited tail moves down in one blit.
-   Tail-recursive over int accumulators: no closure, no ref, no
-   allocation. *)
-let rec issue_walk s i j issued ialu imult fp =
-  if issued >= s.issue_width then begin
-    let rest = s.iq_count - i in
-    Array.blit s.iq i s.iq j rest;
-    s.iq_count <- j + rest;
-    issued
-  end
-  else if i >= s.iq_count then begin
-    s.iq_count <- j;
-    issued
-  end
+(* Visits the ready slots in program order for up to [issue_width]
+   instructions, bounded by the per-class unit counts: from [p] up to
+   [e], which is [tail], or the ROB's end when the window wraps and the
+   walk continues from slot 0 up to [tail]. A slot that cannot issue
+   keeps its bit. Tail-recursive over int accumulators: no closure, no
+   ref, no allocation. *)
+let rec issue_walk s p e issued ialu imult fp =
+  if issued >= s.issue_width then issued
   else
-    let slot = s.iq.(i) in
-    if deps_ready s slot then begin
+    let slot = next_ready s p e in
+    if slot >= e then
+      if e = s.rob then issue_walk s 0 s.tail issued ialu imult fp else issued
+    else
+      let next = slot + 1 in
       let ti = s.tr_idx.(slot) in
       let opc = s.d.op.(ti) in
       if opc = D.op_int_alu || opc = D.op_branch then
         if ialu < s.int_alu_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_walk s (i + 1) j (issued + 1) (ialu + 1) imult fp
+          issue_walk s next e (issued + 1) (ialu + 1) imult fp
         end
-        else keep_waiting s i j issued ialu imult fp slot
+        else issue_walk s next e issued ialu imult fp
       else if opc = D.op_int_mult then
         if imult < s.int_mult_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_walk s (i + 1) j (issued + 1) ialu (imult + 1) fp
+          issue_walk s next e (issued + 1) ialu (imult + 1) fp
         end
-        else keep_waiting s i j issued ialu imult fp slot
+        else issue_walk s next e issued ialu imult fp
       else if opc = D.op_fp_alu || opc = D.op_fp_mult then
         if fp < s.fp_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
-          issue_walk s (i + 1) j (issued + 1) ialu imult (fp + 1)
+          issue_walk s next e (issued + 1) ialu imult (fp + 1)
         end
-        else keep_waiting s i j issued ialu imult fp slot
+        else issue_walk s next e issued ialu imult fp
       else if opc = D.op_store then begin
         (* Address generation; data drains to cache at commit. *)
         start_executing s slot (s.cycle + 1);
-        issue_walk s (i + 1) j (issued + 1) ialu imult fp
+        issue_walk s next e (issued + 1) ialu imult fp
       end
       else if opc = D.op_load then (
         match older_store_match s s.seq.(slot) s.d.addr.(ti) with
-        | `Blocked -> keep_waiting s i j issued ialu imult fp slot
+        | `Blocked -> issue_walk s next e issued ialu imult fp
         | `Forward ->
             start_executing s slot (s.cycle + 1);
-            issue_walk s (i + 1) j (issued + 1) ialu imult fp
+            issue_walk s next e (issued + 1) ialu imult fp
         | `None ->
             start_executing s slot (memory_read s ~now:s.cycle s.d.addr.(ti));
-            issue_walk s (i + 1) j (issued + 1) ialu imult fp)
+            issue_walk s next e (issued + 1) ialu imult fp)
       else begin
         (* accel *)
         let u = s.d.accel_unit.(ti) in
         if accel_speculative s slot || slot = s.head then begin
           issue_accel s slot ti u;
-          issue_walk s (i + 1) j (issued + 1) ialu imult fp
+          issue_walk s next e (issued + 1) ialu imult fp
         end
         else begin
           Tca_unit.State.wait_for_head s.units u;
-          keep_waiting s i j issued ialu imult fp slot
+          issue_walk s next e issued ialu imult fp
         end
       end
-    end
-    else keep_waiting s i j issued ialu imult fp slot
 
-and keep_waiting s i j issued ialu imult fp slot =
-  s.iq.(j) <- slot;
-  issue_walk s (i + 1) (j + 1) issued ialu imult fp
-
-let issue_stage s = issue_walk s 0 0 0 0 0 0
+let issue_stage s =
+  if s.iq_count = 0 then 0
+  else
+    issue_walk s s.head (if s.tail > s.head then s.tail else s.rob) 0 0 0 0
 
 let rec dispatch_loop s dispatched =
   if dispatched >= s.dispatch_width then dispatched
@@ -612,30 +674,16 @@ let rec dispatch_loop s dispatched =
       s.st.(slot) <- st_waiting;
       s.seq.(slot) <- s.next_seq;
       s.next_seq <- s.next_seq + 1;
-      let src1 = s.d.src1.(ti) in
-      if src1 >= 0 then begin
-        s.dep1_slot.(slot) <- s.ren_slot.(src1);
-        s.dep1_seq.(slot) <- s.ren_seq.(src1)
-      end
-      else begin
-        s.dep1_slot.(slot) <- -1;
-        s.dep1_seq.(slot) <- -1
-      end;
-      let src2 = s.d.src2.(ti) in
-      if src2 >= 0 then begin
-        s.dep2_slot.(slot) <- s.ren_slot.(src2);
-        s.dep2_seq.(slot) <- s.ren_seq.(src2)
-      end
-      else begin
-        s.dep2_slot.(slot) <- -1;
-        s.dep2_seq.(slot) <- -1
-      end;
+      let pending =
+        wait_on s slot 0 s.d.src1.(ti) + wait_on s slot 1 s.d.src2.(ti)
+      in
+      s.producer_pending.(slot) <- pending;
+      if pending = 0 then set_ready s slot;
       let dst = s.d.dst.(ti) in
       if dst >= 0 then begin
         s.ren_slot.(dst) <- slot;
         s.ren_seq.(dst) <- s.seq.(slot)
       end;
-      s.iq.(s.iq_count) <- slot;
       s.iq_count <- s.iq_count + 1;
       if is_mem then begin
         s.lsq_count <- s.lsq_count + 1;
@@ -687,27 +735,28 @@ let rec dispatch_loop s dispatched =
     end
   end
 
+(* Charges [k] cycles to stall reason [r]. *)
+let count_stall s r k =
+  if r = stall_drained then s.stall_drained <- s.stall_drained + k
+  else if r = stall_redirect then s.stall_redirect <- s.stall_redirect + k
+  else if r = stall_serialize then begin
+    s.stall_serialize <- s.stall_serialize + k;
+    Tca_unit.State.add_serialize_stalls s.units k
+  end
+  else if r = stall_rob then s.stall_rob <- s.stall_rob + k
+  else if r = stall_iq then s.stall_iq <- s.stall_iq + k
+  else if r = stall_lsq then s.stall_lsq <- s.stall_lsq + k
+  else if r = stall_config then s.stall_config <- s.stall_config + k
+  else if r = stall_config_queue then
+    s.stall_config_queue <- s.stall_config_queue + k
+
 let dispatch_stage s =
   s.stall_reason <- stall_none;
   let dispatched = dispatch_loop s 0 in
   (* Attribute the cycle to a stall reason only when nothing at all was
      dispatched: that is the "zero useful dispatches" notion the model
      reasons about. *)
-  if dispatched = 0 then begin
-    let r = s.stall_reason in
-    if r = stall_drained then s.stall_drained <- s.stall_drained + 1
-    else if r = stall_redirect then s.stall_redirect <- s.stall_redirect + 1
-    else if r = stall_serialize then begin
-      s.stall_serialize <- s.stall_serialize + 1;
-      Tca_unit.State.serialize_stall s.units
-    end
-    else if r = stall_rob then s.stall_rob <- s.stall_rob + 1
-    else if r = stall_iq then s.stall_iq <- s.stall_iq + 1
-    else if r = stall_lsq then s.stall_lsq <- s.stall_lsq + 1
-    else if r = stall_config then s.stall_config <- s.stall_config + 1
-    else if r = stall_config_queue then
-      s.stall_config_queue <- s.stall_config_queue + 1
-  end;
+  if dispatched = 0 then count_stall s s.stall_reason 1;
   dispatched
 
 let stats_of s =
@@ -825,22 +874,76 @@ let watchdog_diag s =
   Tca_util.Diag.Watchdog
     { cycles = s.cycle; committed = s.committed; total = s.tlen }
 
+(* After a quiet cycle, the first cycle at which anything can change:
+   an executing entry completes, the finished head commits, an
+   accelerator write is due, a redirect ends, or the refusing unit's
+   configuration gate opens. Until then no operand becomes ready, no
+   entry can issue (the head is not waiting: it would issue) and the
+   dispatch stall persists. [max_int] when nothing is pending. *)
+let next_event s =
+  let e = if s.executing > 0 then s.next_complete else max_int in
+  let e =
+    if s.count > 0 && s.st.(s.head) = st_done then
+      imin e (s.complete_at.(s.head) + s.commit_depth)
+    else e
+  in
+  let e = if s.paw_count > 0 then imin e s.paw_next_due else e in
+  let r = s.stall_reason in
+  if r = stall_redirect then imin e s.fetch_resume_at
+  else if r = stall_config || r = stall_config_queue then
+    imin e
+      (Tca_unit.State.gate_open_at s.units s.d.accel_unit.(s.next_fetch))
+  else e
+
+(* Every ready accelerator waited [k] more cycles for the head. *)
+let rec replay_head_waits s p k =
+  let slot = next_ready s p s.rob in
+  if slot < s.rob then begin
+    let ti = s.tr_idx.(slot) in
+    if s.d.op.(ti) = D.op_accel then
+      Tca_unit.State.add_head_waits s.units s.d.accel_unit.(ti) k;
+    replay_head_waits s (slot + 1) k
+  end
+
+(* Called with [s.cycle] just past a quiet cycle: the cycles before
+   [next_event] repeat it exactly, so they are skipped, never past
+   [cap + 1] (the watchdog then fires on the cycle and with the snapshot
+   stepping would give), and their counters are added in bulk. Nothing
+   issued in the quiet cycle, so its issue walk visited every ready
+   entry: each ready accelerator waited for the head. *)
+let skip_quiet s cap =
+  let e = next_event s in
+  let target = if e > cap then cap + 1 else e in
+  let k = target - s.cycle in
+  if k > 0 then begin
+    s.occupancy_sum <- s.occupancy_sum + (s.count * k);
+    count_stall s s.stall_reason k;
+    replay_head_waits s 0 k;
+    s.cycle <- target
+  end
+
 (* The uninstrumented loop: no per-cycle option match, no interval
-   bookkeeping, no probe dispatch — nothing but the four stages and two
-   counter updates. Returns the watchdog diagnostic if the budget
-   expired. The watchdog snapshot and the stats snapshot are taken at
-   the same instant, so [diag.committed = stats.committed] holds by
-   construction. *)
+   bookkeeping, no probe dispatch — nothing but the four stages, two
+   counter updates and the quiet-cycle test. Returns the watchdog
+   diagnostic if the budget expired. The watchdog snapshot and the stats
+   snapshot are taken at the same instant, so [diag.committed =
+   stats.committed] holds by construction. *)
 let rec run_fast s cap =
   if s.next_fetch >= s.tlen && s.count = 0 then None
   else if s.cycle > cap then Some (watchdog_diag s)
   else begin
+    let executing = s.executing and committed = s.committed in
     complete_stage s;
     commit_stage s;
-    ignore (issue_stage s : int);
-    ignore (dispatch_stage s : int);
+    let issued = issue_stage s in
+    let dispatched = dispatch_stage s in
     s.occupancy_sum <- s.occupancy_sum + s.count;
     s.cycle <- s.cycle + 1;
+    (* With nothing issued, [executing] falls only by completions. *)
+    if
+      issued = 0 && dispatched = 0 && s.executing = executing
+      && s.committed = committed
+    then skip_quiet s cap;
     run_fast s cap
   end
 

@@ -24,6 +24,9 @@ type probe = {
     cycle:int -> dispatched:int -> issued:int -> executing:int ->
     rob_occupancy:int -> unit;
 }
+(** Called once per simulated cycle, every cycle of the run, with that
+    cycle's dispatch and issue counts, executing entries and ROB
+    occupancy. *)
 
 type outcome =
   | Complete of Sim_stats.t  (** the whole trace committed *)
@@ -53,6 +56,13 @@ val run :
     ([Config.max_cycles] or {!default_cycle_budget}) is NOT an error but a
     [Partial] outcome carrying the statistics accumulated so far, so
     sweeps can keep the data and record the diagnostic.
+
+    Without [?probe] and [?telemetry] the run may jump a quiet stretch:
+    after a cycle in which nothing completed, committed, issued or
+    dispatched, it moves straight to the next cycle at which anything
+    can change and adds the skipped cycles' counters in bulk. The
+    results are identical to stepping every cycle, as an instrumented
+    run does, the watchdog expiry included.
 
     [?telemetry] attaches an event sink; the run then emits, on the
     sink's sampling interval, [sim.stalls] / [sim.pipeline] / [sim.rob]

@@ -109,6 +109,14 @@ module State = struct
           then Config_queue
           else Go
 
+  let gate_open_at st u =
+    let unit = st.units.(u) in
+    match unit.config_mode with
+    | Queued ->
+        st.desc_free_at.(u)
+        - ((unit.config_queue_depth - 1) * unit.config_latency)
+    | Sync | Preprogrammed -> st.csr_ready_at
+
   let dispatch st u ~cycle =
     st.invocations.(u) <- st.invocations.(u) + 1;
     st.last_unit <- u;
@@ -134,10 +142,13 @@ module State = struct
     st.free_at.(u) <- complete;
     st.busy.(u) <- st.busy.(u) + (complete - issued)
 
-  let wait_for_head st u = st.head_wait.(u) <- st.head_wait.(u) + 1
+  let add_head_waits st u k = st.head_wait.(u) <- st.head_wait.(u) + k
+  let wait_for_head st u = add_head_waits st u 1
 
-  let serialize_stall st =
-    st.serialize.(st.last_unit) <- st.serialize.(st.last_unit) + 1
+  let add_serialize_stalls st k =
+    st.serialize.(st.last_unit) <- st.serialize.(st.last_unit) + k
+
+  let serialize_stall st = add_serialize_stalls st 1
 
   let unit_stats st =
     List.init (Array.length st.units) (fun i ->

@@ -94,6 +94,13 @@ module State : sig
       outstanding descriptors. A unit with [config_latency = 0] always
       answers [Go]. *)
 
+  val gate_open_at : t -> int -> int
+  (** [gate_open_at st u]: once {!gate} has refused an invocation of
+      [u], the first cycle at which it answers [Go] for that
+      invocation, provided nothing dispatches in between — the end of
+      the CSR writes in flight, or the cycle the [Queued] backlog falls
+      to [(depth - 1) * config_latency]. Meaningless after a [Go]. *)
+
   val dispatch : t -> int -> cycle:int -> int
   (** [dispatch st u ~cycle] records an invocation of [u] dispatched at
       [cycle] (after [gate] said [Go]) and returns the cycle its
@@ -116,11 +123,17 @@ module State : sig
   (** A ready non-leading invocation of the unit waited one cycle for
       the ROB head. *)
 
+  val add_head_waits : t -> int -> int -> unit
+  (** [add_head_waits st u k] = [k] calls of [wait_for_head st u]. *)
+
   val serialize_stall : t -> unit
   (** Dispatch stalled one cycle behind the serializing (non-trailing)
       invocation in flight: charged to the unit of the most recent
       {!dispatch}, which under NT coupling is the one holding the
       barrier. *)
+
+  val add_serialize_stalls : t -> int -> unit
+  (** [add_serialize_stalls st k] = [k] calls of [serialize_stall st]. *)
 
   val unit_stats : t -> Sim_stats.unit_stats list
   (** The per-unit counters, ordered by unit id. *)

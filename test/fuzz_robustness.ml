@@ -338,7 +338,9 @@ let uarch_case i g =
 (* Differential oracle: the optimized pipeline must reproduce the
    pre-optimization reference implementation bit for bit — same
    Sim_stats, same outcome constructor, same diagnostics — on hostile
-   configs and traces, whether or not the watchdog trips. *)
+   configs and traces, whether or not the watchdog trips. It runs twice:
+   uninstrumented, where it jumps quiet stretches, and with a probe,
+   which makes it step every cycle. *)
 let parity_case i g =
   let open Tca_uarch in
   let cfg, trace = hostile_case g in
@@ -352,13 +354,24 @@ let parity_case i g =
           | Pipeline.Complete _ -> "")
     | Error d -> "error:" ^ Tca_util.Diag.to_string d
   in
+  let probe =
+    {
+      Pipeline.on_cycle =
+        (fun ~cycle:_ ~dispatched:_ ~issued:_ ~executing:_ ~rob_occupancy:_ ->
+          ());
+    }
+  in
   let parity what cfg trace =
     guard i what (fun () ->
         let opt = key (Pipeline.run cfg trace) in
+        let stepping = key (Pipeline.run ~probe cfg trace) in
         let oracle = key (Pipeline_reference.run cfg trace) in
         if opt <> oracle then
           record i "reference parity"
-            (Printf.sprintf "optimized %s <> reference %s" opt oracle))
+            (Printf.sprintf "optimized %s <> reference %s" opt oracle);
+        if stepping <> oracle then
+          record i "reference parity (stepping)"
+            (Printf.sprintf "stepping %s <> reference %s" stepping oracle))
   in
   parity "Pipeline vs Pipeline_reference" cfg trace;
   let cfg, trace = with_unit_table i "parity" cfg trace in

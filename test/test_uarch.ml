@@ -439,12 +439,24 @@ let test_ports_no_double_booking () =
     (Ports.reserve p ~now:50_000);
   Alcotest.(check int) "far booking kept" 100_002 (Ports.reserve p ~now:100_000)
 
-(* Parity of the two pipelines on [trace]; returns the optimized stats. *)
+(* Steps every cycle: a probe keeps [Pipeline.run] off the path that
+   jumps quiet stretches. *)
+let no_op_probe =
+  {
+    Pipeline.on_cycle =
+      (fun ~cycle:_ ~dispatched:_ ~issued:_ ~executing:_ ~rob_occupancy:_ ->
+        ());
+  }
+
+(* Parity of the two pipelines on [trace], the optimized one both
+   jumping and stepping; returns the optimized stats. *)
 let run_both ?(label = "reference parity") cfg trace =
   let json s = Tca_util.Json.to_string (Sim_stats.to_json s) in
   let opt = Pipeline.run_exn cfg trace in
-  Alcotest.(check string) label (json (Pipeline_reference.run_exn cfg trace))
-    (json opt);
+  let reference = json (Pipeline_reference.run_exn cfg trace) in
+  Alcotest.(check string) label reference (json opt);
+  Alcotest.(check string) (label ^ " (stepping)") reference
+    (json (Pipeline.run_exn ~probe:no_op_probe cfg trace));
   opt
 
 let accel ?src1 ?dst ?(unit_id = 0) ?(reads = [||]) ?(writes = [||]) latency =
@@ -809,6 +821,72 @@ let test_pipeline_small_iq_parity () =
     [ (16, 8); (32, 12); (5, 3) ];
   Alcotest.(check bool) "IQ filled" true (!iq_full > 0);
   Alcotest.(check bool) "LSQ filled" true (!lsq_full > 0)
+
+(* Long quiet stretches, with and without a watchdog cap inside them:
+   a 5000-cycle invocation under NL_NT (the instructions behind it stall
+   on the barrier), dispatch behind 3000 cycles of Sync CSR writes, and
+   a second invocation waiting 3000 cycles for a Queued unit's one
+   descriptor slot. The jumping path, the stepping path and the
+   reference agree on the outcome, the stats and the diagnostic; with
+   the cap, the watchdog fires at cycle 1001. *)
+let test_pipeline_quiet_stretch () =
+  let alus = List.init 3 (fun i -> Isa.int_alu ~dst:(i + 2) ()) in
+  let unit_cfg mode depth =
+    Config.with_tca_units (Config.hp ())
+      [|
+        Tca_unit.make ~config_mode:mode ~config_latency:3000
+          ~config_queue_depth:depth 0;
+      |]
+  in
+  let cases =
+    [
+      ( "latency 5000 NL_NT",
+        Config.hp ~coupling:Config.coupling_nl_nt (),
+        accel 5000 :: alus );
+      ("sync config 3000", unit_cfg Tca_unit.Sync 1, accel 20 :: alus);
+      ( "queued depth 1, config 3000",
+        unit_cfg Tca_unit.Queued 1,
+        accel 20 :: accel 20 :: alus );
+    ]
+  in
+  let show = function
+    | Ok (Pipeline.Complete stats) ->
+        "complete " ^ Tca_util.Json.to_string (Sim_stats.to_json stats)
+    | Ok (Pipeline.Partial { stats; diag }) ->
+        Printf.sprintf "partial %s %s"
+          (Tca_util.Json.to_string (Sim_stats.to_json stats))
+          (Tca_util.Diag.to_string diag)
+    | Error d -> "error " ^ Tca_util.Diag.to_string d
+  in
+  List.iter
+    (fun (name, cfg, instrs) ->
+      let trace = Trace.of_array (Array.of_list instrs) in
+      List.iter
+        (fun max_cycles ->
+          let cfg = { cfg with Config.max_cycles } in
+          let label what =
+            Printf.sprintf "%s, cap %s: %s" name
+              (match max_cycles with Some c -> string_of_int c | None -> "none")
+              what
+          in
+          let jumping = Pipeline.run cfg trace in
+          let reference = show (Pipeline_reference.run cfg trace) in
+          Alcotest.(check string) (label "jumping = reference") reference
+            (show jumping);
+          Alcotest.(check string) (label "stepping = reference") reference
+            (show (Pipeline.run ~probe:no_op_probe cfg trace));
+          match (max_cycles, jumping) with
+          | None, Ok (Pipeline.Complete stats) ->
+              Alcotest.(check bool) (label "longer than the cap") true
+                (stats.Sim_stats.cycles > 3000)
+          | ( Some _,
+              Ok
+                (Pipeline.Partial
+                  { diag = Tca_util.Diag.Watchdog { cycles; _ }; _ }) ) ->
+              Alcotest.(check int) (label "watchdog cycle") 1001 cycles
+          | _ -> Alcotest.fail (label ("unexpected outcome " ^ show jumping)))
+        [ Some 1000; None ])
+    cases
 
 (* Random well-formed traces always terminate and commit everything,
    under every coupling. *)
@@ -1379,7 +1457,47 @@ let test_state_gate_modes () =
   expect "queued: full at depth" Config_queue st 3 0;
   expect "queued: still full" Config_queue st 3 4;
   expect "queued: one completed" Go st 3 5;
-  Alcotest.(check int) "queued: serial engine" 20 (dispatch st 0 ~cycle:5)
+  Alcotest.(check int) "queued: serial engine" 20 (dispatch st 0 ~cycle:5);
+  (* [gate_open_at] after a refusal: Sync c = 100 refused at cycle 7,
+     Queued c = 100 depth 4 refused once four descriptors are queued. *)
+  let opens label refusal st refused_at =
+    let at = gate_open_at st 0 in
+    Alcotest.(check bool) (label ^ ": opens later") true (at > refused_at);
+    expect (label ^ ": blocks the cycle before") refusal st 9 (at - 1);
+    expect (label ^ ": open") Go st 9 at
+  in
+  let st = state_of Tca_unit.Sync 100 4 in
+  expect "sync 100: writes start" Config_write st 9 7;
+  opens "sync 100" Config_write st 7;
+  let st = state_of Tca_unit.Queued 100 4 in
+  for _ = 1 to 4 do
+    ignore (dispatch st 0 ~cycle:0 : int)
+  done;
+  expect "queued 100: full" Config_queue st 9 0;
+  opens "queued 100" Config_queue st 0;
+  (* A bulk add of k equals k single calls. *)
+  let counters st =
+    List.map
+      (fun u ->
+        (u.Sim_stats.wait_for_head_cycles, u.Sim_stats.serialize_stall_cycles))
+      (unit_stats st)
+  in
+  List.iter
+    (fun mode ->
+      let single = state_of mode 100 4 and bulk = state_of mode 100 4 in
+      List.iter
+        (fun st -> ignore (dispatch st 0 ~cycle:0 : int))
+        [ single; bulk ];
+      for _ = 1 to 13 do
+        wait_for_head single 0;
+        serialize_stall single
+      done;
+      add_head_waits bulk 0 13;
+      add_serialize_stalls bulk 13;
+      Alcotest.(check (list (pair int int)))
+        ("bulk = single: " ^ Tca_unit.config_mode_name mode)
+        (counters single) (counters bulk))
+    [ Tca_unit.Sync; Tca_unit.Queued ]
 
 let test_state_occupancy_and_counters () =
   let open Tca_unit.State in
@@ -1503,9 +1621,10 @@ let test_exact_exclusive_units () =
 
 (* test/golden/<name>.golden pins [Sim_stats.to_json] for the baseline
    and all four couplings of each bundled workload family, produced by
-   the pre-optimization pipeline. Both the optimized path (through
-   [Simulator.compare_modes], i.e. [run_batch]) and the verbatim
-   reference implementation must reproduce those bytes exactly.
+   the pre-optimization pipeline. The optimized path (through
+   [Simulator.compare_modes], i.e. [run_batch]), the same pipeline
+   stepping every cycle under a probe and the verbatim reference
+   implementation must all reproduce those bytes exactly.
    Regenerate with [dune exec test/gen_golden.exe] only on deliberate
    semantic changes. *)
 let read_golden name =
@@ -1546,15 +1665,15 @@ let golden_optimized (pair : Tca_workloads.Meta.pair) =
              r.Simulator.stats)
          cmp.Simulator.modes)
 
-let golden_reference (pair : Tca_workloads.Meta.pair) =
+(* The pin lines of [pair] simulated one run at a time by [run]. *)
+let golden_of run (pair : Tca_workloads.Meta.pair) =
   let cfg = Config.hp () in
   String.concat ""
-    (golden_line "baseline"
-       (Pipeline_reference.run_exn cfg pair.Tca_workloads.Meta.baseline)
+    (golden_line "baseline" (run cfg pair.Tca_workloads.Meta.baseline)
     :: List.map
          (fun c ->
            golden_line (Config.coupling_name c)
-             (Pipeline_reference.run_exn (Config.with_coupling cfg c)
+             (run (Config.with_coupling cfg c)
                 pair.Tca_workloads.Meta.accelerated))
          Config.all_couplings)
 
@@ -1584,7 +1703,12 @@ let test_golden_pins () =
         pinned (golden_optimized pair);
       Alcotest.(check string)
         (name ^ ": reference pipeline matches golden")
-        pinned (golden_reference pair))
+        pinned
+        (golden_of Pipeline_reference.run_exn pair);
+      Alcotest.(check string)
+        (name ^ ": stepping pipeline matches golden")
+        pinned
+        (golden_of (Pipeline.run_exn ~probe:no_op_probe) pair))
     golden;
   let multi =
     List.map
@@ -1691,6 +1815,8 @@ let () =
           Alcotest.test_case "LP slower than HP" `Quick test_pipeline_lp_slower;
           Alcotest.test_case "small IQ/LSQ parity" `Quick
             test_pipeline_small_iq_parity;
+          Alcotest.test_case "quiet stretch exact" `Quick
+            test_pipeline_quiet_stretch;
           prop_random_traces_terminate;
           prop_latency_monotone;
           prop_coupling_monotone;
