@@ -253,19 +253,8 @@ let run_scaling () =
      waits, fork/join or the simulator itself. The instrumentation cost
      is identical at every point, so the ratios are fair. *)
   let run_at n =
-    let host = T.Sink.create ~metrics:(T.Metrics.create ()) () in
-    let h = Some host in
     let t0 = T.Timing.now_us () in
-    let outcomes =
-      T.Timing.with_span h T.Profiler.total_span_name (fun () ->
-          let outcomes =
-            Scheduler.run ~quick ~collect_telemetry:true ~host_telemetry:host
-              ~jobs:n js
-          in
-          T.Timing.with_span h "telemetry.merge" (fun () ->
-              Scheduler.join_telemetry ~into:host outcomes);
-          outcomes)
-    in
+    let outcomes, host = Scheduler.run_profiled ~quick ~jobs:n js in
     let wall_s = (T.Timing.now_us () -. t0) /. 1e6 in
     let fingerprints =
       List.map

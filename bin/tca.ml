@@ -125,25 +125,27 @@ let json_t =
         ~doc:"Print run statistics as JSON on stdout instead of the \
               human-readable form.")
 
-(* Build a sink only when some telemetry output was requested — the
-   [None] path keeps instrumented code on its zero-cost branch — and
-   flush the requested files after the command body runs. *)
-let with_telemetry ~trace ~metrics f =
+(* A sink only when some telemetry output was requested: the [None]
+   path keeps instrumented code on its zero-cost branch. *)
+let telemetry_sink ~trace ~metrics =
   match (trace, metrics) with
-  | None, None -> f None
-  | _ ->
-      let registry = Tca_telemetry.Metrics.create () in
-      let sink = Tca_telemetry.Sink.create ~metrics:registry () in
-      let result = f (Some sink) in
-      Option.iter
-        (fun path ->
-          or_die (Tca_telemetry.Exporter.write_chrome_trace sink path))
-        trace;
-      Option.iter
-        (fun path ->
-          or_die (Tca_telemetry.Exporter.write_metrics_json registry path))
-        metrics;
-      result
+  | None, None -> None
+  | _ -> Some (Tca_telemetry.Sink.create ())
+
+(* The requested files, both from the sink's events. *)
+let write_telemetry ~trace ~metrics sink =
+  Option.iter
+    (fun path -> or_die (Tca_telemetry.Exporter.write_chrome_trace sink path))
+    trace;
+  Option.iter
+    (fun path -> or_die (Tca_telemetry.Exporter.write_metrics_json sink path))
+    metrics
+
+let with_telemetry ~trace ~metrics f =
+  let telemetry = telemetry_sink ~trace ~metrics in
+  let result = f telemetry in
+  Option.iter (write_telemetry ~trace ~metrics) telemetry;
+  result
 
 let mode_t =
   let parse s =
@@ -315,39 +317,18 @@ let model_cmd =
 
 let registry () = Tca_experiments.Jobs.registry ()
 
-(* Host-side sink for [tca run]: carries the scheduler's own phase spans
-   (cache.lookup, pool.spawn, ...) on the calling domain's lane. Only
-   built when some telemetry output was requested, so the no-output path
-   stays on the zero-cost branch. *)
-let engine_host ~trace ~metrics =
-  match (trace, metrics) with
-  | None, None -> None
-  | _ ->
-      Some
-        (Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ())
-           ())
-
 (* Merged-telemetry export of [tca run]: the per-job sinks are joined
-   into the host sink in job order, so the files are identical whatever
-   --jobs was (host phase spans first, then each job's events in input
-   order). *)
+   into the host sink (which carries the scheduler's own phase spans on
+   the calling domain's lane) in job order, so the files are identical
+   whatever --jobs was (host phase spans first, then each job's events
+   in input order). *)
 let export_engine_telemetry ~trace ~metrics ~host outcomes =
-  match host with
-  | None -> ()
-  | Some into ->
+  Option.iter
+    (fun into ->
       Tca_telemetry.Timing.with_span host "telemetry.merge" (fun () ->
           Tca_engine.Scheduler.join_telemetry ~into outcomes);
-      Option.iter
-        (fun path ->
-          or_die (Tca_telemetry.Exporter.write_chrome_trace into path))
-        trace;
-      Option.iter
-        (fun path ->
-          match Tca_telemetry.Sink.metrics into with
-          | Some registry ->
-              or_die (Tca_telemetry.Exporter.write_metrics_json registry path)
-          | None -> ())
-        metrics
+      write_telemetry ~trace ~metrics into)
+    host
 
 (* All --out artifacts go through the same temp+rename path as the
    result cache: an interrupted run leaves either the previous file or
@@ -895,11 +876,11 @@ let run_cmd =
       }
     in
     let cache = Tca_engine.Cache.create ?dir:cache_dir () in
-    let collect = trace_out <> None || metrics_out <> None in
-    let host = engine_host ~trace:trace_out ~metrics:metrics_out in
+    let host = telemetry_sink ~trace:trace_out ~metrics:metrics_out in
     let outcomes =
       Tca_engine.Scheduler.run ~cache ~policy ~quick
-        ~collect_telemetry:collect ?host_telemetry:host ~jobs js
+        ~collect_telemetry:(Option.is_some host) ?host_telemetry:host
+        ~jobs js
     in
     export_engine_telemetry ~trace:trace_out ~metrics:metrics_out ~host
       outcomes;
@@ -1088,30 +1069,9 @@ let profile_cmd =
       | [] -> Tca_engine.Registry.all r
       | names -> or_die (Tca_engine.Registry.resolve r names)
     in
-    let host =
-      Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) ()
-    in
-    let h = Some host in
-    (* The whole run sits under [profile.total] on the calling domain's
-       lane; the profiler's component table decomposes exactly that
-       span, so 100% of the profiled wall-clock is accounted for. The
-       task-sink merge happens inside it — fork/join cost is part of
-       the run, not bookkeeping after it. *)
-    let outcomes =
-      Tca_telemetry.Timing.with_span h Tca_telemetry.Profiler.total_span_name
-        (fun () ->
-          let outcomes =
-            Tca_engine.Scheduler.run ~quick ~collect_telemetry:true
-              ~host_telemetry:host ~jobs js
-          in
-          Tca_telemetry.Timing.with_span h "telemetry.merge" (fun () ->
-              Tca_engine.Scheduler.join_telemetry ~into:host outcomes);
-          outcomes)
-    in
+    let outcomes, host = Tca_engine.Scheduler.run_profiled ~quick ~jobs js in
     let profile = Tca_telemetry.Profiler.of_sink host in
-    Option.iter
-      (fun path -> or_die (Tca_telemetry.Exporter.write_chrome_trace host path))
-      trace_out;
+    write_telemetry ~trace:trace_out ~metrics:None host;
     let profile_json () =
       Tca_util.Json.to_string_indent (Tca_telemetry.Profiler.to_json profile)
     in

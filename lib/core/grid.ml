@@ -48,18 +48,6 @@ let compute ?telemetry ?(par = Tca_util.Parmap.serial) core ~accel ~freqs
   in
   let cells = Array.map fst rows in
   let failures = List.concat_map snd (Array.to_list rows) in
-  (match
-     Option.bind telemetry Tca_telemetry.Sink.metrics
-   with
-  | None -> ()
-  | Some reg ->
-      let add name v =
-        match Tca_telemetry.Metrics.counter reg name with
-        | Ok c -> Tca_telemetry.Metrics.Counter.add c v
-        | Error _ -> ()
-      in
-      add "grid.cells" (Array.length freqs * Array.length coverages);
-      add "grid.failures" (List.length failures));
   Ok { freqs; coverages; cells; failures }
 
 let compute_exn ?telemetry ?par core ~accel ~freqs ~coverages mode =

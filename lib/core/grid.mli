@@ -25,10 +25,10 @@ val compute :
   (t, Diag.t) result
 (** [Error (Empty_input _)] on an empty axis; per-point failures are
     recorded in [failures], never raised. [?telemetry] wraps the sweep
-    in a [grid.compute] wall-clock span and bumps [grid.cells] /
-    [grid.failures] counters on the sink's registry. [?par] (default
-    serial) evaluates rows in parallel; the result — cells, failure
-    list and its order — is identical to the serial one. *)
+    in a [grid.compute] wall-clock span whose [rows] and [cols]
+    arguments give the [grid.cells] metric. [?par] (default serial)
+    evaluates rows in parallel; the result — cells, failure list and
+    its order — is identical to the serial one. *)
 
 val compute_exn :
   ?telemetry:Tca_telemetry.Sink.t ->

@@ -107,9 +107,7 @@ let supervise (j : Job.t) ~fingerprint ~policy ~collect_telemetry ~quick
   let wait_us = Float.max 0.0 (T.Timing.now_us () -. enqueued_us) in
   let rec attempt n =
     let telemetry =
-      if collect_telemetry then
-        Some (T.Sink.create ~metrics:(T.Metrics.create ()) ())
-      else None
+      if collect_telemetry then Some (T.Sink.create ()) else None
     in
     let gc0 =
       match telemetry with None -> None | Some _ -> Some (Gc.quick_stat ())
@@ -117,13 +115,12 @@ let supervise (j : Job.t) ~fingerprint ~policy ~collect_telemetry ~quick
     let t0 = T.Timing.now_us () in
     let elapsed () = (T.Timing.now_us () -. t0) /. 1e6 in
     (* Terminal attempts only: stamp the task's own sink with its
-       [task.run] span, queue-wait histogram and GC counters. All of it
-       is gated on the sink — the disabled path reads the clock twice
-       and nothing else. *)
+       [task.run] span. Gated on the sink — the disabled path reads the
+       clock twice and nothing else. *)
     let settle status =
       let seconds = elapsed () in
-      (match (telemetry, gc0) with
-      | Some sink, Some g0 ->
+      (match gc0 with
+      | Some g0 ->
           let gc = gc_delta g0 (Gc.quick_stat ()) in
           let open Tca_util in
           let args =
@@ -132,20 +129,8 @@ let supervise (j : Job.t) ~fingerprint ~policy ~collect_telemetry ~quick
             :: ("attempts", Json.Int n)
             :: List.map (fun (k, v) -> ("gc_" ^ k, Json.Int v)) gc
           in
-          T.Timing.record_span ~args ~ts:t0 telemetry "task.run" ~seconds;
-          (match T.Sink.metrics sink with
-          | None -> ()
-          | Some reg ->
-              (match T.Metrics.histogram reg "task.wait.seconds" with
-              | Ok h -> T.Metrics.Histogram.observe h (wait_us /. 1e6)
-              | Error _ -> ());
-              List.iter
-                (fun (k, v) ->
-                  match T.Metrics.counter reg ("task.gc." ^ k) with
-                  | Ok c -> T.Metrics.Counter.add c v
-                  | Error _ -> ())
-                gc)
-      | _ -> ());
+          T.Timing.record_span ~args ~ts:t0 telemetry "task.run" ~seconds
+      | None -> ());
       (status, n, seconds, telemetry)
     in
     let checkpoint =
@@ -342,8 +327,26 @@ let join_telemetry ~into outcomes =
     outcomes
 
 let merged_sink outcomes =
-  let into =
-    Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) ()
-  in
+  let into = Tca_telemetry.Sink.create () in
   join_telemetry ~into outcomes;
   into
+
+(* The whole run sits under [profile.total] on the calling domain's
+   lane; the profiler's component table decomposes exactly that span, so
+   100% of the profiled wall-clock is accounted for. The task-sink merge
+   happens inside it — fork/join cost is part of the run, not
+   bookkeeping after it. *)
+let run_profiled ?quick ?jobs js =
+  let module T = Tca_telemetry in
+  let host = T.Sink.create () in
+  let h = Some host in
+  let outcomes =
+    T.Timing.with_span h T.Profiler.total_span_name (fun () ->
+        let outcomes =
+          run ?quick ~collect_telemetry:true ~host_telemetry:host ?jobs js
+        in
+        T.Timing.with_span h "telemetry.merge" (fun () ->
+            join_telemetry ~into:host outcomes);
+        outcomes)
+  in
+  (outcomes, host)

@@ -82,12 +82,13 @@ val run :
     Profiling hooks, all zero-cost when the respective sink is absent:
     with [collect_telemetry], each fresh task's sink additionally
     carries one [task.run] span (args: job, queue [wait_us], attempts,
-    [gc_*] deltas from [Gc.quick_stat]) plus a [task.wait.seconds]
-    histogram and [task.gc.*] counters in its registry. With
-    [host_telemetry], the scheduler's own phases are recorded into that
-    sink as [cache.lookup], [pool.spawn], [sched.batch],
-    [pool.shutdown] and [cache.store] spans on the calling domain's
-    lane. Timing uses the monotonic clock ({!Tca_telemetry.Timing}). *)
+    [gc_*] deltas from [Gc.quick_stat]), from which the metrics view
+    derives the [task.wait.seconds] histogram and the [task.gc.*]
+    counters. With [host_telemetry], the scheduler's own phases are
+    recorded into that sink as [cache.lookup], [pool.spawn],
+    [sched.batch], [pool.shutdown] and [cache.store] spans on the
+    calling domain's lane. Timing uses the monotonic clock
+    ({!Tca_telemetry.Timing}). *)
 
 val artifact : outcome -> Artifact.t option
 
@@ -111,11 +112,21 @@ val diag_kind : Tca_util.Diag.t -> string
 
 val join_telemetry : into:Tca_telemetry.Sink.t -> outcome list -> unit
 (** Join every outcome's sink into [into], in outcome order (= input
-    order), folding registries with {!Tca_telemetry.Metrics.merge_into}.
-    Use this to merge a run's task telemetry into an existing host sink
-    (as [tca profile] does); {!merged_sink} is the fresh-sink variant. *)
+    order). Use this to merge a run's task telemetry into an existing
+    host sink (as [tca run --trace] does); {!merged_sink} is the
+    fresh-sink variant. *)
 
 val merged_sink : outcome list -> Tca_telemetry.Sink.t
 (** One sink holding every outcome's events, joined in outcome order
-    (= input order), with metrics registries folded in the same order.
-    Equals the trace a serial run with one shared sink would produce. *)
+    (= input order). Equals the trace a serial run with one shared sink
+    would produce. *)
+
+val run_profiled :
+  ?quick:bool -> ?jobs:int -> Job.t list -> outcome list * Tca_telemetry.Sink.t
+(** The profiled run of [tca profile]: {!run} without a cache, with
+    [collect_telemetry] and a fresh host sink, all inside one
+    {!Tca_telemetry.Profiler.total_span_name} span on the calling
+    domain's lane. The task sinks are joined into the host sink, in
+    outcome order, under a [telemetry.merge] span inside the total
+    span, so {!Tca_telemetry.Profiler.of_sink} on the returned sink
+    attributes the whole run. *)

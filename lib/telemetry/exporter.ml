@@ -76,16 +76,11 @@ let chrome_trace_json sink =
           ] );
     ]
 
-let with_out path f =
-  match open_out path with
-  | exception Sys_error message ->
-      Error (Diag.Invalid { field = "Exporter.write"; message })
-  | oc ->
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc);
-      Ok ()
-
+(* Both files go through the temp+rename path of every other output:
+   an interrupted write leaves the previous file or the complete new
+   one, never truncated JSON. *)
 let write_chrome_trace sink path =
-  with_out path (fun oc ->
+  Atomic_file.write_with path (fun oc ->
       (* Stream event-by-event: a long run's trace never needs the whole
          serialised document in memory at once. *)
       let events = Sink.events sink in
@@ -98,7 +93,6 @@ let write_chrome_trace sink path =
         (lane_metadata events @ List.map event_json events);
       output_string oc "\n],\"displayTimeUnit\":\"ms\"}\n")
 
-let write_metrics_json reg path =
-  with_out path (fun oc ->
-      output_string oc (Json.to_string_indent (Metrics.to_json reg));
-      output_char oc '\n')
+let write_metrics_json sink path =
+  Atomic_file.write path
+    (Json.to_string_indent (Metrics.to_json (Metrics.of_sink sink)) ^ "\n")

@@ -1,214 +1,116 @@
-module Counter = struct
-  type m = { mutable count : int }
+module Json = Tca_util.Json
 
-  let add m d = if d > 0 then m.count <- m.count + d
-  let incr m = m.count <- m.count + 1
-  let value m = m.count
-end
-
-module Gauge = struct
-  type m = { mutable v : float }
-
-  let set m v = m.v <- v
-  let value m = m.v
-end
-
-module Histogram = struct
-  type m = {
-    bounds : float array;  (* strictly increasing *)
-    hits : int array;  (* per-bucket, last slot = overflow *)
-    mutable n : int;
-    mutable total : float;
-  }
-
-  let observe m v =
-    let rec find i =
-      if i >= Array.length m.bounds then Array.length m.bounds
-      else if v <= m.bounds.(i) then i
-      else find (i + 1)
-    in
-    let i = find 0 in
-    m.hits.(i) <- m.hits.(i) + 1;
-    m.n <- m.n + 1;
-    m.total <- m.total +. v
-
-  let count m = m.n
-  let sum m = m.total
-
-  let buckets m =
-    let cum = ref 0 in
-    List.init
-      (Array.length m.bounds + 1)
-      (fun i ->
-        cum := !cum + m.hits.(i);
-        ((if i < Array.length m.bounds then m.bounds.(i) else infinity), !cum))
-end
-
-type instrument =
-  | I_counter of Counter.m
-  | I_gauge of Gauge.m
-  | I_histogram of Histogram.m
-
-type t = { tbl : (string, instrument) Hashtbl.t }
-
-let create () = { tbl = Hashtbl.create 32 }
-
-let kind_name = function
-  | I_counter _ -> "counter"
-  | I_gauge _ -> "gauge"
-  | I_histogram _ -> "histogram"
-
-let mismatch name existing wanted =
-  Error
-    (Tca_util.Diag.Invalid
-       {
-         field = "Metrics." ^ wanted;
-         message =
-           Printf.sprintf "%S is already registered as a %s" name
-             (kind_name existing);
-       })
-
-let counter t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (I_counter c) -> Ok c
-  | Some other -> mismatch name other "counter"
-  | None ->
-      let c = { Counter.count = 0 } in
-      Hashtbl.replace t.tbl name (I_counter c);
-      Ok c
-
-let gauge t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (I_gauge g) -> Ok g
-  | Some other -> mismatch name other "gauge"
-  | None ->
-      let g = { Gauge.v = 0.0 } in
-      Hashtbl.replace t.tbl name (I_gauge g);
-      Ok g
-
-(* 1-2-5 ladder over ten decades: fits wall-clock seconds from
-   microseconds up to ~17 minutes. *)
-let default_bounds =
+(* 1-2-5 ladder over ten decades: fits wall-clock seconds from a
+   microsecond up to 5000 s. *)
+let bounds =
   Array.concat
     (List.init 10 (fun d ->
          let scale = 10.0 ** float_of_int (d - 6) in
          [| scale; 2.0 *. scale; 5.0 *. scale |]))
 
-let check_bounds bounds =
-  let ok = ref (Array.length bounds > 0) in
-  Array.iteri
-    (fun i b ->
-      if not (Float.is_finite b) then ok := false
-      else if i > 0 && b <= bounds.(i - 1) then ok := false)
-    bounds;
-  if !ok then Ok ()
-  else
-    Error
-      (Tca_util.Diag.Invalid
-         {
-           field = "Metrics.histogram";
-           message = "bounds must be non-empty, finite and strictly increasing";
-         })
+type histogram = {
+  hits : int array;  (* per-bucket, last slot = overflow *)
+  mutable sum : float;
+}
 
-let histogram ?(bounds = default_bounds) t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (I_histogram h) -> Ok h
-  | Some other -> mismatch name other "histogram"
-  | None -> (
-      match check_bounds bounds with
-      | Error d -> Error d
-      | Ok () ->
-          let h =
-            {
-              Histogram.bounds = Array.copy bounds;
-              hits = Array.make (Array.length bounds + 1) 0;
-              n = 0;
-              total = 0.0;
-            }
-          in
-          Hashtbl.replace t.tbl name (I_histogram h);
-          Ok h)
+type t = {
+  counters : (string, int) Hashtbl.t;
+  histograms : (string, histogram) Hashtbl.t;
+}
 
-let counter_exn t name = Tca_util.Diag.ok_exn (counter t name)
-let gauge_exn t name = Tca_util.Diag.ok_exn (gauge t name)
+let add t name v =
+  Hashtbl.replace t.counters name
+    (v + Option.value ~default:0 (Hashtbl.find_opt t.counters name))
 
-let histogram_exn ?bounds t name =
-  Tca_util.Diag.ok_exn (histogram ?bounds t name)
-
-(* Merge is the single-threaded join step of the multi-domain story:
-   each domain accumulates into its own registry and the owner folds
-   them together afterwards, in a canonical order. It is total by
-   design — a kind or bounds mismatch skips the instrument rather than
-   raising, because a telemetry join must never kill a computation that
-   already succeeded. *)
-let merge_into dst src =
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) src.tbl []
-    |> List.sort String.compare
+let observe t name v =
+  let h =
+    match Hashtbl.find_opt t.histograms name with
+    | Some h -> h
+    | None ->
+        let h = { hits = Array.make (Array.length bounds + 1) 0; sum = 0.0 } in
+        Hashtbl.replace t.histograms name h;
+        h
   in
+  let rec bucket i =
+    if i >= Array.length bounds || v <= bounds.(i) then i else bucket (i + 1)
+  in
+  let i = bucket 0 in
+  h.hits.(i) <- h.hits.(i) + 1;
+  h.sum <- h.sum +. v
+
+let arg conv (e : Sink.event) key =
+  Option.bind (List.assoc_opt key e.Sink.args) conv
+
+let int_arg = arg Json.to_int_opt
+let float_arg = arg Json.to_float_opt
+
+let wall_span t (e : Sink.event) =
+  add t (e.Sink.name ^ ".calls") 1;
+  observe t (e.Sink.name ^ ".seconds") (e.Sink.dur /. 1e6);
+  match e.Sink.name with
+  | "task.run" ->
+      Option.iter
+        (fun us -> observe t "task.wait.seconds" (us /. 1e6))
+        (float_arg e "wait_us");
+      List.iter
+        (fun (k, v) ->
+          match (String.starts_with ~prefix:"gc_" k, Json.to_int_opt v) with
+          | true, Some n ->
+              add t ("task.gc." ^ String.sub k 3 (String.length k - 3)) n
+          | _ -> ())
+        e.Sink.args
+  | "grid.compute" -> (
+      match (int_arg e "rows", int_arg e "cols") with
+      | Some rows, Some cols -> add t "grid.cells" (rows * cols)
+      | _ -> ())
+  | _ -> ()
+
+let sim_run t (e : Sink.event) =
+  let value key = Option.value ~default:0 (int_arg e key) in
+  add t "sim.runs" 1;
+  add t "sim.cycles" (int_of_float e.Sink.dur);
+  add t "sim.committed" (value "committed");
+  add t "sim.accel_invocations" (value "accel_invocations")
+
+let of_events events =
+  let t = { counters = Hashtbl.create 64; histograms = Hashtbl.create 64 } in
   List.iter
-    (fun name ->
-      match Hashtbl.find_opt src.tbl name with
-      | None -> ()
-      | Some (I_counter c) -> (
-          match counter dst name with
-          | Ok d -> Counter.add d (Counter.value c)
-          | Error _ -> ())
-      | Some (I_gauge g) -> (
-          match gauge dst name with
-          | Ok d -> Gauge.set d (Gauge.value g)
-          | Error _ -> ())
-      | Some (I_histogram h) -> (
-          match histogram ~bounds:h.Histogram.bounds dst name with
-          | Ok d when d.Histogram.bounds = h.Histogram.bounds ->
-              Array.iteri
-                (fun i n -> d.Histogram.hits.(i) <- d.Histogram.hits.(i) + n)
-                h.Histogram.hits;
-              d.Histogram.n <- d.Histogram.n + h.Histogram.n;
-              d.Histogram.total <- d.Histogram.total +. h.Histogram.total
-          | Ok _ | Error _ -> ()))
-    names
+    (fun (e : Sink.event) ->
+      if e.Sink.ph = 'X' then
+        if e.Sink.pid = Sink.track_wall then wall_span t e
+        else if e.Sink.pid = Sink.track_sim && e.Sink.name = "sim.run" then
+          sim_run t e)
+    events;
+  t
+
+let of_sink sink = of_events (Sink.events sink)
 
 let counter_value t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some (I_counter c) -> Counter.value c
-  | Some _ | None -> 0
+  Option.value ~default:0 (Hashtbl.find_opt t.counters name)
+
+let sorted tbl f =
+  Hashtbl.fold (fun name v acc -> (name, f v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let histogram_json h =
+  let cum = Array.copy h.hits in
+  for i = 1 to Array.length cum - 1 do
+    cum.(i) <- cum.(i - 1) + cum.(i)
+  done;
+  let bucket i =
+    let le = if i < Array.length bounds then bounds.(i) else infinity in
+    Json.Obj [ ("le", Json.Float le); ("count", Json.Int cum.(i)) ]
+  in
+  Json.Obj
+    [
+      ("count", Json.Int cum.(Array.length cum - 1));
+      ("sum", Json.Float h.sum);
+      ("buckets", Json.List (List.init (Array.length cum) bucket));
+    ]
 
 let to_json t =
-  let sorted kind =
-    Hashtbl.fold
-      (fun name i acc -> match kind i with Some j -> (name, j) :: acc | None -> acc)
-      t.tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let open Tca_util.Json in
-  Obj
+  Json.Obj
     [
-      ( "counters",
-        Obj
-          (sorted (function
-            | I_counter c -> Some (Int (Counter.value c))
-            | _ -> None)) );
-      ( "gauges",
-        Obj
-          (sorted (function
-            | I_gauge g -> Some (Float (Gauge.value g))
-            | _ -> None)) );
-      ( "histograms",
-        Obj
-          (sorted (function
-            | I_histogram h ->
-                Some
-                  (Obj
-                     [
-                       ("count", Int (Histogram.count h));
-                       ("sum", Float (Histogram.sum h));
-                       ( "buckets",
-                         List
-                           (List.map
-                              (fun (le, n) ->
-                                Obj [ ("le", Float le); ("count", Int n) ])
-                              (Histogram.buckets h)) );
-                     ])
-            | _ -> None)) );
+      ("counters", Json.Obj (sorted t.counters (fun n -> Json.Int n)));
+      ("histograms", Json.Obj (sorted t.histograms histogram_json));
     ]

@@ -1,84 +1,46 @@
-(** Metrics registry: typed, named counters, gauges and histograms.
+(** Metrics: the aggregates of a sink's events.
 
-    Where {!Sink} records a {e timeline} (events at timestamps), the
-    registry records {e aggregates}: cumulative counts, last-seen
-    values and latency distributions that survive across many runs —
-    the shape the bench harness and the CLI export as JSON.
+    Where {!Sink} records a {e timeline} (events at timestamps), metrics
+    are {e aggregates}: cumulative counts and latency distributions over
+    many runs — the shape [--metrics] exports as JSON. They are not
+    recorded separately: {!of_events} computes them from the events, so
+    the trace and the metrics can never disagree.
 
-    Registration is idempotent: asking for an existing name returns
-    the existing instrument; asking for a name that is registered with
-    a {e different} kind returns [Error (Invalid _)] rather than
-    silently shadowing it. Names are free-form; the convention in this
-    repository is dot-separated lowercase ([sim.cycles],
-    [sweep.points]). *)
+    The view reads four kinds of event:
+    - every wall-clock 'X' span named [n] (on {!Sink.track_wall}) counts
+      one call in [n.calls] and observes its duration, in seconds, in
+      the [n.seconds] histogram;
+    - a wall-clock [task.run] span also observes its [wait_us] argument
+      (in seconds) in [task.wait.seconds] and adds each [gc_<k>]
+      argument to the counter [task.gc.<k>];
+    - a [sim.run] span on {!Sink.track_sim} adds one to [sim.runs], its
+      duration to [sim.cycles], and its [committed] and
+      [accel_invocations] arguments to [sim.committed] and
+      [sim.accel_invocations];
+    - a wall-clock [grid.compute] span adds [rows × cols] to
+      [grid.cells].
+
+    Histograms share one bucket ladder: 1, 2 and 5 times each decade
+    from 1e-6 to 1e3 (seconds), plus an overflow bucket. Names are
+    dot-separated lowercase, as the span names are. *)
 
 type t
-(** A registry. *)
 
-val create : unit -> t
+val of_events : Sink.event list -> t
+(** The aggregates of the events, in any order: each counter and
+    histogram is a sum over events, so the result does not depend on
+    how the events were ordered or joined. *)
 
-module Counter : sig
-  type m
-  (** Monotonically increasing integer count. *)
-
-  val add : m -> int -> unit
-  (** Negative deltas are ignored (a counter never goes down). *)
-
-  val incr : m -> unit
-  val value : m -> int
-end
-
-module Gauge : sig
-  type m
-  (** Last-written float value. *)
-
-  val set : m -> float -> unit
-  val value : m -> float
-end
-
-module Histogram : sig
-  type m
-  (** Fixed-bound bucketed distribution with sum/count, Prometheus
-      style: an observation lands in the first bucket whose upper
-      bound is [>=] the value, or the implicit overflow bucket. *)
-
-  val observe : m -> float -> unit
-  val count : m -> int
-  val sum : m -> float
-
-  val buckets : m -> (float * int) list
-  (** Upper bound, cumulative count [<=] bound; the overflow bucket is
-      reported with bound [infinity]. *)
-end
-
-val counter : t -> string -> (Counter.m, Tca_util.Diag.t) result
-val gauge : t -> string -> (Gauge.m, Tca_util.Diag.t) result
-
-val histogram :
-  ?bounds:float array -> t -> string -> (Histogram.m, Tca_util.Diag.t) result
-(** [bounds] must be strictly increasing and finite (checked; default
-    a 1-2-5 decade ladder from 1e-6 to 1e3, suitable for seconds).
-    [bounds] is only consulted when the histogram does not already
-    exist. *)
-
-val counter_exn : t -> string -> Counter.m
-val gauge_exn : t -> string -> Gauge.m
-val histogram_exn : ?bounds:float array -> t -> string -> Histogram.m
+val of_sink : Sink.t -> t
+(** [of_events] over the sink's events. *)
 
 val counter_value : t -> string -> int
-(** 0 when absent or not a counter — a read-side convenience that
-    never fails. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into dst src] folds [src] into [dst]: counters add, gauges
-    take [src]'s value (last-write-wins in merge order), histograms with
-    identical bounds add bucket-wise. Instruments are merged in sorted
-    name order and a kind or bounds mismatch skips that instrument, so
-    the fold is total and deterministic. This is the join step of the
-    per-domain-registry pattern: registries are single-domain objects;
-    accumulate into one registry per domain, then merge on the owner in
-    a canonical order. [src] is not modified. *)
+(** 0 when the counter is absent — a read-side convenience that never
+    fails. *)
 
 val to_json : t -> Tca_util.Json.t
-(** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] with
-    names sorted, so the output is deterministic. *)
+(** [{"counters": {...}, "histograms": {...}}] with names sorted, so
+    the output is deterministic. A histogram is
+    [{"count", "sum", "buckets": [{"le", "count"}, ...]}], with
+    cumulative bucket counts and the overflow bucket's bound rendered
+    as [null]. *)

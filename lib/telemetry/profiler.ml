@@ -73,7 +73,13 @@ type node = {
   mutable n_child : float;
 }
 
-let of_events ?registry events =
+let gc_keys =
+  [
+    "minor_words"; "promoted_words"; "major_words"; "minor_collections";
+    "major_collections";
+  ]
+
+let of_events events =
   let spans =
     List.filter
       (fun (e : Sink.event) ->
@@ -225,22 +231,14 @@ let of_events ?registry events =
            | c -> c)
   in
   let gc =
-    match registry with
-    | None -> []
-    | Some reg ->
-        List.filter_map
-          (fun key ->
-            match Metrics.counter_value reg ("task.gc." ^ key) with
-            | 0 -> Some (key, 0)
-            | n -> Some (key, n))
-          [
-            "minor_words"; "promoted_words"; "major_words";
-            "minor_collections"; "major_collections";
-          ]
+    let m = Metrics.of_events spans in
+    if Metrics.counter_value m "task.run.calls" = 0 then []
+    else
+      List.map (fun k -> (k, Metrics.counter_value m ("task.gc." ^ k))) gc_keys
   in
   { wall_s; cpu_s; owner_tid; lanes; rows; components; attributed_s; gc }
 
-let of_sink sink = of_events ?registry:(Sink.metrics sink) (Sink.events sink)
+let of_sink sink = of_events (Sink.events sink)
 
 let attributed_fraction t =
   if t.wall_s > 0.0 then t.attributed_s /. t.wall_s else 1.0

@@ -14,10 +14,10 @@
     wall-clock is attributed. Worker-lane CPU time appears in the
     per-lane and self-time tables.
 
-    The report is a pure function of the event list (plus the optional
-    registry): byte-identical output for identical input, with fixed
-    component keys and totally-ordered sorts — the schema-stability
-    contract the determinism test pins. *)
+    The report is a pure function of the event list: byte-identical
+    output for identical input, with fixed component keys and
+    totally-ordered sorts — the schema-stability contract the
+    determinism test pins. *)
 
 type row = {
   name : string;
@@ -46,7 +46,9 @@ type t = {
           self time each *)
   attributed_s : float;  (** sum of the component buckets *)
   gc : (string * int) list;
-      (** [task.gc.*] counter totals from the registry, when present *)
+      (** the [task.gc.*] {!Metrics} counters — the [gc_*] arguments of
+          every [task.run] span, summed — in fixed key order; empty when
+          there is no [task.run] span *)
 }
 
 val total_span_name : string
@@ -58,10 +60,10 @@ val component_names : string list
 val component_of : string -> string
 (** The bucket a span name attributes to. *)
 
-val of_events : ?registry:Metrics.t -> Sink.event list -> t
+val of_events : Sink.event list -> t
 
 val of_sink : Sink.t -> t
-(** [of_events] over the sink's events and its own registry. *)
+(** [of_events] over the sink's events. *)
 
 val attributed_fraction : t -> float
 (** [attributed_s / wall_s]; 1.0 for an empty profile. *)

@@ -11,7 +11,6 @@ type event = {
 
 type t = {
   sample_interval : int;
-  registry : Metrics.t option;
   mutable buf : event array;
   mutable len : int;
 }
@@ -31,16 +30,10 @@ let dummy =
     args = [];
   }
 
-let create ?(interval = 256) ?metrics () =
-  {
-    sample_interval = max 1 interval;
-    registry = metrics;
-    buf = Array.make 1024 dummy;
-    len = 0;
-  }
+let create ?(interval = 256) () =
+  { sample_interval = max 1 interval; buf = Array.make 1024 dummy; len = 0 }
 
 let interval t = t.sample_interval
-let metrics t = t.registry
 
 let push t ev =
   if t.len = Array.length t.buf then begin
@@ -84,18 +77,9 @@ let clear t = t.len <- 0
    because a serial run also finishes task i's events before task
    i+1's. *)
 
-let fork t =
-  {
-    sample_interval = t.sample_interval;
-    registry = Option.map (fun _ -> Metrics.create ()) t.registry;
-    buf = Array.make 1024 dummy;
-    len = 0;
-  }
+let fork t = create ~interval:t.sample_interval ()
 
 let join ~into child =
   for i = 0 to child.len - 1 do
     push into child.buf.(i)
-  done;
-  match (into.registry, child.registry) with
-  | Some dst, Some src -> Metrics.merge_into dst src
-  | _ -> ()
+  done

@@ -1,8 +1,10 @@
 (** Event sink: the collection side of the telemetry layer.
 
     A sink is an in-memory, append-only buffer of timestamped events —
-    counter samples, spans and instants — later rendered by
-    {!Exporter} as a Chrome [trace_event] file.
+    counter samples, spans and instants. It is the only record the
+    telemetry layer keeps: {!Exporter} renders it as a Chrome
+    [trace_event] file, and {!Metrics} and {!Profiler} compute their
+    aggregates from its events.
 
     The instrumented code (the pipeline, the model sweeps, the CLI)
     takes a [Sink.t option] as an optional [?telemetry] argument:
@@ -14,22 +16,19 @@
     asserts exactly that.
 
     Timestamps are abstract doubles: simulator events use the cycle
-    number, wall-clock spans ({!Timing}) use microseconds since the
-    sink was created. The two families are kept apart by track
+    number, wall-clock spans ({!Timing}) use {!Timing.now_us}
+    microseconds. The two families are kept apart by track
     ([pid]): {!track_sim} and {!track_wall}. Within a track, [tid]
     names the lane — wall-clock spans use the recording domain's id,
     so a multi-domain run renders as one Perfetto lane per domain. *)
 
 type t
 
-val create : ?interval:int -> ?metrics:Metrics.t -> unit -> t
+val create : ?interval:int -> unit -> t
 (** [interval] (default 256 cycles, min 1) is the sampling period used
-    by the simulator's per-interval counters; [metrics] is an optional
-    registry the instrumented code may also update (e.g. cumulative
-    cycles simulated across runs). *)
+    by the simulator's per-interval counters. *)
 
 val interval : t -> int
-val metrics : t -> Metrics.t option
 
 val track_sim : int
 (** [pid] for cycle-timestamped simulator events (= 0). *)
@@ -85,14 +84,10 @@ val clear : t -> unit
     implementation of this protocol over a {!Tca_util.Parmap.t}. *)
 
 val fork : t -> t
-(** A fresh, empty sink with the parent's sampling interval; carries a
-    fresh registry iff the parent has one (so instrumented code finds
-    the same capabilities on the child). *)
+(** A fresh, empty sink with the parent's sampling interval. *)
 
 val join : into:t -> t -> unit
-(** Append the child's events (in their emission order) to [into], and
-    fold the child's registry into [into]'s with
-    {!Metrics.merge_into}. The child is not modified and may be joined
-    only once unless duplicated events are intended. Must be called
-    from the domain that owns [into], after the child's task has
-    finished. *)
+(** Append the child's events (in their emission order) to [into]. The
+    child is not modified and may be joined only once unless duplicated
+    events are intended. Must be called from the domain that owns
+    [into], after the child's task has finished. *)

@@ -16,17 +16,6 @@ let now_us () =
    profiler can compute self-time within each lane independently. *)
 let domain_tid () = (Domain.self () :> int)
 
-let update_registry sink name seconds =
-  match Sink.metrics sink with
-  | None -> ()
-  | Some reg ->
-      (match Metrics.histogram reg (name ^ ".seconds") with
-      | Ok h -> Metrics.Histogram.observe h seconds
-      | Error _ -> ());
-      (match Metrics.counter reg (name ^ ".calls") with
-      | Ok c -> Metrics.Counter.incr c
-      | Error _ -> ())
-
 (* Without [ts] the start is back-computed as now - dur, which drifts
    late by however long the caller spent between measuring and
    recording. Callers that know their exact start (the scheduler's
@@ -39,8 +28,7 @@ let record_span ?(args = []) ?ts telemetry name ~seconds =
       let dur = Float.max 0.0 (seconds *. 1e6) in
       let ts = match ts with Some t -> t | None -> now_us () -. dur in
       Sink.span sink ~pid:Sink.track_wall ~tid:(domain_tid ()) ~cat:"wall"
-        ~args ~ts ~dur name;
-      update_registry sink name seconds
+        ~args ~ts ~dur name
 
 let with_span ?(args = []) telemetry name f =
   match telemetry with
@@ -48,10 +36,8 @@ let with_span ?(args = []) telemetry name f =
   | Some sink ->
       let start = now_us () in
       let finish () =
-        let stop = now_us () in
         Sink.span sink ~pid:Sink.track_wall ~tid:(domain_tid ()) ~cat:"wall"
-          ~args ~ts:start ~dur:(stop -. start) name;
-        update_registry sink name ((stop -. start) /. 1e6)
+          ~args ~ts:start ~dur:(now_us () -. start) name
       in
       Fun.protect ~finally:finish f
 

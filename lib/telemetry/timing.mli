@@ -2,10 +2,10 @@
 
     This is the model-side and harness-side instrumentation primitive:
     wrap a sweep, a figure regeneration or a bench target in
-    {!with_span} and the elapsed time lands in the sink (on
-    {!Sink.track_wall}, in microseconds since the process first used
-    this module) and, when the sink carries a registry, in a
-    [<name>.seconds] histogram and a [<name>.calls] counter.
+    {!with_span} and the elapsed time lands in the sink as one 'X' span
+    on {!Sink.track_wall}, in microseconds since the process first used
+    this module. {!Metrics} derives a [<name>.calls] counter and a
+    [<name>.seconds] histogram from those spans.
 
     The clock is CLOCK_MONOTONIC, not the adjustable wall clock, so a
     span can never have a negative duration (an NTP step between start

@@ -856,19 +856,7 @@ let finish_telemetry s sink snap outcome_stats =
         ( "accel_invocations",
           Tca_util.Json.Int outcome_stats.Sim_stats.accel_invocations );
       ]
-    "sim.run";
-  match Tca_telemetry.Sink.metrics sink with
-  | None -> ()
-  | Some reg ->
-      let add name v =
-        match Tca_telemetry.Metrics.counter reg name with
-        | Ok c -> Tca_telemetry.Metrics.Counter.add c v
-        | Error _ -> ()
-      in
-      add "sim.runs" 1;
-      add "sim.cycles" s.cycle;
-      add "sim.committed" s.committed;
-      add "sim.accel_invocations" outcome_stats.Sim_stats.accel_invocations
+    "sim.run"
 
 let watchdog_diag s =
   Tca_util.Diag.Watchdog

@@ -9,10 +9,18 @@
     rename stays on one filesystem (rename is atomic only then); a
     failed write removes its temp file. *)
 
+val write_with :
+  string -> (out_channel -> unit) -> (unit, Diag.t) result
+(** [write_with path f] replaces [path] atomically with what [f] writes
+    to the channel it is given, so a large document can be streamed
+    rather than built in memory first. [Error (Invalid _)] when the
+    directory is unwritable, a write or the final flush fails, or the
+    rename fails; the target is untouched in that case. An exception
+    other than [Sys_error] raised by [f] propagates, after the temp
+    file is removed. *)
+
 val write : string -> string -> (unit, Diag.t) result
-(** [write path contents] replaces [path] atomically.
-    [Error (Invalid _)] when the directory is unwritable or the rename
-    fails; the target is untouched in that case. *)
+(** [write path contents] is [write_with] writing [contents]. *)
 
 val write_exn : string -> string -> unit
 (** @raise Diag.Error on failure. *)

@@ -630,21 +630,31 @@ let test_scheduler_task_spans () =
           "gc_minor_collections"; "gc_major_collections";
         ])
     task_spans;
-  match Tca_telemetry.Sink.metrics merged with
-  | None -> Alcotest.fail "merged sink lost its registry"
-  | Some reg ->
-      let module M = Tca_telemetry.Metrics in
-      Alcotest.(check int) "one wait observation per task" n
-        (M.Histogram.count (M.histogram_exn reg "task.wait.seconds"));
-      Alcotest.(check bool) "gc words counted" true
-        (M.counter_value reg "task.gc.minor_words" >= 0)
+  let metrics = Tca_telemetry.Metrics.of_sink merged in
+  let wait_count =
+    List.fold_left
+      (fun j k -> Option.bind j (Tca_util.Json.member k))
+      (Some (Tca_telemetry.Metrics.to_json metrics))
+      [ "histograms"; "task.wait.seconds"; "count" ]
+    |> Fun.flip Option.bind Tca_util.Json.to_int_opt
+  in
+  Alcotest.(check (option int)) "one wait observation per task" (Some n)
+    wait_count;
+  let summed_arg key =
+    List.fold_left
+      (fun acc (e : Tca_telemetry.Sink.event) ->
+        match List.assoc_opt key e.Tca_telemetry.Sink.args with
+        | Some (Tca_util.Json.Int v) -> acc + v
+        | _ -> acc)
+      0 task_spans
+  in
+  Alcotest.(check int) "gc words counted" (summed_arg "gc_minor_words")
+    (Tca_telemetry.Metrics.counter_value metrics "task.gc.minor_words")
 
 let test_scheduler_host_telemetry () =
   with_temp_dir @@ fun dir ->
   let js = List.init 3 (fun i -> synth_job (Printf.sprintf "h%d" i) 3) in
-  let host =
-    Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) ()
-  in
+  let host = Tca_telemetry.Sink.create () in
   let cache = Cache.create ~dir () in
   let _ = Scheduler.run ~cache ~host_telemetry:host ~jobs:2 js in
   let names =
@@ -673,9 +683,7 @@ let test_scheduler_profiled_bit_identity () =
      not part of the artifact set, artifacts stay bit-identical. *)
   let js = List.init 5 (fun i -> synth_job (Printf.sprintf "b%d" i) (4 + i)) in
   let run jobs =
-    let host =
-      Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) ()
-    in
+    let host = Tca_telemetry.Sink.create () in
     Scheduler.run ~collect_telemetry:true ~host_telemetry:host ~jobs js
   in
   let plain = Scheduler.run ~jobs:1 js in
@@ -728,22 +736,7 @@ let test_profile_report_deterministic () =
      call counts, same component keys, same lane set. *)
   let js = List.init 4 (fun i -> synth_job (Printf.sprintf "d%d" i) 4) in
   let profile_json () =
-    let host =
-      Tca_telemetry.Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) ()
-    in
-    let h = Some host in
-    let outcomes =
-      Tca_telemetry.Timing.with_span h Tca_telemetry.Profiler.total_span_name
-        (fun () ->
-          let outcomes =
-            Scheduler.run ~collect_telemetry:true ~host_telemetry:host
-              ~jobs:1 js
-          in
-          Tca_telemetry.Timing.with_span h "telemetry.merge" (fun () ->
-              Scheduler.join_telemetry ~into:host outcomes);
-          outcomes)
-    in
-    ignore outcomes;
+    let _, host = Scheduler.run_profiled ~jobs:1 js in
     let p = Tca_telemetry.Profiler.of_sink host in
     ( Tca_util.Json.to_string_indent
         (mask_floats (Tca_telemetry.Profiler.to_json p)),

@@ -1,4 +1,4 @@
-(* Telemetry layer: Json round-trips, the metrics registry, the sink and
+(* Telemetry layer: Json round-trips, the metrics view, the sink and
    exporters, and — most importantly — the reconciliation guarantees: the
    per-interval counter deltas in a trace sum exactly to the final
    [Sim_stats] totals, and enabling telemetry does not change simulation
@@ -61,74 +61,96 @@ let test_json_accessors () =
 
 (* --- Metrics --- *)
 
-let test_counter () =
-  let r = Metrics.create () in
-  let c = Metrics.counter_exn r "x" in
-  Metrics.Counter.incr c;
-  Metrics.Counter.add c 4;
-  Metrics.Counter.add c (-100);
-  (* ignored: counters never go down *)
-  Alcotest.(check int) "value" 5 (Metrics.Counter.value c);
-  (* Registration is idempotent: same instrument comes back. *)
-  let c' = Metrics.counter_exn r "x" in
-  Metrics.Counter.incr c';
-  Alcotest.(check int) "shared" 6 (Metrics.Counter.value c);
-  Alcotest.(check int) "counter_value" 6 (Metrics.counter_value r "x");
-  Alcotest.(check int) "absent counter_value" 0 (Metrics.counter_value r "y")
+(* A wall-clock span of [seconds], recorded as the producers record it. *)
+let wall_span ?args s ~seconds name =
+  Timing.record_span ?args ~ts:0.0 (Some s) name ~seconds
 
-let test_gauge () =
-  let r = Metrics.create () in
-  let g = Metrics.gauge_exn r "g" in
-  Metrics.Gauge.set g 2.5;
-  Metrics.Gauge.set g (-1.0);
-  Alcotest.(check (float 0.0)) "last write wins" (-1.0)
-    (Metrics.Gauge.value g)
+let sim_run s ~cycles ~committed ~invocations =
+  Sink.span s ~cat:"sim" ~ts:0.0 ~dur:(float_of_int cycles)
+    ~args:
+      [
+        ("committed", Json.Int committed);
+        ("accel_invocations", Json.Int invocations);
+      ]
+    "sim.run"
+
+(* [count], [sum] and the cumulative (bound, count) buckets of one
+   histogram, read back from the JSON view. *)
+let histogram m name =
+  let get k j = Option.bind j (Json.member k) in
+  let h = Some (Metrics.to_json m) |> get "histograms" |> get name in
+  let num k conv = Option.bind (get k h) conv in
+  let buckets =
+    match get "buckets" h with
+    | Some (Json.List bs) ->
+        List.filter_map
+          (fun b ->
+            match (Json.member "le" b, Json.member "count" b) with
+            | Some (Json.Float le), Some (Json.Int n) -> Some (le, n)
+            | _ -> None)
+          bs
+    | _ -> []
+  in
+  (num "count" Json.to_int_opt, num "sum" Json.to_float_opt, buckets)
+
+let test_counter () =
+  let s = Sink.create () in
+  wall_span s ~seconds:0.1 "x";
+  wall_span s ~seconds:0.2 "x";
+  sim_run s ~cycles:100 ~committed:70 ~invocations:3;
+  sim_run s ~cycles:50 ~committed:40 ~invocations:0;
+  (* neither is a wall-clock span: no [x.calls] from them *)
+  Sink.instant s ~pid:Sink.track_wall ~ts:0.0 "x";
+  Sink.span s ~ts:0.0 ~dur:5.0 "x";
+  let m = Metrics.of_sink s in
+  Alcotest.(check int) "calls" 2 (Metrics.counter_value m "x.calls");
+  Alcotest.(check int) "sim.runs" 2 (Metrics.counter_value m "sim.runs");
+  Alcotest.(check int) "sim.cycles" 150 (Metrics.counter_value m "sim.cycles");
+  Alcotest.(check int) "sim.committed" 110
+    (Metrics.counter_value m "sim.committed");
+  Alcotest.(check int) "sim.accel_invocations" 3
+    (Metrics.counter_value m "sim.accel_invocations");
+  Alcotest.(check int) "absent counter_value" 0 (Metrics.counter_value m "y");
+  (* the view is a sum: event order does not matter *)
+  let json m = Json.to_string (Metrics.to_json m) in
+  Alcotest.(check string) "order-free" (json m)
+    (json (Metrics.of_events (List.rev (Sink.events s))))
 
 let test_histogram () =
-  let r = Metrics.create () in
-  let h = Metrics.histogram_exn ~bounds:[| 1.0; 2.0; 5.0 |] r "h" in
-  List.iter (Metrics.Histogram.observe h) [ 0.5; 1.5; 1.7; 4.0; 100.0 ];
-  Alcotest.(check int) "count" 5 (Metrics.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 107.7 (Metrics.Histogram.sum h);
-  match Metrics.Histogram.buckets h with
-  | [ (b1, c1); (b2, c2); (b3, c3); (binf, cinf) ] ->
-      Alcotest.(check (float 0.0)) "bound 1" 1.0 b1;
-      Alcotest.(check int) "le 1" 1 c1;
-      Alcotest.(check (float 0.0)) "bound 2" 2.0 b2;
-      Alcotest.(check int) "le 2 (cumulative)" 3 c2;
-      Alcotest.(check (float 0.0)) "bound 5" 5.0 b3;
-      Alcotest.(check int) "le 5" 4 c3;
-      Alcotest.(check bool) "overflow bound" true (binf = Float.infinity);
-      Alcotest.(check int) "overflow cumulative" 5 cinf
-  | bs -> Alcotest.failf "expected 4 buckets, got %d" (List.length bs)
-
-let test_histogram_bad_bounds () =
-  let r = Metrics.create () in
-  (match Metrics.histogram ~bounds:[| 2.0; 1.0 |] r "bad" with
-  | Error (Tca_util.Diag.Invalid _) -> ()
-  | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
-  | Ok _ -> Alcotest.fail "non-increasing bounds accepted");
-  match Metrics.histogram ~bounds:[| 0.0; Float.nan |] r "bad2" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "nan bound accepted"
-
-let test_kind_mismatch () =
-  let r = Metrics.create () in
-  ignore (Metrics.counter_exn r "dual");
-  match Metrics.gauge r "dual" with
-  | Error (Tca_util.Diag.Invalid _) -> ()
-  | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
-  | Ok _ -> Alcotest.fail "kind shadowing accepted"
+  let s = Sink.create () in
+  List.iter
+    (fun seconds -> wall_span s ~seconds "h")
+    [ 0.3; 1.5; 1.7; 4.0; 1e4 ];
+  match histogram (Metrics.of_sink s) "h.seconds" with
+  | Some count, Some sum, buckets ->
+      Alcotest.(check int) "count" 5 count;
+      Alcotest.(check (float 1e-6)) "sum" 10007.5 sum;
+      Alcotest.(check int) "30 ladder buckets + overflow" 31
+        (List.length buckets);
+      let le bound = List.assoc bound buckets in
+      Alcotest.(check int) "le 0.5" 1 (le 0.5);
+      Alcotest.(check int) "le 2 (cumulative)" 3 (le 2.0);
+      Alcotest.(check int) "le 5" 4 (le 5.0);
+      (match List.rev buckets with
+      | (binf, cinf) :: _ ->
+          Alcotest.(check bool) "overflow bound" true (binf = Float.infinity);
+          Alcotest.(check int) "overflow cumulative" 5 cinf
+      | [] -> Alcotest.fail "no buckets")
+  | _ -> Alcotest.fail "no h.seconds histogram"
 
 let test_metrics_to_json () =
-  let r = Metrics.create () in
-  Metrics.Counter.add (Metrics.counter_exn r "b") 2;
-  Metrics.Counter.add (Metrics.counter_exn r "a") 1;
-  Metrics.Gauge.set (Metrics.gauge_exn r "g") 0.5;
-  let j = Metrics.to_json r in
+  let s = Sink.create () in
+  wall_span s ~seconds:1.0 "b";
+  wall_span s ~seconds:1.0 "a";
+  let j = Metrics.to_json (Metrics.of_sink s) in
+  (match j with
+  | Json.Obj kvs ->
+      Alcotest.(check (list string)) "top-level keys"
+        [ "counters"; "histograms" ] (List.map fst kvs)
+  | _ -> Alcotest.fail "not an object");
   match Json.member "counters" j with
   | Some (Json.Obj kvs) ->
-      Alcotest.(check (list string)) "sorted names" [ "a"; "b" ]
+      Alcotest.(check (list string)) "sorted names" [ "a.calls"; "b.calls" ]
         (List.map fst kvs)
   | _ -> Alcotest.fail "no counters object"
 
@@ -204,27 +226,40 @@ let test_exporter_schema () =
 
 let test_exporter_files () =
   let s = Sink.create () in
-  let r = Metrics.create () in
-  Metrics.Counter.add (Metrics.counter_exn r "n") 7;
-  Sink.span s ~ts:0.0 ~dur:1.0 "sp";
-  let tmp suffix = Filename.temp_file "tca_telemetry" suffix in
-  let trace_path = tmp ".trace.json" in
-  let metrics_path = tmp ".metrics.json" in
+  wall_span s ~seconds:1.0 "sp";
+  let dir = Filename.temp_file "tca_telemetry" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let trace_path = Filename.concat dir "t.trace.json" in
+  let metrics_path = Filename.concat dir "t.metrics.json" in
+  let ok = function
+    | Ok () -> ()
+    | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
+  in
   Fun.protect
     ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ trace_path; metrics_path ])
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
     (fun () ->
-      (match Exporter.write_chrome_trace s trace_path with
-      | Ok () -> ()
-      | Error d -> Alcotest.fail (Tca_util.Diag.to_string d));
+      ok (Exporter.write_chrome_trace s trace_path);
       (match Report.of_file trace_path with
       | Ok rep -> Alcotest.(check int) "report events" 1 rep.Report.events
       | Error d -> Alcotest.fail (Tca_util.Diag.to_string d));
-      match Exporter.write_metrics_json r metrics_path with
-      | Ok () -> ()
-      | Error d -> Alcotest.fail (Tca_util.Diag.to_string d))
+      (* written twice: the second write replaces the first *)
+      ok (Exporter.write_metrics_json s metrics_path);
+      ok (Exporter.write_metrics_json s metrics_path);
+      let text = In_channel.with_open_bin metrics_path In_channel.input_all in
+      (match Json.parse text with
+      | Ok j ->
+          Alcotest.(check (option int)) "counter from the span" (Some 1)
+            (Option.bind (Json.member "counters" j) (fun c ->
+                 Option.bind (Json.member "sp.calls" c) Json.to_int_opt))
+      | Error d -> Alcotest.fail (Tca_util.Diag.to_string d));
+      Alcotest.(check (list string)) "no temp file left"
+        [ "t.metrics.json"; "t.trace.json" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
 
 let test_exporter_bad_path () =
   match Exporter.write_chrome_trace (Sink.create ()) "/nonexistent/dir/x.json" with
@@ -235,8 +270,7 @@ let test_exporter_bad_path () =
 (* --- Timing --- *)
 
 let test_timing_span () =
-  let r = Metrics.create () in
-  let s = Sink.create ~metrics:r () in
+  let s = Sink.create () in
   let out = Timing.with_span (Some s) "work" (fun () -> 42) in
   Alcotest.(check int) "thunk result" 42 out;
   Alcotest.(check int) "none is free" 7
@@ -247,7 +281,8 @@ let test_timing_span () =
       Alcotest.(check int) "wall track" Sink.track_wall ev.Sink.pid;
       Alcotest.(check bool) "non-negative dur" true (ev.Sink.dur >= 0.0)
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
-  Alcotest.(check int) "calls counter" 1 (Metrics.counter_value r "work.calls")
+  Alcotest.(check int) "calls counter" 1
+    (Metrics.counter_value (Metrics.of_sink s) "work.calls")
 
 (* --- Simulator reconciliation --- *)
 
@@ -257,11 +292,10 @@ let sim_pair () =
        ~accel_latency:12 ())
 
 let run_with_sink ?(interval = 64) trace =
-  let registry = Metrics.create () in
-  let sink = Sink.create ~interval ~metrics:registry () in
+  let sink = Sink.create ~interval () in
   let cfg = Tca_uarch.Config.hp ~coupling:Tca_uarch.Config.coupling_l_t () in
   let stats = Tca_uarch.Pipeline.run_exn ~telemetry:sink cfg trace in
-  (stats, sink, registry)
+  (stats, sink)
 
 (* Sum one series of a multi-series counter across the whole trace. *)
 let counter_sum sink name series =
@@ -280,7 +314,7 @@ let counter_sum sink name series =
 
 let test_stall_deltas_reconcile () =
   let pair = sim_pair () in
-  let stats, sink, _ =
+  let stats, sink =
     run_with_sink pair.Tca_workloads.Meta.accelerated
   in
   let st = stats.Tca_uarch.Sim_stats.stalls in
@@ -302,9 +336,8 @@ let test_stall_deltas_reconcile () =
 
 let test_registry_reconciles () =
   let pair = sim_pair () in
-  let stats, sink, registry =
-    run_with_sink pair.Tca_workloads.Meta.accelerated
-  in
+  let stats, sink = run_with_sink pair.Tca_workloads.Meta.accelerated in
+  let registry = Metrics.of_sink sink in
   Alcotest.(check int) "sim.runs" 1 (Metrics.counter_value registry "sim.runs");
   Alcotest.(check int) "sim.cycles" stats.Tca_uarch.Sim_stats.cycles
     (Metrics.counter_value registry "sim.cycles");
@@ -336,7 +369,7 @@ let test_telemetry_is_pure_observation () =
 
 let test_trace_schema_from_sim () =
   let pair = sim_pair () in
-  let _, sink, _ = run_with_sink pair.Tca_workloads.Meta.accelerated in
+  let _, sink = run_with_sink pair.Tca_workloads.Meta.accelerated in
   let j = chrome_reparse sink in
   let n = check_trace_schema j in
   Alcotest.(check bool) "instrumented run produced events" true (n > 0)
@@ -345,7 +378,7 @@ let test_trace_schema_from_sim () =
 
 let test_report_from_sim () =
   let pair = sim_pair () in
-  let stats, sink, _ = run_with_sink pair.Tca_workloads.Meta.accelerated in
+  let stats, sink = run_with_sink pair.Tca_workloads.Meta.accelerated in
   Timing.with_span (Some sink) "sweep" (fun () -> ());
   match Report.of_json (Exporter.chrome_trace_json sink) with
   | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
@@ -431,14 +464,14 @@ let test_report_rejects_garbage () =
 (* --- fork/join: the multi-domain sink protocol --- *)
 
 (* The emission each "task" would perform, whether into a shared serial
-   sink or its own forked child. *)
+   sink or its own forked child: its [sim.run] span feeds the metrics. *)
 let emit_task sink i =
   Sink.instant sink ~ts:(float_of_int i) (Printf.sprintf "task.%d" i);
   Sink.counter sink ~ts:(float_of_int i) "load"
     [ ("value", float_of_int (i * i)) ];
-  match Sink.metrics sink with
-  | Some r -> Tca_telemetry.Metrics.Counter.add (Tca_telemetry.Metrics.counter_exn r "work") i
-  | None -> ()
+  sim_run sink ~cycles:(10 * i) ~committed:i ~invocations:0
+
+let metrics_json s = Json.to_string (Metrics.to_json (Metrics.of_sink s))
 
 let event_shape (e : Sink.event) =
   (e.Sink.name, e.Sink.cat, e.Sink.ph, e.Sink.ts, e.Sink.pid)
@@ -446,13 +479,13 @@ let event_shape (e : Sink.event) =
 let test_fork_join_equals_serial () =
   let n = 8 in
   (* serial reference: every task emits into one sink, in order *)
-  let serial = Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) () in
+  let serial = Sink.create () in
   for i = 0 to n - 1 do
     emit_task serial i
   done;
   (* fork/join: one child per task, emitted out of order (reverse),
      joined back in task-index order *)
-  let parent = Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) () in
+  let parent = Sink.create () in
   let children = Array.init n (fun _ -> Sink.fork parent) in
   for i = n - 1 downto 0 do
     emit_task children.(i) i
@@ -461,13 +494,8 @@ let test_fork_join_equals_serial () =
   Alcotest.(check bool) "event sequences identical" true
     (List.map event_shape (Sink.events serial)
     = List.map event_shape (Sink.events parent));
-  let work s =
-    match Sink.metrics s with
-    | Some r -> Tca_telemetry.Metrics.counter_value r "work"
-    | None -> -1
-  in
-  Alcotest.(check int) "metrics fold to serial totals" (work serial)
-    (work parent)
+  Alcotest.(check string) "metrics equal serial totals" (metrics_json serial)
+    (metrics_json parent)
 
 (* [Timing.fan_out] over the serial map and a 3-worker pool, with and
    without a sink: the same results either way, and the joined events
@@ -475,7 +503,7 @@ let test_fork_join_equals_serial () =
 let test_fan_out_equals_serial () =
   let xs = Array.init 8 Fun.id in
   let expected = Array.map (fun i -> i * i) xs in
-  let reference = Sink.create ~metrics:(Metrics.create ()) () in
+  let reference = Sink.create () in
   Array.iter (emit_task reference) xs;
   (* a wall-clock span's timestamp is the one field that varies *)
   let shape (e : Sink.event) =
@@ -486,10 +514,11 @@ let test_fan_out_equals_serial () =
     List.map shape (Sink.events reference)
     @ [ ("telemetry.join", "wall", 'X', 0.0, Sink.track_wall) ]
   in
-  let work s =
-    match Sink.metrics s with
-    | Some r -> Metrics.counter_value r "work"
-    | None -> -1
+  (* the join span adds its own counter and histogram *)
+  let task_metrics s =
+    Metrics.of_events
+      (List.filter (fun e -> e.Sink.name <> "telemetry.join") (Sink.events s))
+    |> Metrics.to_json |> Json.to_string
   in
   Tca_engine.Pool.with_pool ~workers:3 @@ fun pool ->
   List.iter
@@ -503,7 +532,7 @@ let test_fan_out_equals_serial () =
         (Array.for_all fst untraced);
       Alcotest.(check (array int)) (label ^ ": untraced results") expected
         (Array.map snd untraced);
-      let parent = Sink.create ~metrics:(Metrics.create ()) () in
+      let parent = Sink.create () in
       let traced =
         Timing.fan_out ~telemetry:parent ~par
           (fun ~telemetry i ->
@@ -515,107 +544,20 @@ let test_fan_out_equals_serial () =
       Alcotest.(check bool) (label ^ ": joined events = serial + join span")
         true
         (List.map shape (Sink.events parent) = expected_shapes);
-      Alcotest.(check int) (label ^ ": metrics fold to serial totals")
-        (work reference) (work parent))
+      Alcotest.(check string) (label ^ ": metrics equal serial totals")
+        (metrics_json reference) (task_metrics parent))
     [ ("serial", Tca_util.Parmap.serial); ("pool", Tca_engine.Pool.parmap pool) ]
 
 let test_fork_carries_capabilities () =
-  let bare = Sink.create ~interval:7 () in
-  let child = Sink.fork bare in
+  let parent = Sink.create ~interval:7 () in
+  Sink.instant parent ~ts:0.0 "before";
+  let child = Sink.fork parent in
   Alcotest.(check int) "interval inherited" 7 (Sink.interval child);
-  Alcotest.(check bool) "no registry on bare fork" true
-    (Sink.metrics child = None);
-  let with_reg = Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) () in
-  Alcotest.(check bool) "fresh registry on instrumented fork" true
-    (Sink.metrics (Sink.fork with_reg) <> None)
-
-let test_metrics_merge_into () =
-  let module M = Tca_telemetry.Metrics in
-  let dst = M.create () and src = M.create () in
-  M.Counter.add (M.counter_exn dst "c") 3;
-  M.Counter.add (M.counter_exn src "c") 4;
-  M.Gauge.set (M.gauge_exn dst "g") 1.0;
-  M.Gauge.set (M.gauge_exn src "g") 2.5;
-  M.Counter.incr (M.counter_exn src "only_src");
-  M.merge_into dst src;
-  Alcotest.(check int) "counters add" 7 (M.counter_value dst "c");
-  Alcotest.(check (float 1e-9)) "gauge takes src" 2.5
-    (M.Gauge.value (M.gauge_exn dst "g"));
-  Alcotest.(check int) "src-only adopted" 1 (M.counter_value dst "only_src");
-  (* src is untouched by the fold *)
-  Alcotest.(check int) "src intact" 4 (M.counter_value src "c")
-
-let test_metrics_merge_kind_mismatch_skips () =
-  let module M = Tca_telemetry.Metrics in
-  let dst = M.create () and src = M.create () in
-  M.Counter.add (M.counter_exn dst "x") 5;
-  M.Gauge.set (M.gauge_exn src "x") 9.0;
-  M.Counter.incr (M.counter_exn src "ok");
-  (* mismatched name is skipped; the rest of the fold still happens *)
-  M.merge_into dst src;
-  Alcotest.(check int) "mismatch left alone" 5 (M.counter_value dst "x");
-  Alcotest.(check int) "rest merged" 1 (M.counter_value dst "ok")
-
-let test_metrics_merge_histograms () =
-  let module M = Tca_telemetry.Metrics in
-  let bounds = [| 1.0 |] in
-  (* single-bucket histogram: one finite bound plus overflow *)
-  let dst = M.create () and src = M.create () in
-  let hd = M.histogram_exn ~bounds dst "h" in
-  let hs = M.histogram_exn ~bounds src "h" in
-  List.iter (M.Histogram.observe hd) [ 0.5; 3.0 ];
-  List.iter (M.Histogram.observe hs) [ 0.25; 0.75; 9.0 ];
-  M.merge_into dst src;
-  Alcotest.(check int) "count adds" 5 (M.Histogram.count hd);
-  Alcotest.(check (float 1e-9)) "sum adds" 13.5 (M.Histogram.sum hd);
-  (match M.Histogram.buckets hd with
-  | [ (1.0, le1); (binf, all) ] ->
-      Alcotest.(check int) "<=1 bucket-wise" 3 le1;
-      Alcotest.(check bool) "overflow bound" true (binf = Float.infinity);
-      Alcotest.(check int) "overflow cumulative" 5 all
-  | bs -> Alcotest.failf "expected 2 buckets, got %d" (List.length bs));
-  (* src untouched *)
-  Alcotest.(check int) "src intact" 3 (M.Histogram.count hs);
-  (* mismatched bounds: skipped, dst left alone *)
-  let odd = M.create () in
-  ignore (M.histogram_exn ~bounds:[| 1.0; 2.0 |] odd "h");
-  M.Histogram.observe (M.histogram_exn ~bounds:[| 1.0; 2.0 |] odd "h") 0.1;
-  M.merge_into dst odd;
-  Alcotest.(check int) "bounds mismatch skipped" 5 (M.Histogram.count hd)
-
-let test_metrics_merge_empty_and_self () =
-  let module M = Tca_telemetry.Metrics in
-  let dst = M.create () in
-  M.Counter.add (M.counter_exn dst "c") 3;
-  M.Gauge.set (M.gauge_exn dst "g") 1.5;
-  M.Histogram.observe (M.histogram_exn dst "h") 0.5;
-  (* merging an empty registry is a no-op *)
-  M.merge_into dst (M.create ());
-  Alcotest.(check int) "empty src: counter" 3 (M.counter_value dst "c");
-  Alcotest.(check int) "empty src: histogram" 1
-    (M.Histogram.count (M.histogram_exn dst "h"));
-  (* merging into an empty registry adopts everything *)
-  let fresh = M.create () in
-  M.merge_into fresh dst;
-  Alcotest.(check int) "empty dst: counter" 3 (M.counter_value fresh "c");
-  Alcotest.(check (float 1e-9)) "empty dst: gauge" 1.5
-    (M.Gauge.value (M.gauge_exn fresh "g"));
-  Alcotest.(check int) "empty dst: histogram" 1
-    (M.Histogram.count (M.histogram_exn fresh "h"));
-  (* merge-with-self: counters and histograms double, gauges keep their
-     value; must terminate (names are snapshotted before mutation) *)
-  M.merge_into dst dst;
-  Alcotest.(check int) "self: counter doubles" 6 (M.counter_value dst "c");
-  Alcotest.(check (float 1e-9)) "self: gauge unchanged" 1.5
-    (M.Gauge.value (M.gauge_exn dst "g"));
-  Alcotest.(check int) "self: histogram doubles" 2
-    (M.Histogram.count (M.histogram_exn dst "h"));
-  Alcotest.(check (float 1e-9)) "self: histogram sum doubles" 1.0
-    (M.Histogram.sum (M.histogram_exn dst "h"))
+  Alcotest.(check int) "events not inherited" 0 (Sink.length child)
 
 let test_join_empty_child () =
   (* joining a child that recorded nothing must not disturb the parent *)
-  let parent = Sink.create ~metrics:(Tca_telemetry.Metrics.create ()) () in
+  let parent = Sink.create () in
   Sink.instant parent ~ts:1.0 "before";
   let child = Sink.fork parent in
   Sink.join ~into:parent child;
@@ -765,12 +707,21 @@ let test_profiler_degrades () =
   Alcotest.(check (float 1e-12)) "sim track ignored" 400e-6 p'.Profiler.wall_s
 
 let test_profiler_gc_counters () =
-  let r = Metrics.create () in
-  Metrics.Counter.add (Metrics.counter_exn r "task.gc.minor_words") 1234;
-  Metrics.Counter.add (Metrics.counter_exn r "task.gc.major_collections") 2;
-  let s = Sink.create ~metrics:r () in
+  let s = Sink.create () in
   Sink.span s ~pid:Sink.track_wall ~tid:0 ~ts:0.0 ~dur:10.0
     Profiler.total_span_name;
+  Alcotest.(check (list (pair string int))) "no task.run, no gc table" []
+    (Profiler.of_sink s).Profiler.gc;
+  List.iter
+    (fun (minor, major) ->
+      wall_span s ~seconds:1e-6
+        ~args:
+          [
+            ("gc_minor_words", Json.Int minor);
+            ("gc_major_collections", Json.Int major);
+          ]
+        "task.run")
+    [ (1000, 2); (234, 0) ];
   let p = Profiler.of_sink s in
   Alcotest.(check (option int)) "minor words" (Some 1234)
     (List.assoc_opt "minor_words" p.Profiler.gc);
@@ -783,7 +734,7 @@ let test_profiler_gc_counters () =
 
 let test_sim_stats_json_csv () =
   let pair = sim_pair () in
-  let stats, _, _ = run_with_sink pair.Tca_workloads.Meta.accelerated in
+  let stats, _ = run_with_sink pair.Tca_workloads.Meta.accelerated in
   let j = Tca_uarch.Sim_stats.to_json stats in
   Alcotest.(check (option int)) "cycles field"
     (Some stats.Tca_uarch.Sim_stats.cycles)
@@ -794,7 +745,7 @@ let test_sim_stats_json_csv () =
 
 let test_speedup_result () =
   let pair = sim_pair () in
-  let stats, _, _ = run_with_sink pair.Tca_workloads.Meta.accelerated in
+  let stats, _ = run_with_sink pair.Tca_workloads.Meta.accelerated in
   (match Tca_uarch.Sim_stats.speedup ~baseline:stats ~accelerated:stats with
   | Ok s -> Alcotest.(check (float 1e-9)) "self speedup" 1.0 s
   | Error d -> Alcotest.fail (Tca_util.Diag.to_string d));
@@ -821,18 +772,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "bad bounds" `Quick test_histogram_bad_bounds;
-          Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "to_json" `Quick test_metrics_to_json;
-          Alcotest.test_case "merge_into" `Quick test_metrics_merge_into;
-          Alcotest.test_case "merge kind mismatch skips" `Quick
-            test_metrics_merge_kind_mismatch_skips;
-          Alcotest.test_case "merge histograms" `Quick
-            test_metrics_merge_histograms;
-          Alcotest.test_case "merge empty and self" `Quick
-            test_metrics_merge_empty_and_self;
         ] );
       ( "sink",
         [
