@@ -127,11 +127,10 @@ let run_simulator () =
     Printf.eprintf
       "[simulator] WARNING: optimized stats differ from reference on %s\n"
       (String.concat ", " differing);
-  (* The identity check above also warmed both paths (and the decode
-     memo). One run per side per pair, the order flipped every pair so a
-     drift in host speed hits both sides alike; the major collection
-     before each run sits outside its timed window, so neither side pays
-     for the other's garbage. *)
+  (* The identity check above also warmed both paths. One run per side
+     per pair, the order flipped every pair so a drift in host speed hits
+     both sides alike; the major collection before each run sits outside
+     its timed window, so neither side pays for the other's garbage. *)
   let run_once f =
     Gc.full_major ();
     time (fun () -> ignore (f () : Sim_stats.t))

@@ -9,8 +9,6 @@ let kind_name = function
   | Anti -> "anti"
   | Output -> "output"
 
-type edge = { src : int; dst : int; kind : kind }
-
 type stats = {
   nodes : int;
   true_reg : int;
@@ -23,13 +21,11 @@ type stats = {
 
 type t = {
   n : int;
-  edges_rev : edge list;  (** newest first; reversed on demand *)
   preds : (int * kind) list array;
   stats : stats;
 }
 
 let length t = t.n
-let edges t = List.rev t.edges_rev
 let preds t i = t.preds.(i)
 let stats t = t.stats
 
@@ -43,14 +39,12 @@ let build ?(line_bytes = 64) instrs =
   let n = Array.length instrs in
   let line a = a / line_bytes in
   let preds = Array.make n [] in
-  let edges_rev = ref [] in
   let true_reg = ref 0
   and true_mem = ref 0
   and mem_data = ref 0
   and anti = ref 0
   and output = ref 0 in
   let add_edge src dst kind =
-    edges_rev := { src; dst; kind } :: !edges_rev;
     preds.(dst) <- (src, kind) :: preds.(dst);
     incr
       (match kind with
@@ -124,7 +118,6 @@ let build ?(line_bytes = 64) instrs =
     instrs;
   {
     n;
-    edges_rev = !edges_rev;
     preds;
     stats =
       {

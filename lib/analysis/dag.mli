@@ -27,8 +27,6 @@ type kind =
 
 val kind_name : kind -> string
 
-type edge = { src : int; dst : int; kind : kind }
-
 type stats = {
   nodes : int;
   true_reg : int;
@@ -49,9 +47,6 @@ val build : ?line_bytes:int -> Tca_uarch.Isa.instr array -> t
     the repository. *)
 
 val length : t -> int
-val edges : t -> edge list
-(** In construction order (sorted by [dst]). *)
-
 val preds : t -> int -> (int * kind) list
 (** Predecessors of a node with the connecting edge kind. *)
 

@@ -5,7 +5,9 @@
     each span's {e self} time (duration minus direct children). On top
     of that it buckets every span name into one of six fixed
     components: [decode], [sim], [fork_join], [cache], [scheduler] and
-    [other].
+    [other]. [decode] collects [sim.decode*] spans, which the simulator
+    does not emit (a trace packs its columns when it is built): it
+    reads 0 and is kept so that the component keys stay fixed.
 
     The component table is computed over the {e owner lane}, the lane
     carrying the {!total_span_name} span that [tca profile] wraps

@@ -7,10 +7,11 @@
    tests in test_uarch.ml pin it. The optimizations change the
    representation and skip work that provably changes nothing:
 
-   - the trace is pre-decoded once into [Trace.Decoded] flat arrays
-     (shared and memoized per trace), so the per-cycle loops index int
-     arrays instead of chasing [Isa.instr] records and matching variant
-     constructors;
+   - dispatch unpacks each uop with one [Trace.Decoded.read] from the
+     trace's packed columns (built with the trace) and keeps its op,
+     address and destination in per-slot arrays, so the per-cycle loops
+     index int arrays instead of chasing [Isa.instr] records and
+     matching variant constructors;
    - pending accelerator writes live in a parallel-array stack instead
      of a per-cycle [List.partition] (drained newest-first, exactly the
      reference's list order, since store order shapes cache LRU state);
@@ -83,7 +84,8 @@ type state = {
          writes it, so an attached sink cannot perturb results (asserted
          by the fuzz harness). *)
   trace : Trace.t;
-  d : D.t;  (* pre-decoded struct-of-arrays view of [trace] *)
+  d : D.t;  (* the packed columns of [trace] *)
+  u : D.uop;  (* the uop being dispatched, read from [d] *)
   tlen : int;
   hier : Mem_hier.t;
   bp : Bpred.t;
@@ -113,6 +115,11 @@ type state = {
   lat : int array;  (* latency per opcode, indexed by [D.op_*] *)
   (* Parallel ROB arrays, indexed by slot. *)
   tr_idx : int array;
+  (* The slot's uop as dispatch read it from [d]: op code, address (a
+     load's or store's), destination register. *)
+  op_of : int array;
+  addr_of : int array;
+  dst_of : int array;
   st : int array;
   complete_at : int array;
   seq : int array;
@@ -151,7 +158,7 @@ type state = {
   mutable pending_redirect_seq : int;
   mutable serialize_slot : int;  (* in-flight NT TCA blocking dispatch, -1 none *)
   (* Pending accelerator writebacks: a stack of (due cycle, span in
-     [d.accel_mem]) triples, drained newest-first. *)
+     the pool of [d]) triples, drained newest-first. *)
   mutable paw_at : int array;
   mutable paw_off : int array;
   mutable paw_len : int array;
@@ -190,6 +197,7 @@ let create ?telemetry cfg trace =
     telemetry;
     trace;
     d = Trace.decoded trace;
+    u = D.uop ();
     tlen = Trace.length trace;
     hier = Mem_hier.create cfg.Config.mem;
     bp;
@@ -221,6 +229,9 @@ let create ?telemetry cfg trace =
     fp_units = cfg.Config.fp_units;
     lat;
     tr_idx = Array.make r (-1);
+    op_of = Array.make r 0;
+    addr_of = Array.make r 0;
+    dst_of = Array.make r Isa.no_reg;
     st = Array.make r st_empty;
     complete_at = Array.make r 0;
     seq = Array.make r (-1);
@@ -349,7 +360,7 @@ let older_store_match s load_seq addr =
     else
       let slot = s.stq.(wrap s (s.stq_head + k)) in
       if s.seq.(slot) >= load_seq then scan (k - 1)
-      else if s.d.addr.(s.tr_idx.(slot)) = addr then
+      else if s.addr_of.(slot) = addr then
         if s.st.(slot) = st_done then `Forward else `Blocked
       else scan (k - 1)
   in
@@ -374,12 +385,11 @@ let accel_speculative s slot =
    store order shapes LRU/dirty state), then the survivors compact in
    place keeping their relative order. *)
 let drain_accel_writes s =
-  let mem = s.d.accel_mem in
   for i = s.paw_count - 1 downto 0 do
     if s.paw_at.(i) <= s.cycle then begin
       let off = s.paw_off.(i) in
       for k = off to off + s.paw_len.(i) - 1 do
-        Mem_hier.store s.hier mem.(k)
+        Mem_hier.store s.hier (D.pool s.d k)
       done
     end
   done;
@@ -450,17 +460,16 @@ let rec commit_loop s n =
     let slot = s.head in
     if s.st.(slot) = st_done && s.complete_at.(slot) + s.commit_depth <= s.cycle
     then begin
-      let ti = s.tr_idx.(slot) in
-      let opc = s.d.op.(ti) in
+      let opc = s.op_of.(slot) in
       if opc = D.op_store then begin
-        Mem_hier.store s.hier s.d.addr.(ti);
+        Mem_hier.store s.hier s.addr_of.(slot);
         (* the head store is necessarily the oldest in the queue *)
         s.stq_head <- wrap s (s.stq_head + 1);
         s.stq_count <- s.stq_count - 1
       end;
       if opc = D.op_load || opc = D.op_store then
         s.lsq_count <- s.lsq_count - 1;
-      let dst = s.d.dst.(ti) in
+      let dst = s.dst_of.(slot) in
       if dst >= 0 && s.ren_slot.(dst) = slot && s.ren_seq.(dst) = s.seq.(slot)
       then begin
         s.ren_slot.(dst) <- -1;
@@ -498,7 +507,7 @@ let rec accel_reads_loop s ~now off k len acc =
   if k >= len then acc
   else
     accel_reads_loop s ~now off (k + 1) len
-      (max acc (memory_read s ~now s.d.accel_mem.(off + k)))
+      (max acc (memory_read s ~now (D.pool s.d (off + k))))
 
 let rec accel_writes_loop ports ~now k len acc =
   if k >= len then acc
@@ -521,18 +530,19 @@ let issue_accel s slot ti u =
   let start =
     Tca_unit.State.start s.units u ~cycle:s.cycle ~ready:s.cfg_ready.(slot)
   in
-  let reads_len = s.d.reads_len.(ti) in
-  let writes_len = s.d.writes_len.(ti) in
+  let reads_len = D.reads_len s.d ti in
+  let writes_len = D.writes_len s.d ti in
+  let compute_latency = D.accel_lat s.d ti in
   let reads_done =
-    accel_reads_loop s ~now:start s.d.reads_off.(ti) 0 reads_len start
+    accel_reads_loop s ~now:start (D.reads_off s.d ti) 0 reads_len start
   in
-  let compute_done = reads_done + s.d.accel_lat.(ti) in
+  let compute_done = reads_done + compute_latency in
   let write_done =
     accel_writes_loop s.ports ~now:compute_done 0 writes_len compute_done
   in
   let finish = max compute_done write_done in
   if writes_len > 0 then
-    push_accel_write s ~finish ~off:s.d.writes_off.(ti) ~len:writes_len;
+    push_accel_write s ~finish ~off:(D.writes_off s.d ti) ~len:writes_len;
   let complete = max finish (s.cycle + 1) in
   start_executing s slot complete;
   Tca_unit.State.finish s.units u ~issued:s.cycle ~complete;
@@ -546,7 +556,7 @@ let issue_accel s slot ti u =
           ([
              ("reads", Tca_util.Json.Int reads_len);
              ("writes", Tca_util.Json.Int writes_len);
-             ("compute_latency", Tca_util.Json.Int s.d.accel_lat.(ti));
+             ("compute_latency", Tca_util.Json.Int compute_latency);
            ]
           @ if s.n_units > 1 then [ ("unit", Tca_util.Json.Int u) ] else [])
         ~ts:(float_of_int s.cycle)
@@ -567,8 +577,7 @@ let rec issue_walk s p e issued ialu imult fp =
       if e = s.rob then issue_walk s 0 s.tail issued ialu imult fp else issued
     else
       let next = slot + 1 in
-      let ti = s.tr_idx.(slot) in
-      let opc = s.d.op.(ti) in
+      let opc = s.op_of.(slot) in
       if opc = D.op_int_alu || opc = D.op_branch then
         if ialu < s.int_alu_units then begin
           start_executing s slot (s.cycle + s.lat.(opc));
@@ -593,17 +602,19 @@ let rec issue_walk s p e issued ialu imult fp =
         issue_walk s next e (issued + 1) ialu imult fp
       end
       else if opc = D.op_load then (
-        match older_store_match s s.seq.(slot) s.d.addr.(ti) with
+        let addr = s.addr_of.(slot) in
+        match older_store_match s s.seq.(slot) addr with
         | `Blocked -> issue_walk s next e issued ialu imult fp
         | `Forward ->
             start_executing s slot (s.cycle + 1);
             issue_walk s next e (issued + 1) ialu imult fp
         | `None ->
-            start_executing s slot (memory_read s ~now:s.cycle s.d.addr.(ti));
+            start_executing s slot (memory_read s ~now:s.cycle addr);
             issue_walk s next e (issued + 1) ialu imult fp)
       else begin
         (* accel *)
-        let u = s.d.accel_unit.(ti) in
+        let ti = s.tr_idx.(slot) in
+        let u = D.accel_unit s.d ti in
         if accel_speculative s slot || slot = s.head then begin
           issue_accel s slot ti u;
           issue_walk s next e (issued + 1) ialu imult fp
@@ -643,7 +654,9 @@ let rec dispatch_loop s dispatched =
   end
   else begin
     let ti = s.next_fetch in
-    let opc = s.d.op.(ti) in
+    let u = s.u in
+    D.read s.d ti u;
+    let opc = u.D.op in
     let is_mem = opc = D.op_load || opc = D.op_store in
     if is_mem && s.lsq_count = s.lsq_size then begin
       s.stall_reason <- stall_lsq;
@@ -655,7 +668,7 @@ let rec dispatch_loop s dispatched =
         if opc <> D.op_accel then stall_none
         else
           match
-            Tca_unit.State.gate s.units s.d.accel_unit.(ti) ~instr:ti
+            Tca_unit.State.gate s.units (D.accel_unit s.d ti) ~instr:ti
               ~cycle:s.cycle
           with
           | Tca_unit.State.Go -> stall_none
@@ -671,21 +684,24 @@ let rec dispatch_loop s dispatched =
       s.tail <- wrap s (s.tail + 1);
       s.count <- s.count + 1;
       s.tr_idx.(slot) <- ti;
+      s.op_of.(slot) <- opc;
       s.st.(slot) <- st_waiting;
       s.seq.(slot) <- s.next_seq;
       s.next_seq <- s.next_seq + 1;
       let pending =
-        wait_on s slot 0 s.d.src1.(ti) + wait_on s slot 1 s.d.src2.(ti)
+        wait_on s slot 0 u.D.src1 + wait_on s slot 1 u.D.src2
       in
       s.producer_pending.(slot) <- pending;
       if pending = 0 then set_ready s slot;
-      let dst = s.d.dst.(ti) in
+      let dst = u.D.dst in
+      s.dst_of.(slot) <- dst;
       if dst >= 0 then begin
         s.ren_slot.(dst) <- slot;
         s.ren_seq.(dst) <- s.seq.(slot)
       end;
       s.iq_count <- s.iq_count + 1;
       if is_mem then begin
+        s.addr_of.(slot) <- u.D.operand;
         s.lsq_count <- s.lsq_count + 1;
         if opc = D.op_store then begin
           s.stq.(wrap s (s.stq_head + s.stq_count)) <- slot;
@@ -695,8 +711,8 @@ let rec dispatch_loop s dispatched =
       if opc = D.op_branch then begin
         s.branches <- s.branches + 1;
         if not s.bp_perfect then begin
-          let pc = s.d.pc.(ti) in
-          let taken = s.d.taken.(ti) in
+          let pc = u.D.operand in
+          let taken = u.D.taken in
           let predicted = Bpred.predict s.bp ~pc in
           Bpred.update s.bp ~pc ~taken;
           if predicted <> taken then begin
@@ -714,7 +730,7 @@ let rec dispatch_loop s dispatched =
         end
       end
       else if opc = D.op_accel then begin
-        let u = s.d.accel_unit.(ti) in
+        let u = D.accel_unit s.d ti in
         s.occupancy_at_accel_sum <- s.occupancy_at_accel_sum + s.count - 1;
         if not s.allow_trailing then s.serialize_slot <- slot;
         s.cfg_ready.(slot) <-
@@ -880,16 +896,17 @@ let next_event s =
   if r = stall_redirect then imin e s.fetch_resume_at
   else if r = stall_config || r = stall_config_queue then
     imin e
-      (Tca_unit.State.gate_open_at s.units s.d.accel_unit.(s.next_fetch))
+      (Tca_unit.State.gate_open_at s.units (D.accel_unit s.d s.next_fetch))
   else e
 
 (* Every ready accelerator waited [k] more cycles for the head. *)
 let rec replay_head_waits s p k =
   let slot = next_ready s p s.rob in
   if slot < s.rob then begin
-    let ti = s.tr_idx.(slot) in
-    if s.d.op.(ti) = D.op_accel then
-      Tca_unit.State.add_head_waits s.units s.d.accel_unit.(ti) k;
+    if s.op_of.(slot) = D.op_accel then
+      Tca_unit.State.add_head_waits s.units
+        (D.accel_unit s.d s.tr_idx.(slot))
+        k;
     replay_head_waits s (slot + 1) k
   end
 
@@ -965,27 +982,31 @@ let run_instrumented s cap probe snap =
   !watchdog
 
 (* A trace invoking a unit id outside [cfg.tca_units] would index the
-   per-unit state out of bounds; reject the pairing up front. *)
+   per-unit state out of bounds; reject the pairing up front. Only the
+   invocations are walked, in trace order. *)
 let validate cfg trace =
   match Config.validate cfg with
   | Result.Error _ as e -> e
   | Ok () ->
       let d = Trace.decoded trace in
       let nu = Array.length cfg.Config.tca_units in
-      let rec first_bad i =
-        if i >= d.D.n then Ok ()
-        else if d.D.accel_unit.(i) < nu then first_bad (i + 1)
+      let rec first_bad j =
+        if j >= D.invocations d then Ok ()
         else
-          Error
-            (Tca_util.Diag.Invalid
-               {
-                 field = "Trace";
-                 message =
-                   Printf.sprintf
-                     "instruction %d invokes TCA unit %d but \
-                      Config.tca_units defines %d unit(s)"
-                     i d.D.accel_unit.(i) nu;
-               })
+          let i = D.invocation d j in
+          let u = D.accel_unit d i in
+          if u < nu then first_bad (j + 1)
+          else
+            Error
+              (Tca_util.Diag.Invalid
+                 {
+                   field = "Trace";
+                   message =
+                     Printf.sprintf
+                       "instruction %d invokes TCA unit %d but \
+                        Config.tca_units defines %d unit(s)"
+                       i u nu;
+                 })
       in
       first_bad 0
 

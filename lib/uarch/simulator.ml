@@ -25,10 +25,10 @@ let measure_ipc_exn ?telemetry cfg trace =
   Tca_util.Diag.ok_exn (measure_ipc ?telemetry cfg trace)
 
 (* Containment: a raise from one entry — a typed [Diag.Error] escaping a
-   convenience call, or any other exception from decode or run — costs
-   that entry its result, never the batch. Without this, the eager
-   decode below (or a raise inside a parallel [Pipeline.run]) would tear
-   down all N entries on one poisoned trace. *)
+   convenience call, or any other exception from its run — costs that
+   entry its result, never the batch. Without this, a raise inside a
+   parallel [Pipeline.run] would tear down all N entries on one poisoned
+   trace. *)
 let contain i f =
   try f () with
   | Tca_util.Diag.Error d -> Error d
@@ -44,32 +44,15 @@ let contain i f =
            })
 
 let run_batch ?telemetry ?par entries =
-  (* Decode every distinct trace eagerly, before the fan-out: the memo
-     on [Trace.t] makes later decodes free, and pre-populating it here
-     keeps parallel domains from racing to duplicate the same work
-     (the race is benign — decoding is pure — just wasteful). A decode
-     failure is remembered per entry and reported in place. *)
-  let decode_failures =
-    Tca_telemetry.Timing.with_span telemetry "sim.decode" (fun () ->
-        Array.mapi
-          (fun i (_, trace) ->
-            match contain i (fun () -> Ok (ignore (Trace.decoded trace))) with
-            | Ok () -> None
-            | Error d -> Some d)
-          entries)
-  in
   Tca_telemetry.Timing.fan_out ?telemetry ?par
     (fun ~telemetry i ->
-      match decode_failures.(i) with
-      | Some d -> Error d
-      | None ->
-          contain i (fun () ->
-              let cfg, trace = entries.(i) in
-              (* The span lands in the entry's own forked sink, so the
-                 merged trace carries it at the same position whatever
-                 [par] is — on the lane of the domain that ran it. *)
-              Tca_telemetry.Timing.with_span telemetry "sim.step" (fun () ->
-                  Pipeline.run ?telemetry cfg trace)))
+      contain i (fun () ->
+          let cfg, trace = entries.(i) in
+          (* The span lands in the entry's own forked sink, so the merged
+             trace carries it at the same position whatever [par] is — on
+             the lane of the domain that ran it. *)
+          Tca_telemetry.Timing.with_span telemetry "sim.step" (fun () ->
+              Pipeline.run ?telemetry cfg trace)))
     (Array.init (Array.length entries) Fun.id)
 
 let compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated () =
@@ -77,8 +60,7 @@ let compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated () =
      independent, so they form one [run_batch]: each run records into
      its own forked sink, joined back in canonical order (baseline
      first, then [Config.all_couplings] order), so the merged trace is
-     the same whatever [par] is — and the accelerated trace is decoded
-     once for all four couplings. *)
+     the same whatever [par] is. *)
   let couplings = Array.of_list Config.all_couplings in
   let n = 1 + Array.length couplings in
   let results =

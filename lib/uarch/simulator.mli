@@ -34,18 +34,18 @@ val run_batch :
   (Config.t * Trace.t) array ->
   (Pipeline.outcome, Tca_util.Diag.t) result array
 (** Run every (configuration, trace) entry through {!Pipeline.run}, one
-    result per entry in entry order. Each distinct trace is pre-decoded
-    exactly once before the fan-out (see {!Trace.decoded}), so repeated
-    evaluation of the same trace — mode comparisons, frequency sweeps,
-    repetitions — amortizes decode across the whole batch. [?par]
+    result per entry in entry order. Nothing is decoded here: a trace
+    carries its packed columns from construction (see {!Trace.decoded}),
+    so every run of the same trace — mode comparisons, frequency sweeps,
+    repetitions — reads the same columns. [?par]
     (default serial) spreads the runs over a pool with bit-identical
     results: each run records into a fork of [?telemetry], and the
     children are joined back in entry order whatever [par] is.
     Failures are contained per entry: an [Error] (bad configuration), a
     watchdog truncation ([Ok (Partial _)] with the diag in place — see
-    {!Pipeline.run}) or even an exception escaping one entry's decode
-    or run (reported as [Error (Task_failure _)]) never poisons the
-    other N-1 results. *)
+    {!Pipeline.run}) or even an exception escaping one entry's run
+    (reported as [Error (Task_failure _)]) never poisons the other N-1
+    results. *)
 
 val compare_modes :
   ?telemetry:Tca_telemetry.Sink.t ->

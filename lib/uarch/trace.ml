@@ -8,22 +8,23 @@ module Decoded = struct
   let op_branch = 6
   let op_accel = 7
 
+  (* Per uop, four bytes of [codes] and one int of [operands]. Byte [4i]
+     holds the op code (bits 0-2) and the taken bit (bit 3); bytes
+     [4i+1] to [4i+3] hold src1, src2 and dst, each as register + 1 so
+     [Isa.no_reg] packs as 0. [operands] holds the address of a load or
+     store, the pc of a branch, the side-table index of an invocation,
+     and 0 otherwise. Invocation [j] of the side table is uop
+     [acc_instr.(j)]; its reads are [pool.(acc_span.(2j) ..
+     acc_span.(2j+1) - 1)] and its writes run on to
+     [acc_span.(2j+2) - 1]. *)
   type t = {
-    n : int;
-    op : int array;
-    src1 : int array;
-    src2 : int array;
-    dst : int array;
-    addr : int array;
-    pc : int array;
-    taken : bool array;
-    accel_lat : int array;
-    accel_unit : int array;
-    reads_off : int array;
-    reads_len : int array;
-    writes_off : int array;
-    writes_len : int array;
-    accel_mem : int array;
+    codes : Bytes.t;
+    operands : int array;
+    acc_instr : int array;
+    acc_lat : int array;
+    acc_unit : int array;
+    acc_span : int array;
+    pool : int array;
   }
 
   let op_code : Isa.op -> int = function
@@ -36,65 +37,116 @@ module Decoded = struct
     | Isa.Branch -> op_branch
     | Isa.Accel _ -> op_accel
 
-  let of_instrs (instrs : Isa.instr array) =
+  let byte d k = Char.code (Bytes.get d.codes k)
+  let length d = Bytes.length d.codes / 4
+  let op d i = byte d (4 * i) land 7
+  let taken d i = byte d (4 * i) land 8 <> 0
+  let src1 d i = byte d ((4 * i) + 1) - 1
+  let src2 d i = byte d ((4 * i) + 2) - 1
+  let dst d i = byte d ((4 * i) + 3) - 1
+  let addr d i = d.operands.(i)
+  let pc d i = d.operands.(i)
+  let accel_lat d i = d.acc_lat.(d.operands.(i))
+  let accel_unit d i = d.acc_unit.(d.operands.(i))
+  let reads_off d i = d.acc_span.(2 * d.operands.(i))
+  let writes_off d i = d.acc_span.((2 * d.operands.(i)) + 1)
+  let reads_len d i = writes_off d i - reads_off d i
+  let writes_len d i = d.acc_span.((2 * d.operands.(i)) + 2) - writes_off d i
+  let pool d k = d.pool.(k)
+  let invocations d = Array.length d.acc_instr
+  let invocation d j = d.acc_instr.(j)
+
+  type uop = {
+    mutable op : int;
+    mutable taken : bool;
+    mutable src1 : int;
+    mutable src2 : int;
+    mutable dst : int;
+    mutable operand : int;
+  }
+
+  let uop () =
+    {
+      op = 0;
+      taken = false;
+      src1 = Isa.no_reg;
+      src2 = Isa.no_reg;
+      dst = Isa.no_reg;
+      operand = 0;
+    }
+
+  let read d i u =
+    u.operand <- d.operands.(i);
+    (* In bounds: [codes] holds four bytes for each of the [operands],
+       and indexing those just checked [i]. *)
+    let k = 4 * i in
+    let c = Char.code (Bytes.unsafe_get d.codes k) in
+    u.op <- c land 7;
+    u.taken <- c land 8 <> 0;
+    u.src1 <- Char.code (Bytes.unsafe_get d.codes (k + 1)) - 1;
+    u.src2 <- Char.code (Bytes.unsafe_get d.codes (k + 2)) - 1;
+    u.dst <- Char.code (Bytes.unsafe_get d.codes (k + 3)) - 1
+
+  (* Expects a validated trace, so every register + 1 fits its byte. *)
+  let () = assert (Isa.num_arch_regs < 256)
+
+  let pack (instrs : Isa.instr array) =
     let n = Array.length instrs in
-    let pool = ref 0 in
+    let m = ref 0 and pool_len = ref 0 in
     Array.iter
       (fun (ins : Isa.instr) ->
         match ins.Isa.op with
         | Isa.Accel a ->
-            pool := !pool + Array.length a.Isa.reads + Array.length a.Isa.writes
+            incr m;
+            pool_len :=
+              !pool_len + Array.length a.Isa.reads + Array.length a.Isa.writes
         | _ -> ())
       instrs;
+    let m = !m in
     let d =
       {
-        n;
-        op = Array.make n 0;
-        src1 = Array.make n Isa.no_reg;
-        src2 = Array.make n Isa.no_reg;
-        dst = Array.make n Isa.no_reg;
-        addr = Array.make n 0;
-        pc = Array.make n 0;
-        taken = Array.make n false;
-        accel_lat = Array.make n 0;
-        accel_unit = Array.make n 0;
-        reads_off = Array.make n 0;
-        reads_len = Array.make n 0;
-        writes_off = Array.make n 0;
-        writes_len = Array.make n 0;
-        accel_mem = Array.make (max 1 !pool) 0;
+        codes = Bytes.create (4 * n);
+        operands = Array.make n 0;
+        acc_instr = Array.make m 0;
+        acc_lat = Array.make m 0;
+        acc_unit = Array.make m 0;
+        acc_span = Array.make ((2 * m) + 1) 0;
+        pool = Array.make !pool_len 0;
       }
     in
-    let off = ref 0 in
-    Array.iteri
-      (fun i (ins : Isa.instr) ->
-        d.op.(i) <- op_code ins.Isa.op;
-        d.src1.(i) <- ins.Isa.src1;
-        d.src2.(i) <- ins.Isa.src2;
-        d.dst.(i) <- ins.Isa.dst;
-        d.addr.(i) <- ins.Isa.addr;
-        d.pc.(i) <- ins.Isa.pc;
-        d.taken.(i) <- ins.Isa.taken;
-        match ins.Isa.op with
-        | Isa.Accel a ->
-            let nr = Array.length a.Isa.reads in
-            let nw = Array.length a.Isa.writes in
-            d.accel_lat.(i) <- a.Isa.compute_latency;
-            d.accel_unit.(i) <- a.Isa.unit_id;
-            d.reads_off.(i) <- !off;
-            d.reads_len.(i) <- nr;
-            Array.blit a.Isa.reads 0 d.accel_mem !off nr;
-            off := !off + nr;
-            d.writes_off.(i) <- !off;
-            d.writes_len.(i) <- nw;
-            Array.blit a.Isa.writes 0 d.accel_mem !off nw;
-            off := !off + nw
-        | _ -> ())
-      instrs;
+    let j = ref 0 and off = ref 0 in
+    for i = 0 to n - 1 do
+      let ins = instrs.(i) in
+      let k = 4 * i in
+      Bytes.set d.codes k
+        (Char.chr (op_code ins.Isa.op lor if ins.Isa.taken then 8 else 0));
+      Bytes.set d.codes (k + 1) (Char.chr (ins.Isa.src1 + 1));
+      Bytes.set d.codes (k + 2) (Char.chr (ins.Isa.src2 + 1));
+      Bytes.set d.codes (k + 3) (Char.chr (ins.Isa.dst + 1));
+      match ins.Isa.op with
+      | Isa.Load | Isa.Store -> d.operands.(i) <- ins.Isa.addr
+      | Isa.Branch -> d.operands.(i) <- ins.Isa.pc
+      | Isa.Accel a ->
+          let j' = !j in
+          d.operands.(i) <- j';
+          d.acc_instr.(j') <- i;
+          d.acc_lat.(j') <- a.Isa.compute_latency;
+          d.acc_unit.(j') <- a.Isa.unit_id;
+          let blit span =
+            Array.blit span 0 d.pool !off (Array.length span);
+            off := !off + Array.length span
+          in
+          blit a.Isa.reads;
+          d.acc_span.((2 * j') + 1) <- !off;
+          blit a.Isa.writes;
+          d.acc_span.((2 * j') + 2) <- !off;
+          j := j' + 1
+      | Isa.Int_alu | Isa.Int_mult | Isa.Fp_alu | Isa.Fp_mult -> ()
+    done;
     d
 end
 
-type t = { instrs : Isa.instr array; mutable decoded_ : Decoded.t option }
+type t = { instrs : Isa.instr array; decoded : Decoded.t }
 
 let validate instrs =
   let check_reg r = r = Isa.no_reg || (r >= 0 && r < Isa.num_arch_regs) in
@@ -133,25 +185,14 @@ let validate instrs =
 
 let of_array instrs =
   match validate instrs with
-  | Ok () -> { instrs; decoded_ = None }
+  | Ok () -> { instrs; decoded = Decoded.pack instrs }
   | Error msg -> invalid_arg ("Trace.of_array: " ^ msg)
 
 let length t = Array.length t.instrs
 let get t i = t.instrs.(i)
 let iter f t = Array.iter f t.instrs
 
-(* Memoized: decoding is pure, so the benign race when two domains
-   decode the same trace concurrently only wastes work (both build the
-   same value; one pointer store wins). Callers that fan a trace out
-   across domains should still decode eagerly first — see
-   [Simulator.run_batch]. *)
-let decoded t =
-  match t.decoded_ with
-  | Some d -> d
-  | None ->
-      let d = Decoded.of_instrs t.instrs in
-      t.decoded_ <- Some d;
-      d
+let decoded t = t.decoded
 
 type counts = {
   total : int;
@@ -307,43 +348,6 @@ let parse_line lineno line =
       { Isa.pc; op; dst; src1; src2; addr; taken }
   | _ -> fail "too few fields"
 
-let of_channel ic =
-  let header = try input_line ic with End_of_file -> failwith "Trace.of_channel: empty input" in
-  let count =
-    match String.split_on_char ' ' (String.trim header) with
-    | [ "tca-trace"; "1"; n ] -> (
-        match int_of_string_opt n with
-        | Some c when c >= 0 -> c
-        | Some _ | None -> failwith "Trace.of_channel: bad count in header")
-    | _ -> failwith "Trace.of_channel: bad header (expected 'tca-trace 1 <count>')"
-  in
-  let instrs =
-    Array.init count (fun i ->
-        match input_line ic with
-        | line -> parse_line (i + 2) line
-        | exception End_of_file ->
-            failwith
-              (Printf.sprintf "Trace.of_channel: expected %d instructions, got %d" count i))
-  in
-  (match input_line ic with
-  | line ->
-      if String.trim line <> "" then
-        failwith
-          (Printf.sprintf
-             "Trace.of_channel: line %d: trailing garbage after %d \
-              instructions"
-             (count + 2) count)
-  | exception End_of_file -> ());
-  of_array instrs
-
-let save path t =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc t)
-
-let load path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)
-
 module Builder = struct
   type builder = {
     mutable buf : Isa.instr array;
@@ -376,3 +380,47 @@ module Builder = struct
   let length b = b.len
   let build b = of_array (Array.sub b.buf 0 b.len)
 end
+
+(* The header's count is checked against the lines actually read, never
+   trusted for an allocation: a short file claiming a huge count fails at
+   its end having held only what it contains. *)
+let of_channel ic =
+  let header = try input_line ic with End_of_file -> failwith "Trace.of_channel: empty input" in
+  let count =
+    match String.split_on_char ' ' (String.trim header) with
+    | [ "tca-trace"; "1"; n ] -> (
+        match int_of_string_opt n with
+        | Some c when c >= 0 -> c
+        | Some _ | None -> failwith "Trace.of_channel: bad count in header")
+    | _ -> failwith "Trace.of_channel: bad header (expected 'tca-trace 1 <count>')"
+  in
+  let b = Builder.create () in
+  let rec read () =
+    let got = Builder.length b in
+    match input_line ic with
+    | exception End_of_file ->
+        if got < count then
+          failwith
+            (Printf.sprintf "Trace.of_channel: expected %d instructions, got %d"
+               count got)
+    | line when got < count ->
+        Builder.add_at_site b (parse_line (got + 2) line);
+        read ()
+    | line ->
+        if String.trim line <> "" then
+          failwith
+            (Printf.sprintf
+               "Trace.of_channel: line %d: trailing garbage after %d \
+                instructions"
+               (count + 2) count)
+  in
+  read ();
+  Builder.build b
+
+let save path t =
+  Tca_util.Diag.ok_exn
+    (Tca_util.Atomic_file.write_with path (fun oc -> to_channel oc t))
+
+let load path =
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)

@@ -1,21 +1,27 @@
 (** Instruction traces and their construction.
 
-    A trace is an immutable array of {!Isa.instr} values plus a lazily
-    built {!Decoded} struct-of-arrays form that the simulator hot path
-    indexes instead of chasing per-instruction records. *)
+    A trace is an immutable array of {!Isa.instr} values plus the
+    {!Decoded} columns the simulator hot path indexes instead of
+    chasing per-instruction records. {!of_array}, which every
+    constructor ({!Builder.build}, {!of_channel}) goes through, packs
+    the columns from the records once, when the trace is made. *)
 
-(** Flat, pre-decoded view of a trace: one int per field per
-    instruction, plus a shared pool for accelerator read/write address
-    lists. Built once per trace (see {!val:decoded}) so repeated
-    simulation — mode comparisons, sweeps, batches — never re-decodes.
+(** Packed, read-only view of a trace, built once at construction (see
+    {!val:decoded}), so repeated simulation — mode comparisons, sweeps,
+    batches — never decodes.
 
-    The arrays are exposed for direct indexing from the simulator's
-    inner loop; treat them as read-only. For instruction [i]:
-    [op.(i)] is one of the [op_*] codes, [accel_lat.(i)] /
-    [reads_off.(i)] / [reads_len.(i)] / [writes_off.(i)] /
-    [writes_len.(i)] describe an [op_accel] instruction's latency and
-    its address spans inside [accel_mem], and are all zero
-    otherwise. *)
+    Per uop it holds four bytes, for the op code with the taken bit and
+    for the three registers, and one int, the uop's one operand (the
+    address of a load or store, the pc of a branch, an invocation's
+    entry in an accelerator side table). The side table gives each
+    invocation its latency, unit and the spans of its read and write
+    addresses in a shared pool. That is 1.5 words per uop plus the side
+    table, against the 13 of one int array per field.
+
+    Accessors take a uop index [i]. [addr] is meaningful for an
+    [op_load] or [op_store] uop only, [pc] for an [op_branch] uop only,
+    and the [accel_*], [reads_*] and [writes_*] accessors for an
+    [op_accel] uop only. *)
 module Decoded : sig
   val op_int_alu : int
   val op_int_mult : int
@@ -26,49 +32,92 @@ module Decoded : sig
   val op_branch : int
   val op_accel : int
 
-  type t = {
-    n : int;  (** instruction count, [= Array.length op] *)
-    op : int array;  (** [op_*] code per instruction *)
-    src1 : int array;
-    src2 : int array;
-    dst : int array;  (** registers; {!Isa.no_reg} when absent *)
-    addr : int array;
-    pc : int array;
-    taken : bool array;  (** branch outcome; [false] for non-branches *)
-    accel_lat : int array;  (** accel compute latency, else [0] *)
-    accel_unit : int array;  (** accel unit id ({!Isa.accel.unit_id}), else [0] *)
-    reads_off : int array;  (** offset of the read set in [accel_mem] *)
-    reads_len : int array;
-    writes_off : int array;  (** offset of the write set in [accel_mem] *)
-    writes_len : int array;
-    accel_mem : int array;
-        (** shared address pool for every accel instruction's reads and
-            writes, in trace order (reads then writes per instruction) *)
-  }
+  type t
 
   val op_code : Isa.op -> int
+
+  val length : t -> int
+  (** The trace's instruction count. *)
+
+  val op : t -> int -> int
+  (** One of the [op_*] codes. *)
+
+  val taken : t -> int -> bool
+  (** Branch outcome; [false] for non-branches. *)
+
+  val src1 : t -> int -> int
+  val src2 : t -> int -> int
+
+  val dst : t -> int -> int
+  (** Registers; {!Isa.no_reg} when absent. *)
+
+  val addr : t -> int -> int
+  val pc : t -> int -> int
+
+  val accel_lat : t -> int -> int
+  (** Compute latency ({!Isa.accel.compute_latency}). *)
+
+  val accel_unit : t -> int -> int
+  (** Unit id ({!Isa.accel.unit_id}). *)
+
+  val reads_off : t -> int -> int
+  (** Offset of the read set in the pool (see {!pool}). *)
+
+  val reads_len : t -> int -> int
+
+  val writes_off : t -> int -> int
+  (** Offset of the write set in the pool. *)
+
+  val writes_len : t -> int -> int
+
+  val pool : t -> int -> int
+  (** [pool d k] is the address at offset [k] of the shared pool that
+      holds every invocation's reads and then its writes, in trace
+      order. *)
+
+  val invocations : t -> int
+  (** Number of accelerator invocations, the side table's length. *)
+
+  val invocation : t -> int -> int
+  (** [invocation d j] is the uop index of the [j]-th invocation, in
+      trace order. *)
+
+  (** One uop's fields, as the accessors of the same names return them;
+      [operand] is what {!addr} and {!pc} return. *)
+  type uop = private {
+    mutable op : int;
+    mutable taken : bool;
+    mutable src1 : int;
+    mutable src2 : int;
+    mutable dst : int;
+    mutable operand : int;
+  }
+
+  val uop : unit -> uop
+  (** A record for {!read} to fill. *)
+
+  val read : t -> int -> uop -> unit
+  (** [read d i u] fills [u] with uop [i]'s fields in one call, where
+      the accessors take a call each: the simulator's dispatch reads
+      every uop this way. *)
 end
 
 type t = private {
   instrs : Isa.instr array;
-  mutable decoded_ : Decoded.t option;
-      (** memo for {!val:decoded}; never inspect directly *)
+  decoded : Decoded.t;  (** the packed columns; see {!val:decoded} *)
 }
 
 val of_array : Isa.instr array -> t
-(** Validates the trace (see {!validate}); raises [Invalid_argument] on a
-    malformed trace. The array is not copied. *)
+(** Validates the trace (see {!validate}) and packs its {!Decoded}
+    columns; raises [Invalid_argument] on a malformed trace. The array
+    is not copied. *)
 
 val length : t -> int
 val get : t -> int -> Isa.instr
 val iter : (Isa.instr -> unit) -> t -> unit
 
 val decoded : t -> Decoded.t
-(** The struct-of-arrays form, built on first use and memoized.
-    Thread-safety: the memo write is a benign race (decoding is pure and
-    the store is atomic), but to avoid duplicated work decode eagerly
-    before fanning a trace out across domains, as
-    {!Simulator.run_batch} does. *)
+(** The packed columns, built with the trace by {!of_array}. *)
 
 val validate : Isa.instr array -> (unit, string) result
 (** Registers in range, non-negative addresses, non-negative accelerator
@@ -104,9 +153,16 @@ val to_channel : out_channel -> t -> unit
 val of_channel : in_channel -> t
 (** Parse the interchange format; raises [Failure] with a line-numbered
     message on malformed input. Accepts both accel line shapes (with and
-    without the trailing unit id). *)
+    without the trailing unit id). The header's count is compared with
+    the lines read, not used to size anything, so a short file claiming
+    a huge count costs only what it holds. *)
 
 val save : string -> t -> unit
+(** Writes the interchange format atomically (see
+    {!Tca_util.Atomic_file}): [path] holds either its old contents or
+    the whole trace, never part of it.
+    @raise Tca_util.Diag.Error when the file cannot be written. *)
+
 val load : string -> t
 
 (** Incremental construction with automatic PC assignment (4 bytes per

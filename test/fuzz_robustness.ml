@@ -317,9 +317,62 @@ let with_unit_table i tag (cfg : Tca_uarch.Config.t) trace =
   ( Config.with_tca_units { cfg with Config.tca_occupancy = occupancy } units,
     Trace.of_array (Array.map spread trace.Trace.instrs) )
 
+(* The packed columns against the records they were packed from: op,
+   taken bit and registers of every uop (through [read] and through the
+   accessors), the address of a load or store, the pc of a branch, and
+   each invocation's side-table entry. *)
+let check_packed i trace =
+  let open Tca_uarch in
+  let module D = Trace.Decoded in
+  let d = Trace.decoded trace in
+  let invocations = ref 0 in
+  let u = D.uop () in
+  let agrees k (ins : Isa.instr) =
+    D.read d k u;
+    u.D.op = D.op_code ins.Isa.op
+    && u.D.taken = ins.Isa.taken
+    && u.D.src1 = ins.Isa.src1
+    && u.D.src2 = ins.Isa.src2
+    && u.D.dst = ins.Isa.dst
+    && D.op d k = u.D.op
+    && D.taken d k = u.D.taken
+    && D.src1 d k = u.D.src1
+    && D.src2 d k = u.D.src2
+    && D.dst d k = u.D.dst
+    && D.addr d k = u.D.operand
+    &&
+    match ins.Isa.op with
+    | Isa.Load | Isa.Store -> D.addr d k = ins.Isa.addr
+    | Isa.Branch -> D.pc d k = ins.Isa.pc
+    | Isa.Accel a ->
+        let j = !invocations in
+        incr invocations;
+        let span off len = Array.init len (fun x -> D.pool d (off + x)) in
+        D.invocation d j = k
+        && D.accel_lat d k = a.Isa.compute_latency
+        && D.accel_unit d k = a.Isa.unit_id
+        && span (D.reads_off d k) (D.reads_len d k) = a.Isa.reads
+        && span (D.writes_off d k) (D.writes_len d k) = a.Isa.writes
+    | Isa.Int_alu | Isa.Int_mult | Isa.Fp_alu | Isa.Fp_mult -> true
+  in
+  guard i "Trace.decoded" (fun () ->
+      let n = Trace.length trace in
+      let rec first_bad k =
+        if k >= n then None
+        else if agrees k (Trace.get trace k) then first_bad (k + 1)
+        else Some k
+      in
+      match first_bad 0 with
+      | Some k ->
+          record i "packed columns" (Printf.sprintf "instruction %d differs" k)
+      | None ->
+          if D.length d <> n || D.invocations d <> !invocations then
+            record i "packed columns" "length or invocation count differs")
+
 let uarch_case i g =
   let open Tca_uarch in
   let cfg, trace = hostile_case g in
+  check_packed i trace;
   guard i "Pipeline.run" (fun () ->
       check_outcome i trace cfg (Pipeline.run cfg trace));
   (* Force the watchdog: a 2-cycle budget cannot finish any trace here,
@@ -332,6 +385,7 @@ let uarch_case i g =
       | (Ok (Pipeline.Partial _) | Error _) as outcome ->
           check_outcome i trace starved outcome);
   let cfg, trace = with_unit_table i "uarch" cfg trace in
+  check_packed i trace;
   guard i "Pipeline.run (unit table)" (fun () ->
       check_outcome i trace cfg (Pipeline.run cfg trace))
 

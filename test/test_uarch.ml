@@ -113,11 +113,22 @@ let test_trace_io_roundtrip () =
     (Isa.accel ~src1:7 ~dst:8 ~compute_latency:9 ~reads:[| 64; 128 |]
        ~writes:[| 256 |] ());
   let t = Trace.Builder.build b in
-  let path = Filename.temp_file "tca" ".trace" in
+  (* A fresh directory, so the listing shows any temp file the atomic
+     write left behind. *)
+  let dir = Filename.temp_file "tca" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "t.trace" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
     (fun () ->
       Trace.save path t;
+      (* written twice: the second write replaces the first *)
+      Trace.save path t;
+      Alcotest.(check (array string)) "only the trace file" [| "t.trace" |]
+        (Sys.readdir dir);
       let t' = Trace.load path in
       Alcotest.(check int) "length" (Trace.length t) (Trace.length t');
       for i = 0 to Trace.length t - 1 do
@@ -191,7 +202,132 @@ let test_trace_io_error_messages () =
   contains "register range line number" m "src1 register -99 out of range";
   let m = msg_of "tca-trace 1 1\n0 int_alu 0 -1 -1 0 false\njunk\n" in
   contains "trailing garbage" m "line 3";
-  contains "trailing garbage" m "trailing garbage"
+  contains "trailing garbage" m "trailing garbage";
+  (* The header's count sizes nothing: a short file claiming ten million
+     instructions fails at its end having allocated for two. *)
+  let before = Gc.allocated_bytes () in
+  let m =
+    msg_of
+      "tca-trace 1 10000000\n0 int_alu 0 -1 -1 0 false\n\
+       4 int_alu 1 -1 -1 0 false\n"
+  in
+  let grown = Gc.allocated_bytes () -. before in
+  contains "inflated count" m "expected 10000000 instructions, got 2";
+  Alcotest.(check bool)
+    (Printf.sprintf "inflated count allocates under 1 MB (%.0f bytes)" grown)
+    true (grown < 1e6)
+
+(* Every accessor of the packed columns against the record it was
+   packed from, and [read] against the accessors; the first
+   disagreement, if any. *)
+let packed_mismatch t =
+  let module D = Trace.Decoded in
+  let d = Trace.decoded t in
+  let n = Trace.length t in
+  let u = D.uop () in
+  let bad = ref None in
+  let check i what ok =
+    if !bad = None && not ok then
+      bad := Some (Printf.sprintf "instruction %d: %s" i what)
+  in
+  check n "length" (D.length d = n);
+  let invocations = ref 0 in
+  for i = 0 to n - 1 do
+    let ins = Trace.get t i in
+    check i "op" (D.op d i = D.op_code ins.Isa.op);
+    check i "taken" (D.taken d i = ins.Isa.taken);
+    check i "src1" (D.src1 d i = ins.Isa.src1);
+    check i "src2" (D.src2 d i = ins.Isa.src2);
+    check i "dst" (D.dst d i = ins.Isa.dst);
+    D.read d i u;
+    check i "read"
+      (u.D.op = D.op d i && u.D.taken = D.taken d i && u.D.src1 = D.src1 d i
+     && u.D.src2 = D.src2 d i && u.D.dst = D.dst d i
+     && u.D.operand = D.addr d i);
+    match ins.Isa.op with
+    | Isa.Load | Isa.Store -> check i "addr" (D.addr d i = ins.Isa.addr)
+    | Isa.Branch -> check i "pc" (D.pc d i = ins.Isa.pc)
+    | Isa.Accel a ->
+        let j = !invocations in
+        incr invocations;
+        check i "invocation index"
+          (j < D.invocations d && D.invocation d j = i);
+        check i "latency" (D.accel_lat d i = a.Isa.compute_latency);
+        check i "unit" (D.accel_unit d i = a.Isa.unit_id);
+        let span off len = Array.init len (fun k -> D.pool d (off + k)) in
+        check i "reads" (span (D.reads_off d i) (D.reads_len d i) = a.Isa.reads);
+        check i "writes"
+          (span (D.writes_off d i) (D.writes_len d i) = a.Isa.writes)
+    | Isa.Int_alu | Isa.Int_mult | Isa.Fp_alu | Isa.Fp_mult -> ()
+  done;
+  check n "invocation count" (D.invocations d = !invocations);
+  !bad
+
+let test_trace_packed_columns () =
+  let check label t =
+    match packed_mismatch t with
+    | None -> ()
+    | Some m -> Alcotest.fail (label ^ ": " ^ m)
+  in
+  let check_pair label (p : Tca_workloads.Meta.pair) =
+    check (label ^ " baseline") p.Tca_workloads.Meta.baseline;
+    check (label ^ " accelerated") p.Tca_workloads.Meta.accelerated
+  in
+  let open Tca_experiments in
+  List.iter
+    (fun (name, p) -> check_pair ("golden " ^ name) p)
+    (Exp_common.golden_pairs ());
+  (* the nine pairs of [tca verify all]; the last three are multi-unit *)
+  let cfg = Exp_common.validation_core () in
+  List.iter
+    (fun (name, kind) ->
+      check_pair ("verify " ^ name) (fst (Exp_common.workload_pair ~cfg kind)))
+    Exp_common.workload_kinds;
+  List.iter
+    (fun kind ->
+      check_pair
+        ("verify " ^ Tca_workloads.Multi_tca.kind_name kind)
+        (Tca_workloads.Multi_tca.generate (Tca_workloads.Multi_tca.config kind))
+          .Tca_workloads.Multi_tca.pair)
+    Tca_workloads.Multi_tca.all_kinds;
+  (* Hand-built edges: r63 and [no_reg] in every register field, a
+     branch keeping its own pc, invocations with no reads and with no
+     writes, on units 0 to 3. *)
+  let b = Trace.Builder.create () in
+  Trace.Builder.add b (Isa.int_alu ~src1:63 ~src2:0 ~dst:63 ());
+  Trace.Builder.add b (Isa.int_mult ~dst:1 ());
+  Trace.Builder.add b (Isa.fp_alu ~src2:62 ~dst:2 ());
+  Trace.Builder.add b (Isa.fp_mult ~src1:2 ~src2:2 ~dst:3 ());
+  Trace.Builder.add_at_site b (Isa.branch ~pc:0x777 ~src1:63 ~taken:true ());
+  Trace.Builder.add b (Isa.branch ~taken:false ());
+  Trace.Builder.add b (Isa.load ~base:63 ~dst:4 ~addr:(1 lsl 40) ());
+  Trace.Builder.add b (Isa.store ~src:4 ~addr:0 ());
+  Trace.Builder.add b
+    (Isa.accel ~unit_id:3 ~compute_latency:0 ~reads:[||] ~writes:[| 64; 128 |]
+       ());
+  Trace.Builder.add b
+    (Isa.accel ~src1:63 ~dst:63 ~unit_id:1 ~compute_latency:5
+       ~reads:[| 192 |] ~writes:[||] ());
+  Trace.Builder.add b
+    (Isa.accel ~compute_latency:7 ~reads:[||] ~writes:[||] ());
+  Trace.Builder.add b
+    (Isa.accel ~unit_id:2 ~compute_latency:2 ~reads:[| 256; 320 |]
+       ~writes:[| 384 |] ());
+  check "hand-built" (Trace.Builder.build b);
+  (* A negative pc only arrives through the text format. *)
+  let path = Filename.temp_file "tca" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc
+        "tca-trace 1 3\n-8 branch -1 5 -1 0 true\n-4 int_alu 5 -1 -1 0 false\n\
+         -1 branch -1 -1 -1 0 false\n";
+      close_out oc;
+      let t = Trace.load path in
+      Alcotest.(check int) "negative pc kept" (-8) (Trace.get t 0).Isa.pc;
+      check "negative pc" t);
+  check "empty" (Trace.of_array [||])
 
 let test_trace_validate_noop_accel () =
   let contains hay needle =
@@ -1745,6 +1881,7 @@ let () =
           Alcotest.test_case "validate no-op accel" `Quick test_trace_validate_noop_accel;
           Alcotest.test_case "counts json" `Quick test_trace_counts_json;
           Alcotest.test_case "io simulates identically" `Quick test_trace_io_simulates_identically;
+          Alcotest.test_case "packed columns" `Quick test_trace_packed_columns;
         ] );
       ( "bpred",
         [
