@@ -115,8 +115,8 @@ let metrics_out_t =
     value
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write the metrics-registry snapshot (counters, gauges, \
-              histograms) as indented JSON.")
+        ~doc:"Write the counters and histograms computed from the run's \
+              telemetry events as indented JSON.")
 
 let json_t =
   Arg.(

@@ -40,22 +40,6 @@ let summarize points =
 
 let summarize_exn points = Diag.ok_exn (summarize points)
 
-let headers = [ "workload"; "mode"; "measured"; "estimated"; "error" ]
-
-let rows points =
-  List.map
-    (fun p ->
-      [
-        p.id;
-        Mode.to_string p.mode;
-        Tca_util.Table.float_cell p.measured;
-        Tca_util.Table.float_cell p.estimated;
-        (match error p with
-        | Ok e -> Tca_util.Table.pct_cell e
-        | Result.Error _ -> "n/a");
-      ])
-    points
-
 let trends_preserved ?(tolerance = 0.02) points =
   let groups = Hashtbl.create 16 in
   List.iter

@@ -27,12 +27,6 @@ val summarize : point list -> (summary, Diag.t) result
 
 val summarize_exn : point list -> summary
 
-val rows : point list -> string list list
-(** Table rows: id, mode, measured, estimated, error% — ready for
-    {!Tca_util.Table.print}. *)
-
-val headers : string list
-
 val trends_preserved : ?tolerance:float -> point list -> bool
 (** [true] iff, within every [id] group and for every pair of modes whose
     measured speedups differ by more than [tolerance] (relative, default

@@ -14,9 +14,6 @@ type t = {
 
 let make ~name ~title ?(params = []) body = { name; title; params; body }
 
-let serial_ctx ?(quick = false) ?telemetry () =
-  { telemetry; par = Tca_util.Parmap.serial; quick; checkpoint = ignore }
-
 let fingerprint t ~quick =
   let params =
     List.sort (fun (a, _) (b, _) -> String.compare a b) t.params

@@ -42,9 +42,6 @@ val make :
   name:string -> title:string -> ?params:(string * string) list ->
   (ctx -> Artifact.t) -> t
 
-val serial_ctx : ?quick:bool -> ?telemetry:Tca_telemetry.Sink.t -> unit -> ctx
-(** Run a job body directly, without the scheduler. *)
-
 val fingerprint : t -> quick:bool -> string
 (** Canonical input fingerprint: name, sorted params and the quick flag.
     The cache prepends its model-version salt (see {!Cache.key}). *)

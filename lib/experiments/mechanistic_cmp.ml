@@ -72,11 +72,7 @@ let run ?telemetry ?par () =
       let branch_rate = fi counts.Trace.branches /. fi counts.Trace.total in
       let load_rate = fi counts.Trace.loads /. fi counts.Trace.total in
       let mispredict_rate = Sim_stats.mispredict_rate stats in
-      let l2_bytes =
-        match cfg.Config.mem.Mem_hier.l2 with
-        | Some l2 -> l2.Cache.size_bytes
-        | None -> 0
-      in
+      let l2_bytes = cfg.Config.mem.Mem_hier.l2.Cache.size_bytes in
       let ws = app.Codegen.working_set_bytes in
       let dram_miss_rate =
         if ws <= l2_bytes then 0.0

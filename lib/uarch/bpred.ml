@@ -1,6 +1,5 @@
 type kind =
   | Perfect
-  | Always_taken
   | Bimodal of int
   | Gshare of int
   | Tournament of int
@@ -15,7 +14,7 @@ type tournament_state = {
   chooser : table;  (** >= 2: trust gshare *)
 }
 
-type t = P | AT | BM of table | GS of gshare_state | TN of tournament_state
+type t = P | BM of table | GS of gshare_state | TN of tournament_state
 
 let make_table bits =
   if bits < 1 || bits > 24 then invalid_arg "Bpred.create: bits out of range";
@@ -27,7 +26,6 @@ let make_gshare bits = { tbl = make_table bits; history = 0 }
 
 let create = function
   | Perfect -> P
-  | Always_taken -> AT
   | Bimodal bits -> BM (make_table bits)
   | Gshare bits -> GS (make_gshare bits)
   | Tournament bits ->
@@ -50,7 +48,7 @@ let gshare_predict g pc = counter g.tbl (index_of_pc pc lxor g.history) >= 2
 
 let predict t ~pc =
   match t with
-  | P | AT -> true
+  | P -> true
   | BM tbl -> bimodal_predict tbl pc
   | GS g -> gshare_predict g pc
   | TN s ->
@@ -68,7 +66,7 @@ let gshare_update g pc taken =
 
 let update t ~pc ~taken =
   match t with
-  | P | AT -> ()
+  | P -> ()
   | BM tbl -> train tbl (index_of_pc pc) taken
   | GS g -> gshare_update g pc taken
   | TN s ->
@@ -81,4 +79,4 @@ let update t ~pc ~taken =
       train s.bimodal (index_of_pc pc) taken;
       gshare_update s.gshare pc taken
 
-let is_perfect = function P -> true | AT | BM _ | GS _ | TN _ -> false
+let is_perfect = function P -> true | BM _ | GS _ | TN _ -> false

@@ -7,7 +7,6 @@
 
 type kind =
   | Perfect  (** always right — isolates TCA effects from branch noise *)
-  | Always_taken
   | Bimodal of int  (** 2-bit counters, [2^bits] entries *)
   | Gshare of int  (** global history XOR pc, 2-bit counters *)
   | Tournament of int
@@ -18,6 +17,8 @@ type kind =
 type t
 
 val create : kind -> t
+(** Raises [Invalid_argument] when a table's [bits] is outside
+    [\[1, 24\]]. *)
 
 val predict : t -> pc:int -> bool
 (** Prediction only; does not update state. For [Perfect] the caller

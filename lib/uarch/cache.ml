@@ -58,10 +58,6 @@ let find_way t base line =
   in
   go 0
 
-let probe t addr =
-  let line, base = locate t addr in
-  find_way t base line >= 0
-
 let access t addr =
   let line, base = locate t addr in
   t.clock <- t.clock + 1;
@@ -87,10 +83,3 @@ let access t addr =
 
 let hits t = t.hits
 let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
-let num_sets t = t.set_mask + 1
-let line_bytes t = t.cfg.line_bytes

@@ -26,11 +26,5 @@ val access : t -> int -> bool
     to MRU and returns [true]. On a miss, fills the line (evicting LRU)
     and returns [false]. *)
 
-val probe : t -> int -> bool
-(** Non-mutating lookup: is the line currently resident? *)
-
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
-val num_sets : t -> int
-val line_bytes : t -> int

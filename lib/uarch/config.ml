@@ -41,8 +41,6 @@ type t = {
   coupling : coupling;
   tca_occupancy : tca_occupancy;
   tca_units : Tca_unit.t array;
-  miss_bandwidth : int option;
-  dtlb : Tlb.config option;
   tca_speculate_fraction : float option;
   max_cycles : int option;
 }
@@ -75,8 +73,6 @@ let hp ?(coupling = coupling_l_t) () =
     coupling;
     tca_occupancy = Pipelined;
     tca_units = [| Tca_unit.default 0 |];
-    miss_bandwidth = None;
-    dtlb = None;
     tca_speculate_fraction = None;
     max_cycles = None;
   }
@@ -101,34 +97,6 @@ let lp ?(coupling = coupling_l_t) () =
     coupling;
     tca_occupancy = Pipelined;
     tca_units = [| Tca_unit.default 0 |];
-    miss_bandwidth = None;
-    dtlb = None;
-    tca_speculate_fraction = None;
-    max_cycles = None;
-  }
-
-let a72 ?(coupling = coupling_l_t) () =
-  {
-    dispatch_width = 3;
-    issue_width = 3;
-    commit_width = 3;
-    rob_size = 128;
-    iq_size = 128;
-    lsq_size = 96;
-    int_alu_units = 2;
-    int_mult_units = 1;
-    fp_units = 2;
-    mem_ports = 2;
-    frontend_depth = 10;
-    commit_depth = 6;
-    latencies = default_latencies;
-    bpred = Bpred.Tournament 13;
-    mem = default_mem;
-    coupling;
-    tca_occupancy = Pipelined;
-    tca_units = [| Tca_unit.default 0 |];
-    miss_bandwidth = None;
-    dtlb = None;
     tca_speculate_fraction = None;
     max_cycles = None;
   }
@@ -140,16 +108,12 @@ let accel_latency_estimate t ~reads ~writes ~fresh_lines ~compute =
   let read_time =
     if reads <= 0.0 then 0.0
     else
-      let miss_extra =
-        match t.mem.Mem_hier.l2 with
-        | Some l2 -> l2.Cache.hit_latency
-        | None -> t.mem.Mem_hier.mem_latency
-      in
-      (* Overlapping non-blocking misses cost one extra depth when any
-         fresh line is expected. *)
+      (* Overlapping non-blocking misses cost one L2 hit when any fresh
+         line is expected. *)
       float_of_int t.mem.Mem_hier.l1.Cache.hit_latency
       +. ((reads -. 1.0) /. ports)
-      +. (Float.min 1.0 fresh_lines *. float_of_int miss_extra)
+      +. (Float.min 1.0 fresh_lines
+         *. float_of_int t.mem.Mem_hier.l2.Cache.hit_latency)
   in
   read_time +. compute +. (writes /. ports)
 
@@ -177,6 +141,19 @@ let validate t =
   let* () = bound "latencies.int_mult" t.latencies.int_mult 1 in
   let* () = bound "latencies.fp_alu" t.latencies.fp_alu 1 in
   let* () = bound "latencies.fp_mult" t.latencies.fp_mult 1 in
+  let* () =
+    match t.bpred with
+    | Bpred.Perfect -> Ok ()
+    | Bpred.Bimodal bits | Bpred.Gshare bits | Bpred.Tournament bits ->
+        let+ _ =
+          Tca_util.Diag.in_range ~field:"Config.bpred" ~lo:1.0 ~hi:24.0
+            (float_of_int bits)
+        in
+        ()
+  in
+  let* () = bound "mem.l1.hit_latency" t.mem.Mem_hier.l1.Cache.hit_latency 1 in
+  let* () = bound "mem.l2.hit_latency" t.mem.Mem_hier.l2.Cache.hit_latency 1 in
+  let* () = bound "mem.mem_latency" t.mem.Mem_hier.mem_latency 1 in
   let* () =
     if Array.length t.tca_units = 0 then
       Error

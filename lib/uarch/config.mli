@@ -57,11 +57,6 @@ type t = {
           unit's [id] must equal its position). Defaults to a single
           {!Tca_unit.default} unit 0 — the classic single-TCA machine.
           [coupling] and [tca_occupancy] apply to every unit. *)
-  miss_bandwidth : int option;
-      (** max new L1 misses injected per cycle (MSHR issue limit);
-          [None] = unlimited *)
-  dtlb : Tlb.config option;
-      (** data TLB on the load path; [None] = perfect translation *)
   tca_speculate_fraction : float option;
       (** partial speculation (paper Section VIII): when [Some p], each
           TCA invocation is independently allowed to execute
@@ -87,9 +82,6 @@ val hp : ?coupling:coupling -> unit -> t
 val lp : ?coupling:coupling -> unit -> t
 (** Low-performance core: 2-wide, 64-entry ROB, shallow pipeline. *)
 
-val a72 : ?coupling:coupling -> unit -> t
-(** ARM A72-like 3-wide core, 128-entry ROB. *)
-
 val with_coupling : t -> coupling -> t
 
 val accel_latency_estimate :
@@ -97,20 +89,23 @@ val accel_latency_estimate :
   float
 (** First-order estimate of one TCA invocation's latency from its mean
     footprint: the L1 hit latency for the first read line, one line per
-    memory port per cycle after it, one next-level depth (L2 hit, else
-    memory) when any fresh read line is expected, [compute] cycles, then
-    writes at one line per port per cycle — the "explicitly provided
-    latency" the model takes for memory-traffic TCAs. *)
+    memory port per cycle after it, one L2 hit latency when any fresh
+    read line is expected, [compute] cycles, then writes at one line per
+    port per cycle — the "explicitly provided latency" the model takes
+    for memory-traffic TCAs. *)
 
 val with_tca_units : t -> Tca_unit.t array -> t
 
 val validate : t -> (unit, Tca_util.Diag.t) result
-(** Structural sanity: all widths, sizes and latencies within their
-    domains ([Domain] diagnostics name the offending [Config.] field),
-    a non-empty [tca_units] table whose unit ids equal their positions
-    (each unit additionally passing {!Tca_unit.validate}),
-    [tca_speculate_fraction] finite and inside [\[0, 1\]], and
-    [max_cycles], when given, at least 1. *)
+(** Structural sanity. [Domain] diagnostics name the offending
+    [Config.] field: every width, size and core latency at least 1 (the
+    ROB at least 2, [commit_depth] at least 0); the predictor's table
+    bits in [\[1, 24\]]; the L1 and L2 hit latencies and
+    [mem.mem_latency] at least 1; [tca_speculate_fraction] finite and
+    inside [\[0, 1\]]; [max_cycles], when given, at least 1. An empty
+    [tca_units] table, or a unit whose id is not its position, is
+    [Invalid]; a unit failing {!Tca_unit.validate} returns that
+    diagnostic. *)
 
 val validate_exn : t -> unit
 (** Raises {!Tca_util.Diag.Error}. *)

@@ -1,48 +1,31 @@
 type config = {
   l1 : Cache.config;
-  l2 : Cache.config option;
+  l2 : Cache.config;
   mem_latency : int;
 }
 
-let config ?l2 ?(mem_latency = 100) ~l1 () =
+let config ?(mem_latency = 100) ~l1 ~l2 () =
   if mem_latency < 1 then invalid_arg "Mem_hier.config: mem_latency below 1";
   { l1; l2; mem_latency }
 
-type t = { cfg : config; l1 : Cache.t; l2 : Cache.t option }
+type t = { cfg : config; l1 : Cache.t; l2 : Cache.t }
 
-let create cfg =
-  { cfg; l1 = Cache.create cfg.l1; l2 = Option.map Cache.create cfg.l2 }
-
-let l1_resident t addr = Cache.probe t.l1 addr
+let create cfg = { cfg; l1 = Cache.create cfg.l1; l2 = Cache.create cfg.l2 }
 
 let load_latency t addr =
-  if Cache.access t.l1 addr then t.cfg.l1.Cache.hit_latency
+  let l1_hit = t.cfg.l1.Cache.hit_latency in
+  if Cache.access t.l1 addr then l1_hit
   else
-    match t.l2 with
-    | None -> t.cfg.l1.Cache.hit_latency + t.cfg.mem_latency
-    | Some l2 ->
-        let l2_cfg_latency =
-          match t.cfg.l2 with Some c -> c.Cache.hit_latency | None -> assert false
-        in
-        if Cache.access l2 addr then
-          t.cfg.l1.Cache.hit_latency + l2_cfg_latency
-        else t.cfg.l1.Cache.hit_latency + l2_cfg_latency + t.cfg.mem_latency
+    let l2_hit = l1_hit + t.cfg.l2.Cache.hit_latency in
+    if Cache.access t.l2 addr then l2_hit else l2_hit + t.cfg.mem_latency
 
 let store t addr =
   let (_ : bool) = Cache.access t.l1 addr in
-  match t.l2 with
-  | None -> ()
-  | Some l2 ->
-      let (_ : bool) = Cache.access l2 addr in
-      ()
+  let (_ : bool) = Cache.access t.l2 addr in
+  ()
 
 type level_stats = { hits : int; misses : int }
 
-let l1_stats t = { hits = Cache.hits t.l1; misses = Cache.misses t.l1 }
-
-let l2_stats t =
-  Option.map (fun c -> { hits = Cache.hits c; misses = Cache.misses c }) t.l2
-
-let reset_stats t =
-  Cache.reset_stats t.l1;
-  Option.iter Cache.reset_stats t.l2
+let stats_of c = { hits = Cache.hits c; misses = Cache.misses c }
+let l1_stats t = stats_of t.l1
+let l2_stats t = stats_of t.l2

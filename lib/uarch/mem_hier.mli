@@ -2,20 +2,17 @@
 
 type config = {
   l1 : Cache.config;
-  l2 : Cache.config option;
-  mem_latency : int;  (** cycles for a DRAM access beyond the last level *)
+  l2 : Cache.config;
+  mem_latency : int;  (** cycles for a DRAM access beyond the L2 *)
 }
 
 val config :
-  ?l2:Cache.config -> ?mem_latency:int -> l1:Cache.config -> unit -> config
+  ?mem_latency:int -> l1:Cache.config -> l2:Cache.config -> unit -> config
 (** [mem_latency] defaults to 100 cycles. *)
 
 type t
 
 val create : config -> t
-
-val l1_resident : t -> int -> bool
-(** Non-mutating: would a load of this address hit the L1 right now? *)
 
 val load_latency : t -> int -> int
 (** Total latency of a read: L1 hit latency on a hit; otherwise L1 + L2
@@ -29,5 +26,4 @@ val store : t -> int -> unit
 type level_stats = { hits : int; misses : int }
 
 val l1_stats : t -> level_stats
-val l2_stats : t -> level_stats option
-val reset_stats : t -> unit
+val l2_stats : t -> level_stats

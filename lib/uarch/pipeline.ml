@@ -91,8 +91,6 @@ type state = {
   bp : Bpred.t;
   bp_perfect : bool;
   ports : Ports.t;
-  miss_ports : Ports.t option;
-  dtlb : Tlb.t option;
   n_units : int;  (* telemetry tags events with their unit when > 1 *)
   units : Tca_unit.State.t;  (* the per-unit accelerator policy *)
   cfg_ready : int array;
@@ -203,11 +201,6 @@ let create ?telemetry cfg trace =
     bp;
     bp_perfect = Bpred.is_perfect bp;
     ports = Ports.create ~width:cfg.Config.mem_ports ~horizon:8192;
-    miss_ports =
-      Option.map
-        (fun width -> Ports.create ~width ~horizon:8192)
-        cfg.Config.miss_bandwidth;
-    dtlb = Option.map Tlb.create cfg.Config.dtlb;
     n_units = Array.length units;
     units =
       Tca_unit.State.create
@@ -448,9 +441,6 @@ let rec complete_walk s i min_next =
 let complete_stage s =
   (* Every port reservation from here on is at or after this cycle. *)
   Ports.advance s.ports ~now:s.cycle;
-  (match s.miss_ports with
-  | Some mp -> Ports.advance mp ~now:s.cycle
-  | None -> ());
   if s.paw_count > 0 && s.paw_next_due <= s.cycle then drain_accel_writes s;
   if s.executing > 0 && s.next_complete <= s.cycle then
     s.next_complete <- complete_walk s 0 max_int
@@ -487,21 +477,11 @@ let rec commit_loop s n =
 
 let commit_stage s = commit_loop s 0
 
-(* Issue one line read at or after [now]: books a memory port, and when
-   the line misses the L1 also books an MSHR-injection slot if miss
-   bandwidth is limited. Returns the completion cycle. *)
+(* Issue one line read at or after [now]: books a memory port. Returns
+   the completion cycle. *)
 let memory_read s ~now addr =
-  let port_cycle = Ports.reserve s.ports ~now in
-  let start =
-    match s.miss_ports with
-    | Some mp when not (Mem_hier.l1_resident s.hier addr) ->
-        max port_cycle (Ports.reserve mp ~now:port_cycle)
-    | Some _ | None -> port_cycle
-  in
-  let translation =
-    match s.dtlb with Some tlb -> Tlb.access tlb addr | None -> 0
-  in
-  start + translation + Mem_hier.load_latency s.hier addr
+  let start = Ports.reserve s.ports ~now in
+  start + Mem_hier.load_latency s.hier addr
 
 let rec accel_reads_loop s ~now off k len acc =
   if k >= len then acc
@@ -777,7 +757,7 @@ let dispatch_stage s =
 
 let stats_of s =
   Sim_stats.make ~cycles:s.cycle ~committed:s.committed ~branches:s.branches
-    ~mispredicts:s.mispredicts ~hier:s.hier ~dtlb:s.dtlb
+    ~mispredicts:s.mispredicts ~hier:s.hier
     ~occupancy_sum:s.occupancy_sum
     ~occupancy_at_accel_sum:s.occupancy_at_accel_sum
     ~stalls:

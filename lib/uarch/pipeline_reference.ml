@@ -28,8 +28,6 @@ type state = {
   hier : Mem_hier.t;
   bp : Bpred.t;
   ports : Ports.t;
-  miss_ports : Ports.t option;
-  dtlb : Tlb.t option;
   units : Tca_unit.State.t;  (* the per-unit accelerator policy *)
   cfg_ready : int array;
       (* per-ROB-slot: cycle the invocation's configuration is ready *)
@@ -83,11 +81,6 @@ let create cfg trace =
     hier = Mem_hier.create cfg.Config.mem;
     bp = Bpred.create cfg.Config.bpred;
     ports = Ports.create ~width:cfg.Config.mem_ports ~horizon:8192;
-    miss_ports =
-      Option.map
-        (fun width -> Ports.create ~width ~horizon:8192)
-        cfg.Config.miss_bandwidth;
-    dtlb = Option.map Tlb.create cfg.Config.dtlb;
     units =
       Tca_unit.State.create
         ~exclusive:(cfg.Config.tca_occupancy = Config.Exclusive)
@@ -191,9 +184,6 @@ let accel_speculative s slot =
 
 let complete_stage s =
   Ports.advance s.ports ~now:s.cycle;
-  (match s.miss_ports with
-  | Some mp -> Ports.advance mp ~now:s.cycle
-  | None -> ());
   (* Retire pending accelerator writes into the cache hierarchy. *)
   let due, still =
     List.partition (fun (at, _) -> at <= s.cycle) s.pending_accel_writes
@@ -250,21 +240,11 @@ let commit_stage s =
     else continue := false
   done
 
-(* Issue one line read at or after [now]: books a memory port, and when
-   the line misses the L1 also books an MSHR-injection slot if miss
-   bandwidth is limited. Returns the completion cycle. *)
+(* Issue one line read at or after [now]: books a memory port. Returns
+   the completion cycle. *)
 let memory_read s ~now addr =
-  let port_cycle = Ports.reserve s.ports ~now in
-  let start =
-    match s.miss_ports with
-    | Some mp when not (Mem_hier.l1_resident s.hier addr) ->
-        max port_cycle (Ports.reserve mp ~now:port_cycle)
-    | Some _ | None -> port_cycle
-  in
-  let translation =
-    match s.dtlb with Some tlb -> Tlb.access tlb addr | None -> 0
-  in
-  start + translation + Mem_hier.load_latency s.hier addr
+  let start = Ports.reserve s.ports ~now in
+  start + Mem_hier.load_latency s.hier addr
 
 let issue_accel s slot (a : Isa.accel) =
   let u = a.Isa.unit_id in
@@ -473,7 +453,7 @@ let dispatch_stage s =
 
 let stats_of s =
   Sim_stats.make ~cycles:s.cycle ~committed:s.committed ~branches:s.branches
-    ~mispredicts:s.mispredicts ~hier:s.hier ~dtlb:s.dtlb
+    ~mispredicts:s.mispredicts ~hier:s.hier
     ~occupancy_sum:s.occupancy_sum
     ~occupancy_at_accel_sum:s.occupancy_at_accel_sum
     ~stalls:

@@ -22,27 +22,26 @@ type t = {
   branches : int;
   mispredicts : int;
   l1 : Mem_hier.level_stats;
-  l2 : Mem_hier.level_stats option;
+  l2 : Mem_hier.level_stats;
   accel_invocations : int;
   accel_busy_cycles : int;
   accel_wait_for_head_cycles : int;
   avg_rob_occupancy : float;
   avg_rob_at_accel_dispatch : float;
-  dtlb : Mem_hier.level_stats option;
   stalls : stall_breakdown;
   config_stall_cycles : int;
   config_queue_stall_cycles : int;
   per_unit : unit_stats list;
 }
 
-let make ~cycles ~committed ~branches ~mispredicts ~hier ~dtlb ~occupancy_sum
+let ratio num den =
+  if den = 0 then 0.0 else float_of_int num /. float_of_int den
+
+let make ~cycles ~committed ~branches ~mispredicts ~hier ~occupancy_sum
     ~occupancy_at_accel_sum ~stalls ~config_stall_cycles
     ~config_queue_stall_cycles units =
   let sum f = List.fold_left (fun acc u -> acc + f u) 0 units in
   let accel_invocations = sum (fun u -> u.invocations) in
-  let ratio num den =
-    if den = 0 then 0.0 else float_of_int num /. float_of_int den
-  in
   {
     cycles;
     committed;
@@ -56,10 +55,6 @@ let make ~cycles ~committed ~branches ~mispredicts ~hier ~dtlb ~occupancy_sum
     accel_wait_for_head_cycles = sum (fun u -> u.wait_for_head_cycles);
     avg_rob_occupancy = ratio occupancy_sum cycles;
     avg_rob_at_accel_dispatch = ratio occupancy_at_accel_sum accel_invocations;
-    dtlb =
-      Option.map
-        (fun tlb -> { Mem_hier.hits = Tlb.hits tlb; misses = Tlb.misses tlb })
-        dtlb;
     stalls;
     config_stall_cycles;
     config_queue_stall_cycles;
@@ -69,17 +64,7 @@ let make ~cycles ~committed ~branches ~mispredicts ~hier ~dtlb ~occupancy_sum
     per_unit = (match units with [] | [ _ ] -> [] | _ -> units);
   }
 
-let mispredict_rate t =
-  if t.branches = 0 then 0.0
-  else float_of_int t.mispredicts /. float_of_int t.branches
-
-let level_miss_rate (l : Mem_hier.level_stats) =
-  let total = l.Mem_hier.hits + l.Mem_hier.misses in
-  if total = 0 then 0.0 else float_of_int l.Mem_hier.misses /. float_of_int total
-
-let l1_miss_rate t = level_miss_rate t.l1
-let l2_miss_rate t = Option.map level_miss_rate t.l2
-let dtlb_miss_rate t = Option.map level_miss_rate t.dtlb
+let mispredict_rate t = ratio t.mispredicts t.branches
 
 let total_stalls s =
   s.rob_full + s.iq_full + s.lsq_full + s.serialize + s.redirect + s.drained
@@ -110,7 +95,8 @@ let level_json (l : Mem_hier.level_stats) =
     [
       ("hits", Tca_util.Json.Int l.Mem_hier.hits);
       ("misses", Tca_util.Json.Int l.Mem_hier.misses);
-      ("miss_rate", Tca_util.Json.Float (level_miss_rate l));
+      ( "miss_rate",
+        Tca_util.Json.Float (ratio l.Mem_hier.misses (l.hits + l.misses)) );
     ]
 
 let unit_stats_to_json u =
@@ -126,7 +112,6 @@ let unit_stats_to_json u =
 
 let to_json t =
   let open Tca_util.Json in
-  let opt_level = function Some l -> level_json l | None -> Null in
   (* The [per_unit] key is emitted only for genuinely multi-unit runs:
      single-unit stats keep the exact bytes the golden pins were
      generated from. *)
@@ -159,8 +144,10 @@ let to_json t =
       ("mispredicts", Int t.mispredicts);
       ("mispredict_rate", Float (mispredict_rate t));
       ("l1", level_json t.l1);
-      ("l2", opt_level t.l2);
-      ("dtlb", opt_level t.dtlb);
+      ("l2", level_json t.l2);
+      (* The simulator has no TLB; the key stays so the golden pins and
+         perfbench's digests keep hashing the same bytes. *)
+      ("dtlb", Null);
       ("accel_invocations", Int t.accel_invocations);
       ("accel_busy_cycles", Int t.accel_busy_cycles);
       ("accel_wait_for_head_cycles", Int t.accel_wait_for_head_cycles);
@@ -179,99 +166,6 @@ let to_json t =
           ] );
     ]
     @ config @ per_unit)
-
-let of_json j =
-  let open Tca_util.Json in
-  let invalid message =
-    Error (Tca_util.Diag.Invalid { field = "Sim_stats.of_json"; message })
-  in
-  let int_field o name =
-    match Option.bind (member name o) to_int_opt with
-    | Some v -> Ok v
-    | None -> invalid (Printf.sprintf "missing or non-integer %S" name)
-  in
-  let float_field o name =
-    match Option.bind (member name o) to_float_opt with
-    | Some v -> Ok v
-    | None -> invalid (Printf.sprintf "missing or non-numeric %S" name)
-  in
-  let open Tca_util.Diag.Syntax in
-  let level_opt o name =
-    match member name o with
-    | None | Some Null -> Ok None
-    | Some l ->
-        let* hits = int_field l "hits" in
-        let+ misses = int_field l "misses" in
-        Some { Mem_hier.hits; misses }
-  in
-  let* cycles = int_field j "cycles" in
-  let* committed = int_field j "committed" in
-  let* ipc = float_field j "ipc" in
-  let* branches = int_field j "branches" in
-  let* mispredicts = int_field j "mispredicts" in
-  let* l1 =
-    let* l = level_opt j "l1" in
-    match l with Some l -> Ok l | None -> invalid "missing \"l1\" level"
-  in
-  let* l2 = level_opt j "l2" in
-  let* dtlb = level_opt j "dtlb" in
-  let* accel_invocations = int_field j "accel_invocations" in
-  let* accel_busy_cycles = int_field j "accel_busy_cycles" in
-  let* accel_wait_for_head_cycles = int_field j "accel_wait_for_head_cycles" in
-  let* avg_rob_occupancy = float_field j "avg_rob_occupancy" in
-  let* avg_rob_at_accel_dispatch = float_field j "avg_rob_at_accel_dispatch" in
-  let* stalls =
-    match member "stalls" j with
-    | None -> invalid "missing \"stalls\" object"
-    | Some s ->
-        let* rob_full = int_field s "rob_full" in
-        let* iq_full = int_field s "iq_full" in
-        let* lsq_full = int_field s "lsq_full" in
-        let* serialize = int_field s "serialize" in
-        let* redirect = int_field s "redirect" in
-        let+ drained = int_field s "drained" in
-        { rob_full; iq_full; lsq_full; serialize; redirect; drained }
-  in
-  let* config_stall_cycles, config_queue_stall_cycles =
-    match member "config" j with
-    | None | Some Null -> Ok (0, 0)
-    | Some c ->
-        let* stall = int_field c "stall_cycles" in
-        let+ queue = int_field c "queue_stall_cycles" in
-        (stall, queue)
-  in
-  let+ per_unit =
-    match member "per_unit" j with
-    | None | Some Null -> Ok []
-    | Some us -> (
-        match to_list_opt us with
-        | None -> invalid "\"per_unit\" is not a list"
-        | Some us ->
-            let rec parse_units = function
-              | [] -> Ok []
-              | u :: rest ->
-                  let* unit_id = int_field u "unit_id" in
-                  let* invocations = int_field u "invocations" in
-                  let* busy_cycles = int_field u "busy_cycles" in
-                  let* wait_for_head_cycles =
-                    int_field u "wait_for_head_cycles"
-                  in
-                  let* serialize_stall_cycles =
-                    int_field u "serialize_stall_cycles"
-                  in
-                  let+ rest = parse_units rest in
-                  { unit_id; invocations; busy_cycles; wait_for_head_cycles;
-                    serialize_stall_cycles }
-                  :: rest
-            in
-            parse_units us)
-  in
-  {
-    cycles; committed; ipc; branches; mispredicts; l1; l2;
-    accel_invocations; accel_busy_cycles; accel_wait_for_head_cycles;
-    avg_rob_occupancy; avg_rob_at_accel_dispatch; dtlb; stalls;
-    config_stall_cycles; config_queue_stall_cycles; per_unit;
-  }
 
 let speedup ~baseline ~accelerated =
   if accelerated.cycles = 0 then

@@ -30,7 +30,7 @@ type t = {
   branches : int;
   mispredicts : int;
   l1 : Mem_hier.level_stats;
-  l2 : Mem_hier.level_stats option;
+  l2 : Mem_hier.level_stats;
   accel_invocations : int;
   accel_busy_cycles : int;
       (** cycles with at least one TCA instruction executing *)
@@ -40,8 +40,6 @@ type t = {
   avg_rob_at_accel_dispatch : float;
       (** mean ROB entries at the moment a TCA dispatches — the window
           the NL modes must drain *)
-  dtlb : Mem_hier.level_stats option;
-      (** data-TLB hits/misses when a DTLB is configured *)
   stalls : stall_breakdown;
   config_stall_cycles : int;
       (** dispatch-stall cycles spent on synchronous configuration
@@ -60,8 +58,8 @@ type t = {
 
 val make :
   cycles:int -> committed:int -> branches:int -> mispredicts:int ->
-  hier:Mem_hier.t -> dtlb:Tlb.t option -> occupancy_sum:int ->
-  occupancy_at_accel_sum:int -> stalls:stall_breakdown ->
+  hier:Mem_hier.t -> occupancy_sum:int -> occupancy_at_accel_sum:int ->
+  stalls:stall_breakdown ->
   config_stall_cycles:int -> config_queue_stall_cycles:int ->
   unit_stats list -> t
 (** A run's stats from its raw counters and per-unit slices (ordered by
@@ -73,35 +71,19 @@ val make :
 
 val mispredict_rate : t -> float
 
-val level_miss_rate : Mem_hier.level_stats -> float
-(** misses / (hits + misses), 0 when the level saw no accesses. *)
-
-val l1_miss_rate : t -> float
-
-val l2_miss_rate : t -> float option
-(** [None] when no L2 is configured. *)
-
-val dtlb_miss_rate : t -> float option
-(** [None] when no DTLB is configured. *)
-
 val total_stalls : stall_breakdown -> int
 (** Sum over all six stall reasons. *)
 
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> Tca_util.Json.t
-(** Complete machine-readable form, including the optional L2/DTLB
-    levels (as [null] when absent) and derived rates. A trailing
-    [per_unit] list is present exactly when {!t.per_unit} is non-empty,
-    and a [config] object exactly when a config-stall counter is
-    non-zero — so configuration-free runs keep the exact bytes the
-    golden pins were generated from. *)
-
-val of_json : Tca_util.Json.t -> (t, Tca_util.Diag.t) result
-(** Inverse of {!to_json} (derived rates are recomputed, not read);
-    tolerant of absent [per_unit] and [config] keys, so pre-[Tca_unit]
-    and pre-t_config documents parse. [to_json (of_json j)] reproduces
-    [j]'s bytes for any document {!to_json} produced. *)
+(** Complete machine-readable form: every counter, the L1 and L2 hit,
+    miss and miss-rate triples, a [dtlb] key that is always [null] (the
+    simulator has no TLB; the key keeps the pinned bytes) and the derived
+    rates. A trailing [per_unit] list is present exactly when
+    {!t.per_unit} is non-empty, and a [config] object exactly when a
+    config-stall counter is non-zero — so configuration-free runs keep
+    the exact bytes the golden pins were generated from. *)
 
 val speedup : baseline:t -> accelerated:t -> (float, Tca_util.Diag.t) result
 (** Ratio of baseline to accelerated cycle counts;

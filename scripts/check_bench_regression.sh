@@ -22,6 +22,10 @@
 # Scaling section — the fresh run's artifacts must be bit-identical
 # across domain counts, and parallel efficiency at 2 domains must not
 # drop below the committed baseline minus SCALING_TOLERANCE (absolute).
+# The efficiency comparison runs only when both summaries were recorded
+# on a host with recommended_domains >= 2: on one core the second
+# domain time-slices it, so its efficiency measures nothing. Otherwise
+# the script prints a SKIPPED note naming the side and its core count.
 #
 #   dune exec bench/main.exe -- simulator --quick --summary fresh.json
 #   scripts/check_bench_regression.sh BENCH_results.json fresh.json
@@ -54,6 +58,19 @@ require_committed_section() {
     echo "check_bench_regression: fresh summary carries a \"$section\" section but $committed does not — refusing to skip its gate (set ALLOW_MISSING_BASELINE=1 to bootstrap a new baseline)" >&2
     exit 2
   fi
+}
+
+# True when the summary's scaling section was recorded on a host with at
+# least 2 cores; otherwise prints the SKIPPED note for that side.
+scaling_multicore() {
+  side=$1
+  file=$2
+  cores=$(jq -r '.scaling.meta.recommended_domains // 0' "$file")
+  if [ "$cores" -ge 2 ]; then
+    return 0
+  fi
+  echo "check_bench_regression: *** SKIPPED *** scaling efficiency gate: the $side summary ($file) was recorded with recommended_domains = $cores, so its 2-domain point time-sliced fewer than 2 cores"
+  return 1
 }
 
 checked=0
@@ -101,7 +118,11 @@ if jq -e 'has("scaling")' "$fresh" > /dev/null; then
     if [ -z "$committed_eff" ]; then
       echo "check_bench_regression: committed scaling baseline has no 2-domain point — refusing to skip the efficiency gate" >&2
       exit 2
-    else
+    fi
+    multicore=1
+    scaling_multicore committed "$committed" || multicore=0
+    scaling_multicore fresh "$fresh" || multicore=0
+    if [ "$multicore" = 1 ]; then
       echo "scaling efficiency @2 domains: committed ${committed_eff}, fresh ${fresh_eff} (floor: committed - ${scaling_tolerance})"
       if ! awk -v c="$committed_eff" -v f="$fresh_eff" -v t="$scaling_tolerance" \
           'BEGIN { exit !(f + 0 >= c - t) }'; then

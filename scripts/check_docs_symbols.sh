@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Docs-drift guard for code identifiers: every backtick-quoted
-# `Equations.*`, `Params.*`, `Tca_unit.*` or `Sim_stats.*` value/field
+# `Equations.*`, `Params.*`, `Tca_unit.*`, `Sim_stats.*`, `Config.*`,
+# `Pipeline.*`, `Trace.*`, `Simulator.*` or `Scheduler.*` value/field
 # mentioned in MODEL.md / DESIGN.md must exist in the corresponding
-# interface (.mli) — so a rename in lib/ can't leave the derivation
+# interface (.mli) — so a rename or a deletion in lib/ can't leave the
 # docs pointing at symbols that no longer exist.
 #
 # This is a lexical check against the .mli files (val names, record
@@ -22,6 +23,11 @@ iface_of() {
     Params) echo lib/core/params.mli ;;
     Tca_unit) echo lib/uarch/tca_unit.mli ;;
     Sim_stats) echo lib/uarch/sim_stats.mli ;;
+    Config) echo lib/uarch/config.mli ;;
+    Pipeline) echo lib/uarch/pipeline.mli ;;
+    Trace) echo lib/uarch/trace.mli ;;
+    Simulator) echo lib/uarch/simulator.mli ;;
+    Scheduler) echo lib/engine/scheduler.mli ;;
     *) echo "" ;;
   esac
 }
@@ -33,7 +39,7 @@ checked=0
 # `Equations.config_break_even`. Longer backtick spans (expressions,
 # qualified sub-fields, code fragments) are skipped: only the exact
 # two-component form is a checkable symbol reference.
-refs=$(grep -ohE '`(Equations|Params|Tca_unit|Sim_stats)\.[a-z_][A-Za-z0-9_]*`' $DOCS \
+refs=$(grep -ohE '`(Equations|Params|Tca_unit|Sim_stats|Config|Pipeline|Trace|Simulator|Scheduler)\.[a-z_][A-Za-z0-9_]*`' $DOCS \
   | tr -d '`' | sort -u)
 
 if [ -z "$refs" ]; then

@@ -319,27 +319,6 @@ let test_exclusive_occupancy () =
   Alcotest.(check int) "NL_NT indifferent to occupancy"
     (run_nt Config.Pipelined) (run_nt Config.Exclusive)
 
-let test_miss_bandwidth () =
-  let open Tca_uarch in
-  (* A burst of independent cold loads: limiting miss injection to one
-     per cycle must not be faster than unlimited. *)
-  let b = Trace.Builder.create () in
-  for i = 0 to 499 do
-    Trace.Builder.add b (Isa.load ~dst:(i mod 16) ~addr:(0x400000 + (i * 64)) ())
-  done;
-  let t = Trace.Builder.build b in
-  let run mb =
-    let cfg = { (Config.hp ()) with Config.miss_bandwidth = mb } in
-    (Pipeline.run_exn cfg t).Sim_stats.cycles
-  in
-  let unlimited = run None and limited = run (Some 1) in
-  Alcotest.(check bool) "limited not faster" true (limited >= unlimited);
-  Alcotest.(check int) "all commit" 500
-    (Pipeline.run_exn
-       { (Config.hp ()) with Config.miss_bandwidth = Some 1 }
-       t)
-      .Sim_stats.committed
-
 (* --- Experiments --- *)
 
 let test_design_space_scenarios () =
@@ -488,7 +467,6 @@ let () =
       ( "sim_knobs",
         [
           Alcotest.test_case "exclusive occupancy" `Quick test_exclusive_occupancy;
-          Alcotest.test_case "miss bandwidth" `Quick test_miss_bandwidth;
         ] );
       ( "experiments",
         [

@@ -868,16 +868,6 @@ let test_trends_preserved () =
   in
   Alcotest.(check bool) "ties tolerated" true (Validate.trends_preserved tie)
 
-let test_validate_rows () =
-  let p =
-    { Validate.id = "x"; mode = Mode.L_T; measured = 2.0; estimated = 2.2 }
-  in
-  let rows = Validate.rows [ p ] in
-  Alcotest.(check int) "one row" 1 (List.length rows);
-  Alcotest.(check int) "arity matches headers"
-    (List.length Validate.headers)
-    (List.length (List.hd rows))
-
 let () =
   Alcotest.run "tca_model"
     [
@@ -979,6 +969,5 @@ let () =
           Alcotest.test_case "error" `Quick test_validate_error;
           Alcotest.test_case "summarize" `Quick test_validate_summarize;
           Alcotest.test_case "trends" `Quick test_trends_preserved;
-          Alcotest.test_case "rows" `Quick test_validate_rows;
         ] );
     ]
