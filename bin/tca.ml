@@ -797,20 +797,6 @@ let run_cmd =
              checkpoints; a job over budget fails with exit-code-10 \
              semantics instead of wedging the run.")
   in
-  let retries_t =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry transiently-failing jobs up to N extra times with \
-             exponential backoff (see --retry-backoff).")
-  in
-  let backoff_t =
-    Arg.(
-      value & opt float 0.1
-      & info [ "retry-backoff" ] ~docv:"SECONDS"
-          ~doc:"Base backoff: retry attempt n sleeps SECONDS * 2^(n-1).")
-  in
   let fail_fast_t =
     Arg.(
       value
@@ -846,17 +832,14 @@ let run_cmd =
       & info [ "inject" ] ~docv:"JOB=FAULT"
           ~doc:
             "Fault-injection (testing): make JOB misbehave. FAULT is \
-             raise, transient[:N], hang or corrupt. Repeatable.")
+             raise, hang or corrupt. Repeatable.")
   in
   let run names jobs cache_dir quick (json, csv) out trace_out metrics_out
-      deadline retries backoff fail_fast failures_out inject =
+      deadline fail_fast failures_out inject =
     protect @@ fun () ->
     if jobs < 1 then
       die
         (Tca_util.Diag.Invalid { field = "--jobs"; message = "must be >= 1" });
-    if retries < 0 then
-      die
-        (Tca_util.Diag.Invalid { field = "--retries"; message = "must be >= 0" });
     let plan =
       List.map (fun s -> or_die (Tca_engine.Inject.parse_spec s)) inject
     in
@@ -867,14 +850,7 @@ let run_cmd =
       | names -> or_die (Tca_engine.Registry.resolve r names)
     in
     let js = Tca_engine.Inject.wrap plan js in
-    let policy =
-      {
-        Tca_engine.Scheduler.deadline_s = deadline;
-        retries;
-        backoff_s = backoff;
-        fail_fast;
-      }
-    in
+    let policy = { Tca_engine.Scheduler.deadline_s = deadline; fail_fast } in
     let cache = Tca_engine.Cache.create ?dir:cache_dir () in
     let host = telemetry_sink ~trace:trace_out ~metrics:metrics_out in
     let outcomes =
@@ -968,8 +944,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ names_t $ jobs_t $ cache_dir_t $ quick_t $ views_t $ out_t
-      $ trace_out_t $ metrics_out_t $ deadline_t $ retries_t
-      $ backoff_t $ fail_fast_t $ failures_t $ inject_t)
+      $ trace_out_t $ metrics_out_t $ deadline_t $ fail_fast_t $ failures_t
+      $ inject_t)
 
 (* --- tca list --- *)
 

@@ -1,46 +1,21 @@
-type kind = Tca_util.Faultgen.engine_fault =
-  | Raise
-  | Transient_failures of int
-  | Hang
-  | Corrupt_artifact
+type kind = Tca_util.Faultgen.engine_fault = Raise | Hang | Corrupt_artifact
 
 type plan = (string * kind) list
-
-let kind_to_string = function
-  | Raise -> "raise"
-  | Transient_failures n -> Printf.sprintf "transient:%d" n
-  | Hang -> "hang"
-  | Corrupt_artifact -> "corrupt"
 
 let parse_kind s =
   match String.lowercase_ascii s with
   | "raise" -> Ok Raise
   | "hang" -> Ok Hang
   | "corrupt" -> Ok Corrupt_artifact
-  | "transient" -> Ok (Transient_failures 1)
-  | s -> (
-      match String.split_on_char ':' s with
-      | [ "transient"; n ] -> (
-          match int_of_string_opt n with
-          | Some n when n > 0 -> Ok (Transient_failures n)
-          | _ ->
-              Error
-                (Tca_util.Diag.Invalid
-                   {
-                     field = "--inject";
-                     message =
-                       Printf.sprintf "transient count must be a positive int, got %S" n;
-                   }))
-      | _ ->
-          Error
-            (Tca_util.Diag.Invalid
-               {
-                 field = "--inject";
-                 message =
-                   Printf.sprintf
-                     "unknown fault %S (want raise | transient[:N] | hang | corrupt)"
-                     s;
-               }))
+  | s ->
+      Error
+        (Tca_util.Diag.Invalid
+           {
+             field = "--inject";
+             message =
+               Printf.sprintf "unknown fault %S (want raise | hang | corrupt)"
+                 s;
+           })
 
 let parse_spec spec =
   match String.index_opt spec '=' with
@@ -59,10 +34,7 @@ let parse_spec spec =
         Error
           (Tca_util.Diag.Invalid
              { field = "--inject"; message = "empty job name in spec" })
-      else
-        match parse_kind fault with
-        | Ok k -> Ok (job, k)
-        | Error e -> Error e)
+      else Result.map (fun k -> (job, k)) (parse_kind fault))
 
 exception Injected_raise of string
 
@@ -83,20 +55,9 @@ let wrap_job plan (j : Job.t) =
   match List.assoc_opt j.Job.name plan with
   | None -> j
   | Some kind ->
-      (* Transient faults must count attempts across retries of the same
-         run, so the counter lives outside the body closure. *)
-      let remaining = Atomic.make
-          (match kind with Transient_failures n -> n | _ -> 0)
-      in
       let body ctx =
         match kind with
         | Raise -> raise (Injected_raise j.Job.name)
-        | Transient_failures _ ->
-            if Atomic.fetch_and_add remaining (-1) > 0 then
-              raise
-                (Scheduler.Transient
-                   (Printf.sprintf "injected transient failure in %s" j.Job.name))
-            else j.Job.body ctx
         | Hang ->
             (* Cooperative hang: spin on the checkpoint so the deadline
                policy can trip. Bounded as a harness-safety escape hatch —

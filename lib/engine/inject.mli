@@ -1,21 +1,17 @@
 (** Engine-level fault injection: wrap job bodies so they misbehave in
     controlled, seeded ways.
 
-    This is the engine-layer extension of the PR-1 fault-injection
-    harness: where [Tca_util.Faultgen] feeds hostile {e values} into
-    constructors, [Inject] turns whole {e jobs} hostile — raising,
-    hanging until the deadline trips, failing transiently, or returning
-    a structurally valid but wrong artifact. The fuzz harness
+    This is the engine-layer extension of the value-level
+    fault-injection harness: where [Tca_util.Faultgen] feeds hostile
+    {e values} into constructors, [Inject] turns whole {e jobs} hostile
+    — raising, hanging until the deadline trips, or returning a
+    structurally valid but wrong artifact. The fuzz harness
     ([test/fuzz_engine.ml]) and the CLI's [--inject JOB=FAULT] flag both
     build plans with this module, so CI can drive a real [tca run]
     through its failure paths. *)
 
 type kind = Tca_util.Faultgen.engine_fault =
-  | Raise  (** body raises a permanent (non-retryable) exception *)
-  | Transient_failures of int
-      (** body raises {!Scheduler.Transient} on its first [n] attempts,
-          then runs honestly — recovers iff the policy grants [>= n]
-          retries *)
+  | Raise  (** body raises {!Injected_raise} *)
   | Hang
       (** body spins calling [ctx.checkpoint] until the deadline trips
           (bounded by a 30s escape hatch so an un-deadlined run still
@@ -28,19 +24,12 @@ type plan = (string * kind) list
 (** Job name -> fault to inject. Jobs not named run untouched. *)
 
 exception Injected_raise of string
-(** The permanent exception used by [Raise] (and the hang escape
-    hatch). *)
-
-val kind_to_string : kind -> string
-
-val parse_kind : string -> (kind, Tca_util.Diag.t) result
-(** ["raise"] | ["transient"] | ["transient:N"] | ["hang"] |
-    ["corrupt"]. *)
+(** The exception used by [Raise] (and the hang escape hatch). *)
 
 val parse_spec : string -> (string * kind, Tca_util.Diag.t) result
-(** ["JOB=FAULT"], the CLI [--inject] argument. *)
+(** ["JOB=FAULT"], the CLI [--inject] argument; [FAULT] is ["raise"],
+    ["hang"] or ["corrupt"]. *)
 
 val wrap : plan -> Job.t list -> Job.t list
 (** Wrap each planned job's body; names, titles and params (hence
-    fingerprints and cache keys) are unchanged. A [Transient_failures]
-    wrapper counts attempts across scheduler retries of the same run. *)
+    fingerprints and cache keys) are unchanged. *)

@@ -1,4 +1,4 @@
-(** A fixed pool of worker domains with one shared work queue.
+(** A fixed pool of worker domains that runs {!map} batches.
 
     Determinism by construction: {!map} is order-preserving — result [i]
     is always [f xs.(i)] regardless of which domain ran it or in what
@@ -6,19 +6,22 @@
     run with any number of workers produce structurally identical
     results for pure [f].
 
-    The caller of {!map} participates: while waiting for its batch it
-    drains tasks from the shared queue itself. That makes nested maps
-    (a worker task that itself calls {!map}, as intra-job sweeps do)
-    deadlock-free even when every worker is busy, and makes
-    [workers = 0] the same code path rather than a special case. *)
+    Each {!map} call opens a {e batch} whose tasks are claimed by index.
+    A batch opened by a running task is nested under that task's batch.
+    The caller of {!map} participates, but only in its own work: while
+    waiting for its batch it runs tasks of that batch and of batches
+    nested under it, never a sibling's. A job's fan-out therefore never
+    runs the jobs queued beside it, so the job's time is its own. Idle
+    workers take any open batch, the newest first. Nested maps stay
+    deadlock-free even when every worker is busy, since a caller can
+    always run its own unclaimed tasks, and [workers = 0] is the same
+    code path rather than a special case. *)
 
 type t
 
 val create : workers:int -> t
 (** Spawn [workers] domains ([0] is valid: no domains, all work runs on
     the calling domain). Negative values are clamped to [0]. *)
-
-val workers : t -> int
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map. [f] must be pure per element and must

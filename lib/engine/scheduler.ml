@@ -1,16 +1,8 @@
-exception Transient of string
+type policy = { deadline_s : float option; fail_fast : bool }
 
-type policy = {
-  deadline_s : float option;
-  retries : int;
-  backoff_s : float;
-  fail_fast : bool;
-}
+let default_policy = { deadline_s = None; fail_fast = false }
 
-let default_policy =
-  { deadline_s = None; retries = 0; backoff_s = 0.1; fail_fast = false }
-
-type failure = { diag : Tca_util.Diag.t; attempts : int }
+type failure = { diag : Tca_util.Diag.t }
 
 type status =
   | Done of Artifact.t
@@ -43,14 +35,6 @@ let artifact_exn o =
                   Printf.sprintf "job %s was skipped (fail-fast)"
                     o.job.Job.name;
               }))
-
-(* Retry only what plausibly goes away on its own: explicit [Transient]
-   signals and I/O-shaped system errors. A [Diag.Error] or any other
-   exception from a pure body is deterministic — retrying it would just
-   fail [retries] more times, slower. *)
-let is_transient = function
-  | Transient _ | Sys_error _ | Unix.Unix_error _ | Out_of_memory -> true
-  | _ -> false
 
 let diag_of_exn (j : Job.t) ~fingerprint e bt =
   match e with
@@ -93,75 +77,61 @@ let gc_delta (a : Gc.stat) (b : Gc.stat) =
     ("major_collections", b.Gc.major_collections - a.Gc.major_collections);
   ]
 
-(* The per-task supervisor: runs the body under the policy's deadline,
-   retries transient failures with exponential backoff, and converts
-   every escape — typed diag, deadline, arbitrary exception — into a
-   [Failed] outcome instead of letting it tear down the Domain pool.
-   Each attempt gets a fresh telemetry sink so a retried success carries
-   exactly the events of its successful attempt, closed by one
-   [task.run] span (tagged with the job, its queue wait and its GC
-   deltas) that the profiler groups under the executing domain's lane. *)
+(* The per-task supervisor: runs the body once under the policy's
+   deadline and converts every escape — typed diag, deadline, arbitrary
+   exception — into a [Failed] outcome instead of letting it tear down
+   the Domain pool. With telemetry on, the task's fresh sink is closed
+   by one [task.run] span (tagged with the job, its queue wait and its
+   GC deltas) that the profiler groups under the executing domain's
+   lane. *)
 let supervise (j : Job.t) ~fingerprint ~policy ~collect_telemetry ~quick
     ~enqueued_us pool_par =
   let module T = Tca_telemetry in
   let wait_us = Float.max 0.0 (T.Timing.now_us () -. enqueued_us) in
-  let rec attempt n =
-    let telemetry =
-      if collect_telemetry then Some (T.Sink.create ()) else None
-    in
-    let gc0 =
-      match telemetry with None -> None | Some _ -> Some (Gc.quick_stat ())
-    in
-    let t0 = T.Timing.now_us () in
-    let elapsed () = (T.Timing.now_us () -. t0) /. 1e6 in
-    (* Terminal attempts only: stamp the task's own sink with its
-       [task.run] span. Gated on the sink — the disabled path reads the
-       clock twice and nothing else. *)
-    let settle status =
-      let seconds = elapsed () in
-      (match gc0 with
-      | Some g0 ->
-          let gc = gc_delta g0 (Gc.quick_stat ()) in
-          let open Tca_util in
-          let args =
-            ("job", Json.String j.Job.name)
-            :: ("wait_us", Json.Float wait_us)
-            :: ("attempts", Json.Int n)
-            :: List.map (fun (k, v) -> ("gc_" ^ k, Json.Int v)) gc
-          in
-          T.Timing.record_span ~args ~ts:t0 telemetry "task.run" ~seconds
-      | None -> ());
-      (status, n, seconds, telemetry)
-    in
-    let checkpoint =
-      match policy.deadline_s with
-      | None -> ignore
-      | Some d ->
-          fun () ->
-            if elapsed () > d then
-              raise
-                (Tca_util.Diag.Error
-                   (Tca_util.Diag.Deadline { job = j.Job.name; seconds = d }))
-    in
-    let par =
-      match policy.deadline_s with
-      | None -> pool_par
-      | Some _ -> guarded_par pool_par checkpoint
-    in
-    let ctx = { Job.telemetry; par; quick; checkpoint } in
-    match j.Job.body ctx with
-    | a -> settle (Done a)
+  let telemetry = if collect_telemetry then Some (T.Sink.create ()) else None in
+  let gc0 =
+    match telemetry with None -> None | Some _ -> Some (Gc.quick_stat ())
+  in
+  let t0 = T.Timing.now_us () in
+  let elapsed () = (T.Timing.now_us () -. t0) /. 1e6 in
+  let checkpoint =
+    match policy.deadline_s with
+    | None -> ignore
+    | Some d ->
+        fun () ->
+          if elapsed () > d then
+            raise
+              (Tca_util.Diag.Error
+                 (Tca_util.Diag.Deadline { job = j.Job.name; seconds = d }))
+  in
+  let par =
+    match policy.deadline_s with
+    | None -> pool_par
+    | Some _ -> guarded_par pool_par checkpoint
+  in
+  let status =
+    match j.Job.body { Job.telemetry; par; quick; checkpoint } with
+    | a -> Done a
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        if is_transient e && n <= policy.retries then begin
-          if policy.backoff_s > 0.0 then
-            Unix.sleepf (policy.backoff_s *. (2.0 ** float_of_int (n - 1)));
-          attempt (n + 1)
-        end
-        else
-          settle (Failed { diag = diag_of_exn j ~fingerprint e bt; attempts = n })
+        Failed { diag = diag_of_exn j ~fingerprint e bt }
   in
-  attempt 1
+  let seconds = elapsed () in
+  (* Gated on the sink: the disabled path reads the clock twice and
+     nothing else. *)
+  (match gc0 with
+  | Some g0 ->
+      let gc = gc_delta g0 (Gc.quick_stat ()) in
+      let open Tca_util in
+      let args =
+        ("job", Json.String j.Job.name)
+        :: ("wait_us", Json.Float wait_us)
+        :: List.map (fun (k, v) -> ("gc_" ^ k, Json.Int v)) gc
+      in
+      T.Timing.record_span ~args ~ts:t0 telemetry "task.run" ~seconds
+  | None -> ());
+  { job = j; fingerprint; status; cached = false; seconds; attempts = 1;
+    telemetry }
 
 let run ?cache ?(policy = default_policy) ?(quick = false)
     ?(collect_telemetry = false) ?host_telemetry ?(jobs = 1) js =
@@ -203,40 +173,24 @@ let run ?cache ?(policy = default_policy) ?(quick = false)
             Pool.map pool
               (fun ((j : Job.t), _key, hit) ->
                 let fingerprint = Job.fingerprint_digest j ~quick in
+                (* A cache hit or a skip: the body never runs. *)
+                let unrun status ~cached =
+                  { job = j; fingerprint; status; cached; seconds = 0.;
+                    attempts = 0; telemetry = None }
+                in
                 match hit with
-                | Some a ->
-                    {
-                      job = j;
-                      fingerprint;
-                      status = Done a;
-                      cached = true;
-                      seconds = 0.;
-                      attempts = 0;
-                      telemetry = None;
-                    }
+                | Some a -> unrun (Done a) ~cached:true
+                | None when policy.fail_fast && Atomic.get aborted ->
+                    unrun Skipped ~cached:false
                 | None ->
-                    if policy.fail_fast && Atomic.get aborted then
-                      {
-                        job = j;
-                        fingerprint;
-                        status = Skipped;
-                        cached = false;
-                        seconds = 0.;
-                        attempts = 0;
-                        telemetry = None;
-                      }
-                    else begin
-                      let status, attempts, seconds, telemetry =
-                        supervise j ~fingerprint ~policy ~collect_telemetry
-                          ~quick ~enqueued_us (Pool.parmap pool)
-                      in
-                      (match status with
-                      | Failed _ when policy.fail_fast ->
-                          Atomic.set aborted true
-                      | _ -> ());
-                      { job = j; fingerprint; status; cached = false; seconds;
-                        attempts; telemetry }
-                    end)
+                    let o =
+                      supervise j ~fingerprint ~policy ~collect_telemetry
+                        ~quick ~enqueued_us (Pool.parmap pool)
+                    in
+                    (match o.status with
+                    | Failed _ when policy.fail_fast -> Atomic.set aborted true
+                    | _ -> ());
+                    o)
               looked_up))
   in
   (* Phase 3 (serial): cache stores for fresh successes, in job order. *)
@@ -277,9 +231,9 @@ let first_failure outcomes =
   match failures outcomes with (_, f) :: _ -> Some f.diag | [] -> None
 
 (* Everything in the report is stable across [--jobs N]: input order,
-   configured budgets, attempt counts — no wall-clock, no backtraces
-   (those stay inside the [Task_failure] payload for interactive
-   debugging). The failure-path CI diff relies on this. *)
+   configured budgets — no wall-clock, no backtraces (those stay inside
+   the [Task_failure] payload for interactive debugging). The
+   failure-path CI diff relies on this. *)
 let failure_report outcomes =
   let open Tca_util.Json in
   Obj
@@ -305,7 +259,6 @@ let failure_report outcomes =
                    ("kind", String (diag_kind f.diag));
                    ("diag", String (Tca_util.Diag.to_string f.diag));
                    ("exit_code", Int (Tca_util.Diag.exit_code f.diag));
-                   ("attempts", Int f.attempts);
                  ])
              (failures outcomes)) );
       ( "skipped_jobs",
@@ -325,11 +278,6 @@ let join_telemetry ~into outcomes =
       | Some child -> Tca_telemetry.Sink.join ~into child
       | None -> ())
     outcomes
-
-let merged_sink outcomes =
-  let into = Tca_telemetry.Sink.create () in
-  join_telemetry ~into outcomes;
-  into
 
 (* The whole run sits under [profile.total] on the calling domain's
    lane; the profiler's component table decomposes exactly that span, so

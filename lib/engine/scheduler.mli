@@ -4,25 +4,19 @@
     on a {!Pool}, serial cache stores. Every miss runs under a per-task
     {e supervisor}: the body executes with the run policy's deadline
     threaded through {!Job.ctx.checkpoint} (and through [ctx.par] chunk
-    boundaries), transient failures are retried with exponential
-    backoff, and any escape — a typed [Diag.Error], a tripped deadline,
-    an arbitrary exception — becomes a [Failed] outcome instead of
-    propagating into the pool. A sweep with one poisoned point
+    boundaries), exactly once: bodies are pure ({!Job}), so a failure
+    would recur on every attempt. Any escape — a typed [Diag.Error], a
+    tripped deadline, an arbitrary exception — becomes a [Failed]
+    outcome instead of propagating into the pool. A sweep with one poisoned point
     therefore still yields the other N-1 artifacts, plus a
     machine-readable {!failure_report}.
 
     Determinism contract: with [fail_fast = false] the full outcome
-    list — statuses, diags, attempt counts, and hence the rendered
+    list — statuses, diags, and hence the rendered
     failure report — is bit-identical across [--jobs 1] and [--jobs N].
     With [fail_fast = true] the set of [Skipped] jobs depends on
     completion timing under parallelism; only serial fail-fast runs are
     reproducible. *)
-
-exception Transient of string
-(** Raise from a job body to signal a failure worth retrying (the
-    scheduler also treats [Sys_error], [Unix.Unix_error] and
-    [Out_of_memory] as transient). Anything else is considered
-    deterministic and fails immediately. *)
 
 type policy = {
   deadline_s : float option;
@@ -31,11 +25,6 @@ type policy = {
           budget fails the job with [Diag.Deadline]. [None] = no
           deadline. The diag records the configured budget, not the
           elapsed time, so reports stay bit-identical across [--jobs]. *)
-  retries : int;
-      (** Extra attempts for transient failures; 0 = fail on first. *)
-  backoff_s : float;
-      (** Base backoff: attempt [n] sleeps [backoff_s * 2^(n-1)] before
-          retrying. *)
   fail_fast : bool;
       (** [true]: after the first failure, not-yet-started jobs are
           [Skipped]. [false] (keep-going, the default): every job runs
@@ -43,9 +32,9 @@ type policy = {
 }
 
 val default_policy : policy
-(** No deadline, no retries, 0.1s base backoff, keep-going. *)
+(** No deadline, keep-going. *)
 
-type failure = { diag : Tca_util.Diag.t; attempts : int }
+type failure = { diag : Tca_util.Diag.t }
 
 type status =
   | Done of Artifact.t
@@ -57,11 +46,11 @@ type outcome = {
   fingerprint : string;  (** {!Job.fingerprint_digest} of the job *)
   status : status;
   cached : bool;  (** re-served from the cache, body not run *)
-  seconds : float;  (** wall-clock of the last attempt; 0 for hits/skips *)
-  attempts : int;  (** body attempts made; 0 for cache hits and skips *)
+  seconds : float;  (** wall-clock of the body's run; 0 for hits/skips *)
+  attempts : int;
+      (** 1 for a job whose body ran, 0 for cache hits and skips *)
   telemetry : Tca_telemetry.Sink.t option;
-      (** present for fresh (non-cached) attempts when requested; a
-          retried job carries the sink of its final attempt only *)
+      (** present for fresh (non-cached) runs when requested *)
 }
 
 val run :
@@ -81,8 +70,8 @@ val run :
 
     Profiling hooks, all zero-cost when the respective sink is absent:
     with [collect_telemetry], each fresh task's sink additionally
-    carries one [task.run] span (args: job, queue [wait_us], attempts,
-    [gc_*] deltas from [Gc.quick_stat]), from which the metrics view
+    carries one [task.run] span (args: job, queue [wait_us], [gc_*]
+    deltas from [Gc.quick_stat]), from which the metrics view
     derives the [task.wait.seconds] histogram and the [task.gc.*]
     counters. With [host_telemetry], the scheduler's own phases are
     recorded into that sink as [cache.lookup], [pool.spawn],
@@ -103,7 +92,7 @@ val first_failure : outcome list -> Tca_util.Diag.t option
 val failure_report : outcome list -> Tca_util.Json.t
 (** Machine-readable run report: succeeded/cached/failed/skipped counts
     plus one record per failure (job, fingerprint, diag kind, rendered
-    diag, exit code, attempts) and the skipped-job names. Contains no
+    diag, exit code) and the skipped-job names. Contains no
     wall-clock times and no backtraces, so keep-going reports are
     bit-identical across [--jobs 1] / [--jobs N]. *)
 
@@ -112,14 +101,8 @@ val diag_kind : Tca_util.Diag.t -> string
 
 val join_telemetry : into:Tca_telemetry.Sink.t -> outcome list -> unit
 (** Join every outcome's sink into [into], in outcome order (= input
-    order). Use this to merge a run's task telemetry into an existing
-    host sink (as [tca run --trace] does); {!merged_sink} is the
-    fresh-sink variant. *)
-
-val merged_sink : outcome list -> Tca_telemetry.Sink.t
-(** One sink holding every outcome's events, joined in outcome order
-    (= input order). Equals the trace a serial run with one shared sink
-    would produce. *)
+    order). Joined into a fresh sink, this equals the trace a serial run
+    with one shared sink would produce. *)
 
 val run_profiled :
   ?quick:bool -> ?jobs:int -> Job.t list -> outcome list * Tca_telemetry.Sink.t

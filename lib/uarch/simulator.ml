@@ -17,13 +17,6 @@ let split_outcome = function
   | Pipeline.Complete stats -> (stats, None)
   | Pipeline.Partial { stats; diag } -> (stats, Some diag)
 
-let measure_ipc ?telemetry cfg trace =
-  let+ outcome = Pipeline.run ?telemetry cfg trace in
-  (Pipeline.stats_of_outcome outcome).Sim_stats.ipc
-
-let measure_ipc_exn ?telemetry cfg trace =
-  Tca_util.Diag.ok_exn (measure_ipc ?telemetry cfg trace)
-
 (* Containment: a raise from one entry — a typed [Diag.Error] escaping a
    convenience call, or any other exception from its run — costs that
    entry its result, never the batch. Without this, a raise inside a
@@ -88,23 +81,3 @@ let compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated () =
 let compare_modes_exn ?telemetry ?par ~cfg ~baseline ~accelerated () =
   Tca_util.Diag.ok_exn
     (compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated ())
-
-let find_mode_result comparison coupling =
-  match
-    List.find_opt
-      (fun r -> Config.coupling_name r.coupling = Config.coupling_name coupling)
-      comparison.modes
-  with
-  | Some r -> Ok r
-  | None ->
-      Result.Error
-        (Tca_util.Diag.Invalid
-           {
-             field = "Simulator.find_mode_result";
-             message =
-               Printf.sprintf "no result for coupling %s"
-                 (Config.coupling_name coupling);
-           })
-
-let find_mode_result_exn comparison coupling =
-  Tca_util.Diag.ok_exn (find_mode_result comparison coupling)

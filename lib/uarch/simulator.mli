@@ -18,16 +18,6 @@ type comparison = {
   modes : mode_result list;  (** in [Config.all_couplings] order *)
 }
 
-val measure_ipc :
-  ?telemetry:Tca_telemetry.Sink.t -> Config.t -> Trace.t ->
-  (float, Tca_util.Diag.t) result
-(** IPC of a trace on the given core (coupling irrelevant when the trace
-    holds no accelerator instructions). A watchdog-truncated run still
-    returns its snapshot IPC. [Error] only on an invalid configuration. *)
-
-val measure_ipc_exn :
-  ?telemetry:Tca_telemetry.Sink.t -> Config.t -> Trace.t -> float
-
 val run_batch :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
@@ -69,9 +59,3 @@ val compare_modes_exn :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
   cfg:Config.t -> baseline:Trace.t -> accelerated:Trace.t -> unit -> comparison
-
-val find_mode_result :
-  comparison -> Config.coupling -> (mode_result, Tca_util.Diag.t) result
-(** [Error (Invalid _)] if the coupling is absent. *)
-
-val find_mode_result_exn : comparison -> Config.coupling -> mode_result

@@ -62,18 +62,10 @@ let matrix_adversarial t =
 
 (* --- engine-layer faults --- *)
 
-type engine_fault =
-  | Raise
-  | Transient_failures of int
-  | Hang
-  | Corrupt_artifact
+type engine_fault = Raise | Hang | Corrupt_artifact
 
 let engine_fault t =
-  match Prng.int t 4 with
-  | 0 -> Raise
-  | 1 -> Transient_failures (Prng.int_in t 1 4)
-  | 2 -> Hang
-  | _ -> Corrupt_artifact
+  match Prng.int t 3 with 0 -> Raise | 1 -> Hang | _ -> Corrupt_artifact
 
 (* Bit-flip somewhere in the middle, truncate, or both — the shapes a
    torn write or a bad sector leaves behind. The result is never equal

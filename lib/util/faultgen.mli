@@ -53,10 +53,7 @@ val matrix_adversarial : t -> float array array
     [Tca_engine.Inject] so this module stays dependency-free. *)
 
 type engine_fault =
-  | Raise  (** the job body raises a permanent exception *)
-  | Transient_failures of int
-      (** the body fails the first [n] attempts ([1 <= n <= 3]) with a
-          transient error, then succeeds — exercises bounded retry *)
+  | Raise  (** the job body raises *)
   | Hang  (** the body spins until the per-job deadline trips *)
   | Corrupt_artifact
       (** the body returns a structurally valid but wrong artifact *)

@@ -9,9 +9,8 @@
         of the same jobs (and an injected Corrupt_artifact is visible:
         its artifact differs);
      3. failures are fully and deterministically reported: expected diag
-        kind per injected fault, expected attempt counts under the retry
-        policy, and a failure report that is byte-identical across
-        --jobs 1 / --jobs N;
+        kind per injected fault and a failure report that is
+        byte-identical across --jobs 1 / --jobs N;
      4. a damaged on-disk cache — truncated entries (kill -9 mid-write),
         bit flips at rest, orphaned temp files — degrades to quarantined
         misses: recomputed artifacts match the reference and the corrupt
@@ -67,24 +66,19 @@ let synth_job name n =
       A.make ~job:name ~title:name
         [ A.Table (A.table ~name:"chunks" ~headers:[ "i"; "v" ] cells) ])
 
-let fault_counts = Array.make 4 0
+let fault_counts = Array.make 3 0
 
 let count_fault = function
   | Inject.Raise -> fault_counts.(0) <- fault_counts.(0) + 1
-  | Inject.Transient_failures _ -> fault_counts.(1) <- fault_counts.(1) + 1
-  | Inject.Hang -> fault_counts.(2) <- fault_counts.(2) + 1
-  | Inject.Corrupt_artifact -> fault_counts.(3) <- fault_counts.(3) + 1
+  | Inject.Hang -> fault_counts.(1) <- fault_counts.(1) + 1
+  | Inject.Corrupt_artifact -> fault_counts.(2) <- fault_counts.(2) + 1
 
 (* --- scheduler-level injection --- *)
-
-let retries = 2
 
 let expected_status plan name =
   match List.assoc_opt name plan with
   | None | Some Inject.Corrupt_artifact -> "done"
   | Some Inject.Raise -> "task_failure"
-  | Some (Inject.Transient_failures n) ->
-      if n <= retries then "done" else "task_failure"
   | Some Inject.Hang -> "deadline"
 
 let status_string (o : Scheduler.outcome) =
@@ -120,8 +114,6 @@ let scheduler_case i rng =
   let policy =
     {
       Scheduler.deadline_s = (if has_hang then Some 0.005 else None);
-      retries;
-      backoff_s = 0.0;
       fail_fast = false;
     }
   in
@@ -137,8 +129,8 @@ let scheduler_case i rng =
         expect i what (got = want)
           (Printf.sprintf "%s: expected %s, got %s" name want got);
         match (o.Scheduler.status, List.assoc_opt name plan) with
-        | Scheduler.Done a, (None | Some (Inject.Transient_failures _)) ->
-            (* honest (possibly retried) artifact = reference, bit for bit *)
+        | Scheduler.Done a, None ->
+            (* honest artifact = reference, bit for bit *)
             expect i what
               (A.fingerprint a = List.assoc name reference)
               (name ^ ": surviving artifact differs from fault-free run")
@@ -146,12 +138,6 @@ let scheduler_case i rng =
             expect i what
               (A.fingerprint a <> List.assoc name reference)
               (name ^ ": injected corruption produced an identical artifact")
-        | Scheduler.Failed { attempts; _ }, Some (Inject.Transient_failures n)
-          ->
-            expect i what
-              (attempts = retries + 1)
-              (Printf.sprintf "%s: transient:%d made %d attempts, want %d"
-                 name n attempts (retries + 1))
         | _ -> ())
       outcomes;
     outcomes
@@ -263,9 +249,8 @@ let () =
   | [] ->
       Printf.printf
         "fuzz_engine: %d cases (%d guarded runs; faults: %d raise, %d \
-         transient, %d hang, %d corrupt), seed %#x: OK\n"
-        cases !checks fault_counts.(0) fault_counts.(1) fault_counts.(2)
-        fault_counts.(3) seed
+         hang, %d corrupt), seed %#x: OK\n"
+        cases !checks fault_counts.(0) fault_counts.(1) fault_counts.(2) seed
   | fs ->
       let fs = List.rev fs in
       Printf.eprintf "fuzz_engine: %d failure(s) in %d cases (seed %#x):\n"

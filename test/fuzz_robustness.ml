@@ -281,6 +281,40 @@ let hostile_case g =
   let len = 20 + (abs (Tca_util.Faultgen.size_adversarial g ~max:120) mod 120) in
   (cfg, hostile_trace g ~len)
 
+(* A drawn branch predictor and memory latencies: any predictor kind,
+   its table bits valid in [1, 16] or invalid, and L1/L2 hit and memory
+   latencies that are now and then 0 or negative, so that runs reach
+   what [Config.validate] rejects. Also returns whether any drawn value
+   is out of range. Drawn from a stream of its own, like
+   [with_unit_table], so the case's other inputs do not move. *)
+let with_bpred_and_mem i (cfg : Tca_uarch.Config.t) =
+  let open Tca_uarch in
+  let g = Tca_util.Prng.create (Hashtbl.hash (seed, i, "bpred+mem")) in
+  let pick n = Tca_util.Prng.int g n in
+  let invalid = ref false in
+  let bad v =
+    invalid := true;
+    v
+  in
+  let bits () =
+    if pick 8 = 0 then bad [| -1; 0; 25; 30 |].(pick 4) else 1 + pick 16
+  in
+  let bpred =
+    match pick 4 with
+    | 0 -> Bpred.Perfect
+    | 1 -> Bpred.Bimodal (bits ())
+    | 2 -> Bpred.Gshare (bits ())
+    | _ -> Bpred.Tournament (bits ())
+  in
+  let latency max = if pick 24 = 0 then bad (-pick 2) else 1 + pick max in
+  let level (c : Cache.config) max =
+    { c with Cache.hit_latency = latency max }
+  in
+  let l1 = level cfg.Config.mem.Mem_hier.l1 4 in
+  let l2 = level cfg.Config.mem.Mem_hier.l2 24 in
+  let mem_latency = latency 200 in
+  ({ cfg with Config.bpred; mem = { Mem_hier.l1; l2; mem_latency } }, !invalid)
+
 (* The same trace on a drawn accelerator table: 1-3 units with random
    configuration cost, core occupancy Pipelined or Exclusive, the accel
    instructions spread across the units, and now and then one invocation
@@ -398,6 +432,7 @@ let uarch_case i g =
 let parity_case i g =
   let open Tca_uarch in
   let cfg, trace = hostile_case g in
+  let cfg, invalid = with_bpred_and_mem i cfg in
   let key = function
     | Ok o ->
         "ok:"
@@ -425,7 +460,10 @@ let parity_case i g =
             (Printf.sprintf "optimized %s <> reference %s" opt oracle);
         if stepping <> oracle then
           record i "reference parity (stepping)"
-            (Printf.sprintf "stepping %s <> reference %s" stepping oracle))
+            (Printf.sprintf "stepping %s <> reference %s" stepping oracle);
+        if invalid && not (String.starts_with ~prefix:"error:" oracle) then
+          record i "Config.validate"
+            ("out-of-range predictor or memory latency ran: " ^ oracle))
   in
   parity "Pipeline vs Pipeline_reference" cfg trace;
   let cfg, trace = with_unit_table i "parity" cfg trace in

@@ -307,13 +307,14 @@ let test_cache_disk_roundtrip () =
 
 (* Cheap deterministic jobs that still exercise par + telemetry: the
    body spreads chunks over ctx.par with [Timing.fan_out], like the real
-   drivers do. *)
-let synth_job name n =
+   drivers do. Each chunk sleeps [chunk_s] first. *)
+let synth_job ?(chunk_s = 0.) name n =
   Job.make ~name ~title:name (fun (ctx : Job.ctx) ->
       let cells =
         Tca_telemetry.Timing.fan_out ?telemetry:ctx.Job.telemetry
           ~par:ctx.Job.par
           (fun ~telemetry i ->
+            if chunk_s > 0. then Unix.sleepf chunk_s;
             Option.iter
               (fun s ->
                 Tca_telemetry.Sink.instant s ~ts:(float_of_int i)
@@ -328,6 +329,18 @@ let synth_job name n =
             (A.table ~name:"chunks" ~headers:[ "i"; "v" ]
                (Array.to_list cells));
         ])
+
+(* A job that does not fan out: it sleeps [seconds] without a
+   checkpoint, so no deadline trips it. *)
+let sleep_job name seconds =
+  Job.make ~name ~title:name (fun (_ : Job.ctx) ->
+      Unix.sleepf seconds;
+      A.make ~job:name ~title:name [ A.Note name ])
+
+let merged_sink outcomes =
+  let into = Tca_telemetry.Sink.create () in
+  Scheduler.join_telemetry ~into outcomes;
+  into
 
 let fingerprints outcomes =
   List.map
@@ -350,7 +363,7 @@ let check_jobs_identity js =
     (fingerprints serial) (fingerprints parallel);
   let shape outcomes =
     List.map event_shape
-      (Tca_telemetry.Sink.events (Scheduler.merged_sink outcomes))
+      (Tca_telemetry.Sink.events (merged_sink outcomes))
   in
   Alcotest.(check int) "same merged event count"
     (List.length (shape serial))
@@ -425,7 +438,7 @@ let test_scheduler_quick_does_not_alias () =
   Alcotest.(check (list bool)) "quick misses full-run entry" [ false ]
     (List.map (fun (o : Scheduler.outcome) -> o.Scheduler.cached) second)
 
-(* --- scheduler: supervision, retries, deadlines, fail-fast --- *)
+(* --- scheduler: supervision, deadlines, fail-fast --- *)
 
 module Inject = Tca_engine.Inject
 
@@ -481,43 +494,37 @@ let test_scheduler_deadline () =
   let policy =
     { Scheduler.default_policy with Scheduler.deadline_s = Some 0.05 }
   in
-  let outcomes = Scheduler.run ~policy ~jobs:2 js in
-  Alcotest.(check (list string)) "hang trips deadline, ok completes"
-    [ "done"; "deadline" ]
-    (statuses outcomes);
-  match List.nth outcomes 1 with
-  | {
-      Scheduler.status =
-        Scheduler.Failed
-          { diag = Tca_util.Diag.Deadline { job; seconds }; _ };
-      _;
-    } ->
-      Alcotest.(check string) "job named" "hang" job;
-      (* the configured budget, not the elapsed time: deterministic *)
-      Alcotest.(check (float 0.0)) "budget recorded" 0.05 seconds
-  | _ -> Alcotest.fail "expected Deadline failure"
+  List.iter
+    (fun jobs ->
+      let outcomes = Scheduler.run ~policy ~jobs js in
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs %d: hang trips deadline, ok completes" jobs)
+        [ "done"; "deadline" ] (statuses outcomes);
+      match List.nth outcomes 1 with
+      | {
+          Scheduler.status =
+            Scheduler.Failed { diag = Tca_util.Diag.Deadline { job; seconds } };
+          _;
+        } ->
+          Alcotest.(check string) "job named" "hang" job;
+          (* the configured budget, not the elapsed time: deterministic *)
+          Alcotest.(check (float 0.0)) "budget recorded" 0.05 seconds
+      | _ -> Alcotest.fail "expected Deadline failure")
+    [ 1; 2 ]
 
-let test_scheduler_retry () =
-  let make_js () =
-    Inject.wrap
-      [ ("flaky", Inject.Transient_failures 2) ]
-      [ synth_job "flaky" 4 ]
+let test_scheduler_fan_out_deadline () =
+  (* At one lane, a job that fans out waits only for its own chunks. Had
+     the two slow jobs queued after it run inside its [ctx.par] wait,
+     its deadline would cover their 0.2 s and trip. *)
+  let js =
+    [ synth_job "fast" 4; sleep_job "slow1" 0.1; sleep_job "slow2" 0.1 ]
   in
-  let policy retries =
-    { Scheduler.default_policy with Scheduler.retries; backoff_s = 0.0 }
+  let policy =
+    { Scheduler.default_policy with Scheduler.deadline_s = Some 0.15 }
   in
-  (* enough retries: recovers, attempts recorded *)
-  (match Scheduler.run ~policy:(policy 2) (make_js ()) with
-  | [ { Scheduler.status = Scheduler.Done _; attempts; _ } ] ->
-      Alcotest.(check int) "third attempt succeeded" 3 attempts
-  | _ -> Alcotest.fail "expected recovery with retries=2");
-  (* too few: permanent failure after exhausting the budget *)
-  match Scheduler.run ~policy:(policy 1) (make_js ()) with
-  | [ { Scheduler.status = Scheduler.Failed { diag; attempts }; _ } ] ->
-      Alcotest.(check string) "reported as task_failure" "task_failure"
-        (Scheduler.diag_kind diag);
-      Alcotest.(check int) "both attempts made" 2 attempts
-  | _ -> Alcotest.fail "expected failure with retries=1"
+  Alcotest.(check (list string)) "every job within its own budget"
+    [ "done"; "done"; "done" ]
+    (statuses (Scheduler.run ~policy ~jobs:1 js))
 
 let test_scheduler_fail_fast () =
   let js =
@@ -570,25 +577,37 @@ let test_scheduler_corrupt_artifact_differs () =
   | _ -> Alcotest.fail "corrupt injection must still produce an artifact"
 
 let test_scheduler_metrics () =
+  (* Every fresh body runs exactly once, failed or not: [attempts] is 1
+     for a run body and 0 for a cache hit, and a failure record carries
+     no attempt count. *)
+  with_temp_dir @@ fun dir ->
   let js =
     Inject.wrap
-      [ ("s1", Inject.Raise); ("s2", Inject.Transient_failures 1) ]
+      [ ("s1", Inject.Raise) ]
       (List.init 3 (fun i -> synth_job (Printf.sprintf "s%d" i) 4))
   in
-  let policy =
-    { Scheduler.default_policy with Scheduler.retries = 1; backoff_s = 0.0 }
-  in
-  let outcomes = Scheduler.run ~policy js in
+  let cache = Cache.create ~dir () in
+  let outcomes = Scheduler.run ~cache js in
   let report = Scheduler.failure_report outcomes in
   let count field =
     Option.bind (Tca_util.Json.member field report) Tca_util.Json.to_int_opt
   in
   Alcotest.(check (option int)) "succeeded" (Some 2) (count "succeeded");
   Alcotest.(check (option int)) "failed" (Some 1) (count "failed");
-  Alcotest.(check int) "retried" 1
-    (List.fold_left
-       (fun n (o : Scheduler.outcome) -> n + max 0 (o.Scheduler.attempts - 1))
-       0 outcomes)
+  (match Tca_util.Json.member "failures" report with
+  | Some (Tca_util.Json.List [ Tca_util.Json.Obj kvs ]) ->
+      Alcotest.(check (list string)) "failure record keys"
+        [ "job"; "fingerprint"; "kind"; "diag"; "exit_code" ]
+        (List.map fst kvs)
+  | _ -> Alcotest.fail "expected one failure record");
+  let attempts =
+    List.map (fun (o : Scheduler.outcome) -> o.Scheduler.attempts)
+  in
+  Alcotest.(check (list int)) "each body ran once" [ 1; 1; 1 ]
+    (attempts outcomes);
+  Alcotest.(check (list int)) "hits do not run; the failure reruns"
+    [ 0; 1; 0 ]
+    (attempts (Scheduler.run ~cache js))
 
 (* --- Profiling instrumentation: task spans + host phases --- *)
 
@@ -596,7 +615,7 @@ let test_scheduler_task_spans () =
   let n = 4 in
   let js = List.init n (fun i -> synth_job (Printf.sprintf "p%d" i) 3) in
   let outcomes = Scheduler.run ~collect_telemetry:true ~jobs:2 js in
-  let merged = Scheduler.merged_sink outcomes in
+  let merged = merged_sink outcomes in
   let task_spans =
     List.filter
       (fun (e : Tca_telemetry.Sink.event) ->
@@ -616,9 +635,12 @@ let test_scheduler_task_spans () =
       | Some (Tca_util.Json.Float w) ->
           Alcotest.(check bool) "queue wait >= 0" true (w >= 0.0)
       | _ -> Alcotest.fail "task.run without wait_us arg");
-      (match arg "attempts" with
-      | Some (Tca_util.Json.Int 1) -> ()
-      | _ -> Alcotest.fail "task.run without attempts arg");
+      Alcotest.(check (list string)) "task.run args"
+        [
+          "job"; "wait_us"; "gc_minor_words"; "gc_promoted_words";
+          "gc_major_words"; "gc_minor_collections"; "gc_major_collections";
+        ]
+        (List.map fst e.Tca_telemetry.Sink.args);
       List.iter
         (fun key ->
           match arg key with
@@ -748,6 +770,36 @@ let test_profile_report_deterministic () =
   (* the ISSUE's acceptance bar: >= 90% of wall-clock attributed *)
   Alcotest.(check bool) "attribution >= 0.9" true (frac_a >= 0.9)
 
+let test_profile_task_time_bounded () =
+  (* A job's [task.run] span covers its own work only, so the task spans
+     on one lane never overlap and sum to at most its wall time. A
+     fan-out that ran sibling jobs would count each of them twice. *)
+  let js =
+    List.init 4 (fun i -> synth_job ~chunk_s:0.005 (Printf.sprintf "f%d" i) 4)
+  in
+  List.iter
+    (fun jobs ->
+      let _, host = Scheduler.run_profiled ~jobs js in
+      let p = Tca_telemetry.Profiler.of_sink host in
+      let task_s =
+        List.fold_left
+          (fun acc (r : Tca_telemetry.Profiler.row) ->
+            if r.Tca_telemetry.Profiler.name = "task.run" then
+              acc +. r.Tca_telemetry.Profiler.total_s
+            else acc)
+          0. p.Tca_telemetry.Profiler.rows
+      in
+      let bound =
+        p.Tca_telemetry.Profiler.wall_s
+        *. float_of_int (List.length p.Tca_telemetry.Profiler.lanes)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: task.run %.4f s <= wall x lanes %.4f s" jobs
+           task_s bound)
+        true
+        (task_s <= bound +. 1e-6))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "tca_engine"
     [
@@ -806,7 +858,8 @@ let () =
           Alcotest.test_case "failure containment + report identity" `Quick
             test_scheduler_failure_containment;
           Alcotest.test_case "deadline" `Quick test_scheduler_deadline;
-          Alcotest.test_case "transient retry" `Quick test_scheduler_retry;
+          Alcotest.test_case "fan-out keeps its deadline at one lane" `Quick
+            test_scheduler_fan_out_deadline;
           Alcotest.test_case "fail-fast vs keep-going" `Quick
             test_scheduler_fail_fast;
           Alcotest.test_case "failure not cached" `Quick
@@ -825,5 +878,7 @@ let () =
             test_scheduler_profiled_bit_identity;
           Alcotest.test_case "profile report deterministic" `Quick
             test_profile_report_deterministic;
+          Alcotest.test_case "task.run within wall x lanes" `Quick
+            test_profile_task_time_bounded;
         ] );
     ]

@@ -1126,15 +1126,20 @@ let test_simulator_compare_modes () =
     (fun (r : Simulator.mode_result) ->
       Alcotest.(check bool) "positive speedup" true (r.Simulator.speedup > 0.0))
     cmp.Simulator.modes;
-  let lt = Simulator.find_mode_result_exn cmp Config.coupling_l_t in
-  Alcotest.(check string) "find L_T" "L_T" (Config.coupling_name lt.Simulator.coupling)
+  Alcotest.(check (list string)) "Config.all_couplings order"
+    (List.map Config.coupling_name Config.all_couplings)
+    (List.map
+       (fun (r : Simulator.mode_result) ->
+         Config.coupling_name r.Simulator.coupling)
+       cmp.Simulator.modes)
 
 let test_simulator_measure_ipc () =
   let b = Trace.Builder.create () in
   for i = 0 to 1999 do
     Trace.Builder.add b (Isa.int_alu ~dst:(i mod 32) ())
   done;
-  let ipc = Simulator.measure_ipc_exn (Config.hp ()) (Trace.Builder.build b) in
+  let stats = Pipeline.run_exn (Config.hp ()) (Trace.Builder.build b) in
+  let ipc = stats.Sim_stats.ipc in
   Alcotest.(check bool) "near width" true (ipc > 3.0 && ipc <= 4.0)
 
 (* [run_batch] is a pure fan-out: entry-for-entry identical to a
