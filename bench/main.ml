@@ -72,7 +72,8 @@ let write_summary sections =
       in
       (* Atomic so an interrupted bench never leaves a truncated summary
          for the CI regression guard to parse. *)
-      Tca_util.Atomic_file.write_exn path (to_string_indent doc ^ "\n");
+      Tca_util.Diag.ok_exn
+        (Tca_util.Atomic_file.write path (to_string_indent doc ^ "\n"));
       Printf.printf "[bench] wrote %s\n" path
 
 let banner id title =

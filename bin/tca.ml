@@ -11,9 +11,9 @@ let die d =
 
 let or_die = function Ok x -> x | Error d -> die d
 
-(* Every command body runs under this wrapper so a [Diag.Error] escaping
-   an [_exn] convenience call still maps to the documented exit code
-   instead of an uncaught-exception backtrace. *)
+(* Every command body runs under this wrapper so a [Diag.Error] raised by
+   [Diag.ok_exn] still maps to the documented exit code instead of an
+   uncaught-exception backtrace. *)
 let protect f = try f () with Tca_util.Diag.Error d -> die d
 
 (* A saved trace file; an unreadable or malformed one is a Parse
@@ -65,6 +65,27 @@ let non_negative_arg ~field =
 
 let positive_arg ~field =
   checked_float ~field (Tca_util.Diag.positive ~field)
+
+(* [--jobs N] runs N - 1 worker domains beside the calling one. The
+   OCaml 5 runtime caps a process at 128 domains, and a spawn past the
+   cap raises with the earlier workers never joined, so N is checked
+   before any pool exists. *)
+let max_jobs = 128
+
+let jobs_t ~doc =
+  let check jobs =
+    if jobs < 1 || jobs > max_jobs then
+      die
+        (Tca_util.Diag.Invalid
+           {
+             field = "--jobs";
+             message = Printf.sprintf "must be in [1, %d]" max_jobs;
+           })
+    else jobs
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc))
 
 let drain_arg =
   let parse s =
@@ -501,9 +522,10 @@ let sim_cmd =
       | Some file -> (load_trace file, None)
       | None ->
           let pair, _ =
-            Tca_experiments.Exp_common.workload_pair ~cfg ?size
-              (Option.value workload
-                 ~default:Tca_experiments.Exp_common.Heap)
+            or_die
+              (Tca_experiments.Exp_common.workload_pair ~cfg ?size
+                 (Option.value workload
+                    ~default:Tca_experiments.Exp_common.Heap))
           in
           if baseline then (pair.Tca_workloads.Meta.baseline, None)
           else
@@ -567,7 +589,7 @@ let trace_cmd =
     protect @@ fun () ->
     let cfg = Tca_experiments.Exp_common.validation_core () in
     let pair, _ =
-      Tca_experiments.Exp_common.workload_pair ~cfg ~size workload
+      or_die (Tca_experiments.Exp_common.workload_pair ~cfg ~size workload)
     in
     let base_path = out ^ ".base.trace" in
     let accel_path = out ^ ".accel.trace" in
@@ -749,12 +771,10 @@ let run_cmd =
           ~doc:"Job names (see $(b,tca list)); empty = every job.")
   in
   let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Total parallelism: N-1 worker domains plus the calling \
-             domain. Artifacts are bit-identical for every N.")
+    jobs_t
+      ~doc:
+        "Total parallelism, 1 to 128: N-1 worker domains plus the calling \
+         domain. Artifacts are bit-identical for every N."
   in
   let cache_dir_t =
     Arg.(
@@ -790,7 +810,7 @@ let run_cmd =
   let deadline_t =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (positive_arg ~field:"deadline")) None
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:
             "Per-job wall-clock budget, enforced cooperatively at job \
@@ -837,9 +857,6 @@ let run_cmd =
   let run names jobs cache_dir quick (json, csv) out trace_out metrics_out
       deadline fail_fast failures_out inject =
     protect @@ fun () ->
-    if jobs < 1 then
-      die
-        (Tca_util.Diag.Invalid { field = "--jobs"; message = "must be >= 1" });
     let plan =
       List.map (fun s -> or_die (Tca_engine.Inject.parse_spec s)) inject
     in
@@ -1019,12 +1036,10 @@ let profile_cmd =
           ~doc:"Job names (see $(b,tca list)); empty = every job.")
   in
   let jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Total parallelism: N-1 worker domains plus the calling \
-             domain. The profile shows one lane per domain.")
+    jobs_t
+      ~doc:
+        "Total parallelism, 1 to 128: N-1 worker domains plus the calling \
+         domain. The profile shows one lane per domain."
   in
   let out_t =
     Arg.(
@@ -1036,9 +1051,6 @@ let profile_cmd =
   in
   let run names jobs quick json out trace_out =
     protect @@ fun () ->
-    if jobs < 1 then
-      die
-        (Tca_util.Diag.Invalid { field = "--jobs"; message = "must be >= 1" });
     let r = registry () in
     let js =
       match names with
@@ -1158,7 +1170,7 @@ let verify_cmd =
       match List.assoc_opt target Tca_experiments.Exp_common.workload_kinds with
       | Some kind ->
           let pair, _ =
-            Tca_experiments.Exp_common.workload_pair ~cfg ~size kind
+            or_die (Tca_experiments.Exp_common.workload_pair ~cfg ~size kind)
           in
           [ (target, pair.Tca_workloads.Meta.baseline,
              pair.Tca_workloads.Meta.accelerated) ]
@@ -1166,7 +1178,8 @@ let verify_cmd =
           List.map
             (fun (name, kind) ->
               let pair, _ =
-                Tca_experiments.Exp_common.workload_pair ~cfg ~size kind
+                or_die
+                  (Tca_experiments.Exp_common.workload_pair ~cfg ~size kind)
               in
               (name, pair.Tca_workloads.Meta.baseline,
                pair.Tca_workloads.Meta.accelerated))

@@ -59,7 +59,8 @@ let () =
   List.iter
     (fun (name, config) ->
       match
-        Equations.config_break_even_exn core ~a ~accel ~config Mode.L_T
+        Tca_util.Diag.ok_exn
+          (Equations.config_break_even core ~a ~accel ~config Mode.L_T)
       with
       | Some g -> Format.printf "  %-8s g >= %.0f@." name g
       | None -> Format.printf "  %-8s never (below g = 1e9)@." name)

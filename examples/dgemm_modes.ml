@@ -29,8 +29,9 @@ let () =
   let pair = Dgemm_workload.pair (Dgemm_workload.config ~n:32 ()) ~dim:4 in
   Format.printf "workload: %a@.@." Meta.pp pair.Meta.meta;
   let cmp =
-    Tca_uarch.Simulator.compare_modes_exn ~cfg ~baseline:pair.Meta.baseline
-      ~accelerated:pair.Meta.accelerated ()
+    Tca_util.Diag.ok_exn
+      (Tca_uarch.Simulator.compare_modes ~cfg ~baseline:pair.Meta.baseline
+         ~accelerated:pair.Meta.accelerated ())
   in
   Printf.printf "baseline: %d cycles (IPC %.2f)\n\n"
     cmp.Tca_uarch.Simulator.baseline.Tca_uarch.Sim_stats.cycles

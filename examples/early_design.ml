@@ -35,12 +35,14 @@ let () =
   (* Candidate TCA: replaces 250-instruction regions covering 40% of the
      program, 5x faster than software. *)
   let core =
-    Params.core_exn ~ipc:b.Tca_interval.Mechanistic.ipc ~rob_size:256
-      ~issue_width:4 ~commit_stall:10.0 ()
+    Tca_util.Diag.ok_exn
+      (Params.core ~ipc:b.Tca_interval.Mechanistic.ipc ~rob_size:256
+         ~issue_width:4 ~commit_stall:10.0 ())
   in
   let scenario =
-    Params.scenario_of_granularity_exn ~a:0.4 ~g:250.0 ~accel:(Params.Factor 5.0)
-      ()
+    Tca_util.Diag.ok_exn
+      (Params.scenario_of_granularity ~a:0.4 ~g:250.0
+         ~accel:(Params.Factor 5.0) ())
   in
   print_endline "Step 2 — the four coupling designs:";
   Tca_util.Table.print
@@ -61,12 +63,16 @@ let () =
          ])
        designs verdicts);
   print_newline ();
-  let best, speedup = Equations.best_mode_exn core scenario in
+  let best, speedup =
+    Tca_util.Diag.ok_exn (Equations.best_mode core scenario)
+  in
   Printf.printf "Step 3 — recommendation: build %s (%.2fx); decision stable \
                  under +/-20%% parameter error: %b\n"
     (Mode.to_string best) speedup
-    (Sensitivity.decision_stable_exn core scenario);
+    (Tca_util.Diag.ok_exn (Sensitivity.decision_stable core scenario));
   print_endline "Largest speedup sensitivities for that design:";
   Tca_util.Table.print ~headers:Sensitivity.headers
     (Sensitivity.rows
-       (List.filteri (fun i _ -> i < 3) (Sensitivity.swings_exn core scenario best)))
+       (List.filteri
+          (fun i _ -> i < 3)
+          (Tca_util.Diag.ok_exn (Sensitivity.swings core scenario best))))

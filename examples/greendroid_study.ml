@@ -13,8 +13,9 @@ open Tca_workloads
    cover fraction [a] of the program has v = a / g. *)
 let speedup core ~g ~cov mode =
   let s =
-    Params.scenario_of_granularity_exn ~a:cov ~g
-      ~accel:(Params.Factor Greendroid.accel_factor) ()
+    Tca_util.Diag.ok_exn
+      (Params.scenario_of_granularity ~a:cov ~g
+         ~accel:(Params.Factor Greendroid.accel_factor) ())
   in
   Equations.speedup_exn core s mode
 

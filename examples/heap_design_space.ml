@@ -28,7 +28,7 @@ let () =
     (List.map
        (fun gap ->
          let s = scenario_of_gap gap in
-         let speedups = Equations.speedups_exn core s in
+         let speedups = Tca_util.Diag.ok_exn (Equations.speedups core s) in
          let safe =
            (* Cheapest mode (in Mode.all order) that avoids slowdown. *)
            match List.find_opt (fun (_, sp) -> sp >= 1.0) speedups with

@@ -23,8 +23,10 @@ let () =
     (fun (mode, speedup) ->
       Format.printf "  %-6s %.3fx   (%s)@." (Mode.to_string mode) speedup
         (Mode.hardware_requirements mode))
-    (Equations.speedups_exn core scenario);
-  let best, speedup = Equations.best_mode_exn core scenario in
+    (Tca_util.Diag.ok_exn (Equations.speedups core scenario));
+  let best, speedup =
+    Tca_util.Diag.ok_exn (Equations.best_mode core scenario)
+  in
   Format.printf "@.Best mode: %s at %.3fx.@." (Mode.to_string best) speedup;
   (* The same accelerator that speeds the program up with full OoO
      support can slow it down without it — check before committing to the
@@ -37,10 +39,10 @@ let () =
       worst;
   (* How much coverage could this accelerator ever exploit? *)
   let peak_a =
-    Concurrency.ideal_peak_coverage_exn ~accel_factor:4.0
+    Tca_util.Diag.ok_exn (Concurrency.ideal_peak_coverage ~accel_factor:4.0)
   in
   Format.printf
     "With A = 4, program speedup is maximised (at %.1fx) once %.0f%% of \
      the code is offloaded — offloading more under-utilises the core.@."
-    (Concurrency.ideal_peak_speedup_exn ~accel_factor:4.0)
+    (Tca_util.Diag.ok_exn (Concurrency.ideal_peak_speedup ~accel_factor:4.0))
     (100.0 *. peak_a)

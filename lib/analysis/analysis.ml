@@ -32,7 +32,6 @@ let analyze ?baseline ?config_break_even ~cfg trace =
     derive_error;
   }
 
-let lint ?line_bytes trace = Lint.run_trace ?line_bytes trace
 let bounds ~cfg trace = Bounds.compute cfg trace.Trace.instrs
 
 let finding_counts findings =

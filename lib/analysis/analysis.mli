@@ -28,10 +28,6 @@ val analyze :
     instructions-per-invocation sits below it gain a
     {!Finding.Config_granularity} warning. *)
 
-val lint : ?line_bytes:int -> Tca_uarch.Trace.t -> Finding.t list
-(** [Lint.run_trace]; [line_bytes] defaults to 64 — pass the configured
-    L1 line size when one is at hand. *)
-
 val bounds : cfg:Tca_uarch.Config.t -> Tca_uarch.Trace.t -> Bounds.t
 
 val report_to_json : report -> Tca_util.Json.t

@@ -34,11 +34,6 @@ type t = {
       (** instructions on the binding latency chain *)
 }
 
-val min_latency : Tca_uarch.Config.t -> forwardable:bool -> Tca_uarch.Isa.instr -> int
-(** Minimum execution latency the pipeline can give this instruction.
-    [forwardable] marks a load with an earlier store to the same exact
-    address anywhere in the trace (store-to-load forwarding possible). *)
-
 val compute : ?dag:Dag.t -> Tca_uarch.Config.t -> Tca_uarch.Isa.instr array -> t
 (** [dag] may be supplied to reuse an already-built DAG; it must have
     been built over the same instruction array. *)

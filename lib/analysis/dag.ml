@@ -2,13 +2,6 @@ open Tca_uarch
 
 type kind = True_reg | True_mem | Mem_data | Anti | Output
 
-let kind_name = function
-  | True_reg -> "true_reg"
-  | True_mem -> "true_mem"
-  | Mem_data -> "mem_data"
-  | Anti -> "anti"
-  | Output -> "output"
-
 type stats = {
   nodes : int;
   true_reg : int;
@@ -25,7 +18,6 @@ type t = {
   stats : stats;
 }
 
-let length t = t.n
 let preds t i = t.preds.(i)
 let stats t = t.stats
 

@@ -25,8 +25,6 @@ type kind =
   | Anti  (** write-after-read of a register *)
   | Output  (** write-after-write of a register *)
 
-val kind_name : kind -> string
-
 type stats = {
   nodes : int;
   true_reg : int;
@@ -46,7 +44,6 @@ val build : ?line_bytes:int -> Tca_uarch.Isa.instr array -> t
 (** [line_bytes] defaults to 64, the cache line size used everywhere in
     the repository. *)
 
-val length : t -> int
 val preds : t -> int -> (int * kind) list
 (** Predecessors of a node with the connecting edge kind. *)
 

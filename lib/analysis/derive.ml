@@ -102,25 +102,6 @@ let of_pair ~(cfg : Config.t) ~baseline ~accelerated =
     end
   end
 
-let scenario ?drain t =
-  Tca_model.Params.scenario ?drain ~a:t.a ~v:t.v
-    ~accel:(Tca_model.Params.Latency t.accel_latency) ()
-
-let accel_factor t ~ipc =
-  let open Tca_util.Diag.Syntax in
-  let* ipc = Tca_util.Diag.positive ~field:"Derive.accel_factor ipc" ipc in
-  if t.accel_latency <= 0.0 then
-    Error
-      (Tca_util.Diag.Invalid
-         {
-           field = "Derive.accel_factor";
-           message = "zero accelerator latency has no finite factor";
-         })
-  else
-    let g = float_of_int t.acceleratable_instrs /. float_of_int t.invocations in
-    Tca_util.Diag.finite ~field:"Derive.accel_factor"
-      (g /. (t.accel_latency *. ipc))
-
 let to_json t =
   let open Tca_util.Json in
   Obj

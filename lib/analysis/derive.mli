@@ -45,15 +45,5 @@ val of_pair :
     instruction or the implied acceleratable fraction falls outside
     [0, 1] (the traces are not a baseline/accelerated pair). *)
 
-val scenario :
-  ?drain:Tca_interval.Drain.spec -> t ->
-  (Tca_model.Params.scenario, Tca_util.Diag.t) result
-(** The derived [(a, v, Latency accel_latency)] as a model scenario. *)
-
-val accel_factor : t -> ipc:float -> (float, Tca_util.Diag.t) result
-(** The equivalent acceleration factor [A] such that
-    [Factor A] reproduces [accel_latency] at the given baseline IPC:
-    [A = acceleratable / (v_inv * latency * ipc)] per invocation. *)
-
 val to_json : t -> Tca_util.Json.t
 val pp : Format.formatter -> t -> unit

@@ -380,7 +380,7 @@ and pp_args t buf depth args =
     add ")"
   end
 
-let term_to_string ?(max_depth = 3) t id =
+let term_to_string t id =
   let buf = Buffer.create 64 in
-  pp_term_depth t buf max_depth id;
+  pp_term_depth t buf 3 id;
   Buffer.contents buf

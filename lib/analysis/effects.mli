@@ -61,10 +61,10 @@ val producer : t -> int -> int option
 (** Instruction index that produced a node ([None] for initial-state
     leaves and [Zero]). *)
 
-val term_to_string : ?max_depth:int -> t -> int -> string
-(** Compact rendering of a term, truncated below [max_depth] (default 3)
-    and eliding wide accelerator argument lists — for divergence
-    witnesses, not round-tripping. *)
+val term_to_string : t -> int -> string
+(** Compact rendering of a term, truncated below depth 3 and eliding
+    wide accelerator argument lists — for divergence witnesses, not
+    round-tripping. *)
 
 (** {2 Concrete reference semantics}
 

@@ -56,10 +56,6 @@ type alignment = {
           length when that side ran out *)
 }
 
-val instr_equal : Tca_uarch.Isa.instr -> Tca_uarch.Isa.instr -> bool
-(** Structural equality across variants: ignores [pc] except for
-    branches (builder pcs are sequential, branch-site pcs semantic). *)
-
 val align :
   Tca_uarch.Isa.instr array -> Tca_uarch.Isa.instr array -> alignment
 

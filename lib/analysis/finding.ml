@@ -106,7 +106,6 @@ let to_string t =
   Printf.sprintf "%s %s: %s" (severity_name (severity t)) (rule_name t)
     (message t)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let to_json t =
   let open Tca_util.Json in

@@ -70,10 +70,8 @@ val severity : t -> severity
 val rule_name : t -> string
 (** Stable kebab-case rule identifier, e.g. ["use-before-def"]. *)
 
-val message : t -> string
 val to_string : t -> string
 (** ["severity rule: message"], stable for test matching. *)
 
-val pp : Format.formatter -> t -> unit
 val to_json : t -> Tca_util.Json.t
 (** [{"rule", "severity", "index" (or null), "message"}]. *)

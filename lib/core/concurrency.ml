@@ -20,18 +20,12 @@ let coverage_series core ~g ~accel ~coverages mode =
   in
   Ok (Array.of_list (List.rev cells))
 
-let coverage_series_exn core ~g ~accel ~coverages mode =
-  Diag.ok_exn (coverage_series core ~g ~accel ~coverages mode)
-
 let ideal_peak_coverage ~accel_factor =
   let+ accel_factor =
     Diag.positive ~field:"Concurrency.ideal_peak_coverage.accel_factor"
       accel_factor
   in
   accel_factor /. (accel_factor +. 1.0)
-
-let ideal_peak_coverage_exn ~accel_factor =
-  Diag.ok_exn (ideal_peak_coverage ~accel_factor)
 
 let ideal_peak_speedup ~accel_factor =
   let+ accel_factor =
@@ -40,16 +34,11 @@ let ideal_peak_speedup ~accel_factor =
   in
   accel_factor +. 1.0
 
-let ideal_peak_speedup_exn ~accel_factor =
-  Diag.ok_exn (ideal_peak_speedup ~accel_factor)
-
 let peak series =
   let+ series = Diag.non_empty ~field:"Concurrency.peak" series in
   Array.fold_left
     (fun ((_, by) as best) ((_, y) as cand) -> if y > by then cand else best)
     series.(0) series
-
-let peak_exn series = Diag.ok_exn (peak series)
 
 let local_maxima series =
   let n = Array.length series in

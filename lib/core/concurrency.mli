@@ -17,29 +17,15 @@ val coverage_series :
     because [v] is derived as [a / g]. Coverage 0 maps to speedup 1.
     [Error (Domain _)] on [g < 1] or an out-of-range coverage. *)
 
-val coverage_series_exn :
-  Params.core ->
-  g:float ->
-  accel:Params.accel_time ->
-  coverages:float array ->
-  Mode.t ->
-  (float * float) array
-
 val ideal_peak_coverage : accel_factor:float -> (float, Diag.t) result
 (** [A / (A + 1)]: the coverage at which core and TCA work are balanced. *)
-
-val ideal_peak_coverage_exn : accel_factor:float -> float
 
 val ideal_peak_speedup : accel_factor:float -> (float, Diag.t) result
 (** [A + 1]. *)
 
-val ideal_peak_speedup_exn : accel_factor:float -> float
-
 val peak : (float * float) array -> (float * float, Diag.t) result
 (** The [(x, y)] point with maximal [y]. [Error (Empty_input _)] on an
     empty series. *)
-
-val peak_exn : (float * float) array -> float * float
 
 val local_maxima : (float * float) array -> (float * float) list
 (** Interior points strictly greater than both neighbours — used to

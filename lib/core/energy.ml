@@ -1,13 +1,12 @@
-type t = {
-  static_power : float;
-  accel_energy_ratio : float;
-}
+type t = { static_power : float }
 
-let make ?(static_power = 0.5) ?(accel_energy_ratio = 0.2) () =
+(* Accelerator dynamic energy per accelerated instruction, relative to
+   the core's. *)
+let accel_energy_ratio = 0.2
+
+let make ?(static_power = 0.5) () =
   if static_power < 0.0 then invalid_arg "Energy.make: negative static power";
-  if accel_energy_ratio <= 0.0 || accel_energy_ratio > 1.0 then
-    invalid_arg "Energy.make: accel_energy_ratio out of (0, 1]";
-  { static_power; accel_energy_ratio }
+  { static_power }
 
 type verdict = {
   mode : Mode.t;
@@ -33,19 +32,21 @@ let mode_energy t (core : Params.core) (s : Params.scenario) mode =
   let accl_instrs = s.Params.a *. instrs in
   let dynamic =
     instrs -. accl_instrs (* core executes the rest at unit energy *)
-    +. (t.accel_energy_ratio *. accl_instrs)
+    +. (accel_energy_ratio *. accl_instrs)
   in
-  let cycles = Equations.mode_time_exn core s mode in
+  let cycles = Diag.ok_exn (Equations.mode_time core s mode) in
   dynamic +. (t.static_power *. cycles)
 
 let evaluate t core s =
   let base_e = baseline_energy t core s in
-  let base_t = (Equations.interval_times_exn core s).Equations.t_baseline in
+  let base_t =
+    (Diag.ok_exn (Equations.interval_times core s)).Equations.t_baseline
+  in
   List.map
     (fun mode ->
       let speedup = Equations.speedup_exn core s mode in
       let energy = mode_energy t core s mode in
-      let time = Equations.mode_time_exn core s mode in
+      let time = Diag.ok_exn (Equations.mode_time core s mode) in
       {
         mode;
         speedup;
@@ -62,7 +63,9 @@ let evaluate t core s =
 let energy_break_even_speedup t core s =
   if s.Params.v <= 0.0 then invalid_arg "Energy.energy_break_even_speedup: v = 0";
   let instrs = interval_instrs s in
-  let savings = (1.0 -. t.accel_energy_ratio) *. s.Params.a *. instrs in
-  let base_t = (Equations.interval_times_exn core s).Equations.t_baseline in
+  let savings = (1.0 -. accel_energy_ratio) *. s.Params.a *. instrs in
+  let base_t =
+    (Diag.ok_exn (Equations.interval_times core s)).Equations.t_baseline
+  in
   if t.static_power = 0.0 then 0.0
   else base_t /. (base_t +. (savings /. t.static_power))

@@ -4,21 +4,18 @@
     accelerator").
 
     Normalised units: core dynamic energy per instruction = 1. The
-    accelerator executes an instruction's worth of work for
-    [accel_energy_ratio] (< 1: that efficiency is why energy-motivated
-    TCAs exist), and the package burns [static_power] units per cycle
-    whether or not work retires. *)
+    accelerator executes an instruction's worth of work for 0.2 units
+    (that efficiency is why energy-motivated TCAs exist), and the
+    package burns [static_power] units per cycle whether or not work
+    retires. *)
 
 type t = {
   static_power : float;  (** energy units per cycle, entire package *)
-  accel_energy_ratio : float;
-      (** accelerator dynamic energy per accelerated instruction,
-          relative to the core's *)
 }
 
-val make : ?static_power:float -> ?accel_energy_ratio:float -> unit -> t
-(** Defaults: static 0.5/cycle, accelerator at 0.2x core energy.
-    Validates non-negative static power and ratio in [(0, 1\]]. *)
+val make : ?static_power:float -> unit -> t
+(** Static power defaults to 0.5/cycle and must be non-negative; the
+    accelerator runs at 0.2x core energy. *)
 
 type verdict = {
   mode : Mode.t;

@@ -72,8 +72,6 @@ let interval_times (core : Params.core) (s : Params.scenario) =
     { t_baseline; t_accl; t_non_accl; t_drain; t_rob_fill;
       t_commit = core.commit_stall; config = s.config }
 
-let interval_times_exn core s = Diag.ok_exn (interval_times core s)
-
 let time_of_times (t : times) (mode : Mode.t) =
   let base =
     match mode with
@@ -107,8 +105,6 @@ let mode_time core s mode =
   let* t = interval_times core s in
   Diag.finite ~field:"Equations.mode_time" (time_of_times t mode)
 
-let mode_time_exn core s mode = Diag.ok_exn (mode_time core s mode)
-
 let speedup core s mode =
   if s.Params.v <= 0.0 then Ok 1.0
   else
@@ -126,8 +122,6 @@ let speedups core s =
       Ok ((m, sp) :: acc))
     Mode.all (Ok [])
 
-let speedups_exn core s = Diag.ok_exn (speedups core s)
-
 let best_mode core s =
   let* sps = speedups core s in
   match sps with
@@ -138,8 +132,6 @@ let best_mode core s =
            (fun ((_, best_s) as best) ((_, cand_s) as cand) ->
              if cand_s > best_s then cand else best)
            first rest)
-
-let best_mode_exn core s = Diag.ok_exn (best_mode core s)
 
 (* Smallest granularity g = a/v at which the mode breaks even against
    its configuration wall. Speedup is monotone non-decreasing in g for a
@@ -169,9 +161,6 @@ let config_break_even ?(hi = 1e9) (core : Params.core) ~a ~accel ~config mode =
           if s_mid >= 1.0 then bisect lo mid (n - 1) else bisect mid hi (n - 1)
       in
       bisect 1.0 hi 100
-
-let config_break_even_exn ?hi core ~a ~accel ~config mode =
-  Diag.ok_exn (config_break_even ?hi core ~a ~accel ~config mode)
 
 (* --- multi-unit composition ------------------------------------------
 
@@ -290,8 +279,6 @@ let composed_times (core : Params.core) (c : Params.composition) =
       c_commit = core.commit_stall; c_v_total = v_total; c_v_drain; c_contend;
       c_unit_terms; c_cfg_add; c_cfg_floor }
 
-let composed_times_exn core c = Diag.ok_exn (composed_times core c)
-
 let composed_time_of_times (t : composed_times) (mode : Mode.t) =
   (* Σ_i v_i · max(0, over(t_accl_i)): the per-unit generalization of
      the ROB-full front-end stall of eqs. (6)-(9). *)
@@ -338,23 +325,12 @@ let composed_time_of_times (t : composed_times) (mode : Mode.t) =
       let rob_full = rob_stall (fun tl -> tl -. t.c_rob_fill) in
       Float.max (t.c_non_accl +. rob_full) t.c_accl_total +. t.c_contend
 
-let composed_mode_time core c mode =
-  let* t = composed_times core c in
-  Diag.finite ~field:"Equations.composed_mode_time"
-    (composed_time_of_times t mode)
-
-let composed_mode_time_exn core c mode =
-  Diag.ok_exn (composed_mode_time core c mode)
-
 let composed_speedup core c mode =
   if composed_v_total c <= 0.0 then Ok 1.0
   else
     let* t = composed_times core c in
     Diag.finite ~field:"Equations.composed_speedup"
       (t.c_baseline /. composed_time_of_times t mode)
-
-let composed_speedup_exn core c mode =
-  Diag.ok_exn (composed_speedup core c mode)
 
 let composed_speedups core c =
   List.fold_right
@@ -363,8 +339,6 @@ let composed_speedups core c =
       let* sp = composed_speedup core c m in
       Ok ((m, sp) :: acc))
     Mode.all (Ok [])
-
-let composed_speedups_exn core c = Diag.ok_exn (composed_speedups core c)
 
 let composed_best_mode core c =
   let* sps = composed_speedups core c in
@@ -377,13 +351,9 @@ let composed_best_mode core c =
              if cand_s > best_s then cand else best)
            first rest)
 
-let composed_best_mode_exn core c = Diag.ok_exn (composed_best_mode core c)
-
 let ideal_speedup core s =
   if s.Params.v <= 0.0 then Ok 1.0
   else
     let* t = interval_times core s in
     Diag.finite ~field:"Equations.ideal_speedup"
       (t.t_baseline /. (t.t_non_accl +. t.t_accl))
-
-let ideal_speedup_exn core s = Diag.ok_exn (ideal_speedup core s)

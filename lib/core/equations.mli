@@ -56,21 +56,12 @@ val config_break_even :
     warn on invocation streams whose measured granularity sits below
     this threshold. *)
 
-val config_break_even_exn :
-  ?hi:float ->
-  Params.core ->
-  a:float -> accel:Params.accel_time -> config:Params.config_cost ->
-  Mode.t -> float option
-
 val interval_times :
   Params.core -> Params.scenario -> (times, Diag.t) result
 (** All intermediate quantities for one (core, scenario) pair.
     [Error (Domain _)] when [v = 0] (no invocations: there is no
     interval); [Error (Non_finite _)] when an extreme input overflows a
     time. *)
-
-val interval_times_exn : Params.core -> Params.scenario -> times
-(** Raises {!Diag.Error}. *)
 
 val time_of_times : times -> Mode.t -> float
 (** Pure combination of precomputed interval times per eqs. (4)-(9),
@@ -81,8 +72,6 @@ val mode_time :
   Params.core -> Params.scenario -> Mode.t -> (float, Diag.t) result
 (** Interval execution time under the given TCA mode: eqs. (4), (5), (7)
     and (9). *)
-
-val mode_time_exn : Params.core -> Params.scenario -> Mode.t -> float
 
 val speedup :
   Params.core -> Params.scenario -> Mode.t -> (float, Diag.t) result
@@ -95,14 +84,10 @@ val speedups :
   Params.core -> Params.scenario -> ((Mode.t * float) list, Diag.t) result
 (** Speedup under all four modes, in [Mode.all] order. *)
 
-val speedups_exn : Params.core -> Params.scenario -> (Mode.t * float) list
-
 val best_mode :
   Params.core -> Params.scenario -> (Mode.t * float, Diag.t) result
 (** The mode with the highest predicted speedup (ties resolved toward the
     cheaper hardware, i.e. the earlier entry of [Mode.all]). *)
-
-val best_mode_exn : Params.core -> Params.scenario -> Mode.t * float
 
 (** {2 Multi-unit composition}
 
@@ -165,40 +150,21 @@ val composed_times :
 (** [Error (Domain _)] when [Σ v_i = 0] (no invocations at all);
     [Error (Non_finite _)] on overflow, as {!interval_times}. *)
 
-val composed_times_exn : Params.core -> Params.composition -> composed_times
-
 val composed_time_of_times : composed_times -> Mode.t -> float
 (** Pure combination of precomputed composed times per the table
     above. *)
 
-val composed_mode_time :
-  Params.core -> Params.composition -> Mode.t -> (float, Diag.t) result
-(** Per-instruction execution time of the composed machine under the
-    given mode. *)
-
-val composed_mode_time_exn :
-  Params.core -> Params.composition -> Mode.t -> float
-
 val composed_speedup :
   Params.core -> Params.composition -> Mode.t -> (float, Diag.t) result
 (** [c_baseline / composed_time]. [Ok 1.0] when [Σ v_i = 0]. *)
-
-val composed_speedup_exn :
-  Params.core -> Params.composition -> Mode.t -> float
 
 val composed_speedups :
   Params.core -> Params.composition ->
   ((Mode.t * float) list, Diag.t) result
 (** All four modes, in [Mode.all] order. *)
 
-val composed_speedups_exn :
-  Params.core -> Params.composition -> (Mode.t * float) list
-
 val composed_best_mode :
   Params.core -> Params.composition -> (Mode.t * float, Diag.t) result
-
-val composed_best_mode_exn :
-  Params.core -> Params.composition -> Mode.t * float
 
 val ideal_speedup :
   Params.core -> Params.scenario -> (float, Diag.t) result
@@ -206,5 +172,3 @@ val ideal_speedup :
     TCA papers: [t_baseline / (t_non_accl + t_accl)]. Upper-bounds the
     non-overlapped modes and ignores all window effects; shown in the
     discussion benches for contrast. [Ok 1.0] when [v = 0]. *)
-
-val ideal_speedup_exn : Params.core -> Params.scenario -> float

@@ -21,7 +21,9 @@ let series core ~a ~accel ~gs =
       let pts =
         Array.map
           (fun g ->
-            let s = Params.scenario_of_granularity_exn ~a ~g ~accel () in
+            let s =
+              Diag.ok_exn (Params.scenario_of_granularity ~a ~g ~accel ())
+            in
             (g, Equations.speedup_exn core s mode))
           gs
       in
@@ -31,7 +33,7 @@ let series core ~a ~accel ~gs =
 let crossover_granularity core ~a ~accel mode =
   let gs = Tca_util.Sweep.logspace_exn 1.0 1.0e9 400 in
   let speedup_at g =
-    let s = Params.scenario_of_granularity_exn ~a ~g ~accel () in
+    let s = Diag.ok_exn (Params.scenario_of_granularity ~a ~g ~accel ()) in
     Equations.speedup_exn core s mode
   in
   let n = Array.length gs in

@@ -32,3 +32,7 @@ val crossover_granularity :
 (** Smallest granularity in a dense internal sweep at which the mode stops
     causing slowdown (speedup >= 1). [None] if it always speeds up, or
     never does, within [1, 1e9]. *)
+
+(** Smallest granularity in a dense internal sweep at which the mode stops
+    causing slowdown (speedup >= 1). [None] if it always speeds up, or
+    never does, within [1, 1e9]. *)

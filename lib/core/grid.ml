@@ -50,9 +50,6 @@ let compute ?telemetry ?(par = Tca_util.Parmap.serial) core ~accel ~freqs
   let failures = List.concat_map snd (Array.to_list rows) in
   Ok { freqs; coverages; cells; failures }
 
-let compute_exn ?telemetry ?par core ~accel ~freqs ~coverages mode =
-  Diag.ok_exn (compute ?telemetry ?par core ~accel ~freqs ~coverages mode)
-
 let slowdown_fraction t =
   let feasible = ref 0 and slow = ref 0 in
   Array.iter
@@ -89,6 +86,3 @@ let accelerator_curve t ~granularity =
         cells := (row, nearest_col v) :: !cells)
     t.coverages;
   Ok (List.rev !cells)
-
-let accelerator_curve_exn t ~granularity =
-  Diag.ok_exn (accelerator_curve t ~granularity)

@@ -30,16 +30,6 @@ val compute :
     evaluates rows in parallel; the result — cells, failure list and
     its order — is identical to the serial one. *)
 
-val compute_exn :
-  ?telemetry:Tca_telemetry.Sink.t ->
-  ?par:Tca_util.Parmap.t ->
-  Params.core ->
-  accel:Params.accel_time ->
-  freqs:float array ->
-  coverages:float array ->
-  Mode.t ->
-  t
-
 val slowdown_fraction : t -> float
 (** Fraction of feasible cells with speedup < 1 — a scalar summary of how
     dangerous a mode is for the swept region. *)
@@ -50,5 +40,3 @@ val accelerator_curve :
     where a fixed-function accelerator of granularity [g] falls for each
     achievable coverage, as drawn for the heap manager and GreenDroid in
     Fig. 7. [Error (Domain _)] when [granularity < 1]. *)
-
-val accelerator_curve_exn : t -> granularity:float -> (int * int) list

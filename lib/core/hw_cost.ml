@@ -6,12 +6,6 @@ type t = {
 
 let default = { datapath = 1.0; rollback = 0.35; dependency = 0.5 }
 
-let make ?(datapath = default.datapath) ?(rollback = default.rollback)
-    ?(dependency = default.dependency) () =
-  if datapath < 0.0 || rollback < 0.0 || dependency < 0.0 then
-    invalid_arg "Hw_cost.make: negative cost component";
-  { datapath; rollback; dependency }
-
 let mode_cost t mode =
   t.datapath
   +. (if Mode.allows_leading mode then t.rollback else 0.0)
@@ -23,12 +17,12 @@ type design = {
   speedup : float;
 }
 
-let designs ?(cost = default) core scenario =
+let designs core scenario =
   List.map
     (fun mode ->
       {
         mode;
-        cost = mode_cost cost mode;
+        cost = mode_cost default mode;
         speedup = Equations.speedup_exn core scenario mode;
       })
     Mode.all

@@ -8,8 +8,7 @@
     register/memory dependency-resolution logic (LSQ and rename
     integration). The defaults are deliberately round engineering
     estimates — the point of the Pareto analysis is ordering and
-    dominance, which is robust to the exact constants; all are
-    overridable. *)
+    dominance, which is robust to the exact constants. *)
 
 type t = {
   datapath : float;  (** the accelerator itself; common to all modes *)
@@ -20,9 +19,6 @@ type t = {
 val default : t
 (** datapath 1.0, rollback 0.35, dependency 0.5. *)
 
-val make : ?datapath:float -> ?rollback:float -> ?dependency:float -> unit -> t
-(** Raises [Invalid_argument] on negative components. *)
-
 val mode_cost : t -> Mode.t -> float
 (** Total cost of implementing the TCA in the given mode. *)
 
@@ -32,8 +28,9 @@ type design = {
   speedup : float;
 }
 
-val designs : ?cost:t -> Params.core -> Params.scenario -> design list
-(** The four design points for a scenario, in [Mode.all] order. *)
+val designs : Params.core -> Params.scenario -> design list
+(** The four design points for a scenario at {!default} costs, in
+    [Mode.all] order. *)
 
 val pareto_front : design list -> design list
 (** Non-dominated designs (no other design is at least as fast and

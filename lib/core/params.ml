@@ -55,9 +55,6 @@ let core ?(commit_stall = 5.0) ?(drain_beta = 2.0) ~ipc ~rob_size ~issue_width
   let* drain_beta = Diag.positive ~field:"Params.core.drain_beta" drain_beta in
   Ok { ipc; rob_size; issue_width; commit_stall; drain_beta }
 
-let core_exn ?commit_stall ?drain_beta ~ipc ~rob_size ~issue_width () =
-  Diag.ok_exn (core ?commit_stall ?drain_beta ~ipc ~rob_size ~issue_width ())
-
 let validate_accel = function
   | Factor f ->
       let+ f = Diag.positive ~field:"Params.scenario.accel factor" f in
@@ -180,18 +177,10 @@ let composition_of_scenario (s : scenario) : composition =
 
 let commit_port_name = function Shared -> "shared" | Private -> "private"
 
-let config_cost_name = function
-  | No_config -> "none"
-  | Sync _ -> "sync"
-  | Queued _ -> "queued"
-  | Preprogrammed _ -> "preprog"
-
 let granularity s =
   if s.v = 0.0 then
     Error (Diag.Invalid { field = "Params.granularity"; message = "v = 0" })
   else Ok (s.a /. s.v)
-
-let granularity_exn s = Diag.ok_exn (granularity s)
 
 let scenario_of_granularity ?drain ?config ~a ~g ~accel () =
   let* g =
@@ -199,9 +188,6 @@ let scenario_of_granularity ?drain ?config ~a ~g ~accel () =
       ~hi:infinity g
   in
   scenario ?drain ?config ~a ~v:(a /. g) ~accel ()
-
-let scenario_of_granularity_exn ?drain ?config ~a ~g ~accel () =
-  Diag.ok_exn (scenario_of_granularity ?drain ?config ~a ~g ~accel ())
 
 let pp_core fmt c =
   Format.fprintf fmt

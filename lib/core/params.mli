@@ -97,10 +97,6 @@ val core : ?commit_stall:float -> ?drain_beta:float ->
     [Error (Non_finite _)] on NaN/infinite floats. [commit_stall]
     defaults to 5 cycles, [drain_beta] to 2. *)
 
-val core_exn : ?commit_stall:float -> ?drain_beta:float ->
-  ipc:float -> rob_size:int -> issue_width:int -> unit -> core
-(** Raises {!Diag.Error}. *)
-
 val validate_config : config_cost -> (config_cost, Diag.t) result
 (** [Sync t] and both [t_config] fields must be finite and non-negative;
     [Queued.depth] and [Preprogrammed.invocations] must be positive. *)
@@ -150,17 +146,9 @@ val composition_of_scenario : scenario -> composition
     the composed model evaluates this to exactly the single-unit
     equations. *)
 
-val commit_port_name : commit_port -> string
-
-val config_cost_name : config_cost -> string
-(** ["none"], ["sync"], ["queued"] or ["preprog"] — stable labels used
-    by figure tables and JSON artifacts. *)
-
 val granularity : scenario -> (float, Diag.t) result
 (** [a / v]: average acceleratable instructions per invocation.
     [Error (Invalid _)] when [v = 0]. *)
-
-val granularity_exn : scenario -> float
 
 val scenario_of_granularity :
   ?drain:Tca_interval.Drain.spec -> ?config:config_cost ->
@@ -168,10 +156,6 @@ val scenario_of_granularity :
   (scenario, Diag.t) result
 (** Convenience used by the granularity sweeps: [v = a / g]. Requires a
     finite [g >= 1]. *)
-
-val scenario_of_granularity_exn :
-  ?drain:Tca_interval.Drain.spec -> ?config:config_cost ->
-  a:float -> g:float -> accel:accel_time -> unit -> scenario
 
 val pp_core : Format.formatter -> core -> unit
 val pp_scenario : Format.formatter -> scenario -> unit

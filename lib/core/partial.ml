@@ -5,13 +5,13 @@ let mode_time core s ~trailing ~p_speculate =
   if p_speculate < 0.0 || p_speculate > 1.0 then
     invalid_arg "Partial.mode_time: p_speculate out of [0, 1]";
   let l_mode, nl_mode = pair_of_trailing trailing in
-  (p_speculate *. Equations.mode_time_exn core s l_mode)
-  +. ((1.0 -. p_speculate) *. Equations.mode_time_exn core s nl_mode)
+  (p_speculate *. Diag.ok_exn (Equations.mode_time core s l_mode))
+  +. ((1.0 -. p_speculate) *. Diag.ok_exn (Equations.mode_time core s nl_mode))
 
 let speedup core s ~trailing ~p_speculate =
   if s.Params.v <= 0.0 then 1.0
   else
-    let t = Equations.interval_times_exn core s in
+    let t = Diag.ok_exn (Equations.interval_times core s) in
     t.Equations.t_baseline /. mode_time core s ~trailing ~p_speculate
 
 let required_confidence core s ~trailing ~target_speedup =

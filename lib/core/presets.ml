@@ -1,11 +1,14 @@
 let hp_core =
-  Params.core_exn ~ipc:1.8 ~rob_size:256 ~issue_width:4 ~commit_stall:8.0 ()
+  Diag.ok_exn
+    (Params.core ~ipc:1.8 ~rob_size:256 ~issue_width:4 ~commit_stall:8.0 ())
 
 let lp_core =
-  Params.core_exn ~ipc:0.5 ~rob_size:64 ~issue_width:2 ~commit_stall:4.0 ()
+  Diag.ok_exn
+    (Params.core ~ipc:0.5 ~rob_size:64 ~issue_width:2 ~commit_stall:4.0 ())
 
 let arm_a72 =
-  Params.core_exn ~ipc:1.3 ~rob_size:128 ~issue_width:3 ~commit_stall:6.0 ()
+  Diag.ok_exn
+    (Params.core ~ipc:1.3 ~rob_size:128 ~issue_width:3 ~commit_stall:6.0 ())
 
 let by_name s =
   match String.lowercase_ascii s with

@@ -97,20 +97,10 @@ let perturb (core : Params.core) (s : Params.scenario) param factor =
       in
       (core, s')
 
-let perturb_exn core s param factor = Diag.ok_exn (perturb core s param factor)
+(* Every input is scaled by [1 - delta] and [1 + delta]: +-20%. *)
+let delta = 0.2
 
-let swings ?telemetry ?(par = Tca_util.Parmap.serial) ?(delta = 0.2) core s
-    mode =
-  let* () =
-    if
-      (not (Float.is_finite delta)) || delta <= 0.0 || delta >= 1.0
-    then
-      Error
-        (Diag.Domain
-           { field = "Sensitivity.swings.delta"; lo = 0.0; hi = 1.0;
-             actual = delta })
-    else Ok ()
-  in
+let swings ?telemetry ?(par = Tca_util.Parmap.serial) core s mode =
   Tca_telemetry.Timing.with_span telemetry "sensitivity.swings"
     ~args:[ ("mode", Tca_util.Json.String (Mode.to_string mode)) ]
   @@ fun () ->
@@ -137,20 +127,7 @@ let swings ?telemetry ?(par = Tca_util.Parmap.serial) ?(delta = 0.2) core s
   in
   Ok (List.sort (fun a b -> compare b.magnitude a.magnitude) unsorted)
 
-let swings_exn ?telemetry ?par ?delta core s mode =
-  Diag.ok_exn (swings ?telemetry ?par ?delta core s mode)
-
-let decision_stable ?telemetry ?(delta = 0.2) core s =
-  let* () =
-    if
-      (not (Float.is_finite delta)) || delta <= 0.0 || delta >= 1.0
-    then
-      Error
-        (Diag.Domain
-           { field = "Sensitivity.decision_stable.delta"; lo = 0.0; hi = 1.0;
-             actual = delta })
-    else Ok ()
-  in
+let decision_stable ?telemetry core s =
   Tca_telemetry.Timing.with_span telemetry "sensitivity.decision_stable"
   @@ fun () ->
   let* nominal, _ = Equations.best_mode core s in
@@ -168,9 +145,6 @@ let decision_stable ?telemetry ?(delta = 0.2) core s =
         (Ok acc)
         [ 1.0 -. delta; 1.0 +. delta ])
     (Ok true) all_parameters
-
-let decision_stable_exn ?telemetry ?delta core s =
-  Diag.ok_exn (decision_stable ?telemetry ?delta core s)
 
 let headers = [ "parameter"; "mode"; "-delta"; "+delta"; "swing" ]
 

@@ -17,13 +17,12 @@ type parameter =
   | Acceleration  (** A or the explicit latency *)
 
 val all_parameters : parameter list
-val parameter_name : parameter -> string
 
 type swing = {
   parameter : parameter;
   mode : Mode.t;
-  low : float;  (** speedup with the parameter scaled by [1 - delta] *)
-  high : float;  (** speedup with the parameter scaled by [1 + delta] *)
+  low : float;  (** speedup with the parameter scaled by 0.8 *)
+  high : float;  (** speedup with the parameter scaled by 1.2 *)
   magnitude : float;  (** |high - low| *)
 }
 
@@ -35,36 +34,23 @@ val perturb :
     >= v). [Error] when the scaled parameter leaves the valid domain
     entirely (e.g. a non-finite factor). *)
 
-val perturb_exn :
-  Params.core -> Params.scenario -> parameter -> float ->
-  Params.core * Params.scenario
-
 val swings :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
-  ?delta:float -> Params.core -> Params.scenario -> Mode.t ->
+  Params.core -> Params.scenario -> Mode.t ->
   (swing list, Diag.t) result
 (** One swing per parameter for the mode, sorted by decreasing magnitude
-    (the tornado ordering). [delta] defaults to 0.2 (±20%) and must lie
-    strictly inside (0, 1). [?telemetry] wraps the tornado evaluation in
-    a [sensitivity.swings] wall-clock span. [?par] (default serial)
-    evaluates the parameters in parallel with identical results,
-    including which error is surfaced on failure. *)
-
-val swings_exn :
-  ?telemetry:Tca_telemetry.Sink.t ->
-  ?par:Tca_util.Parmap.t ->
-  ?delta:float -> Params.core -> Params.scenario -> Mode.t -> swing list
+    (the tornado ordering), each parameter scaled by ±20%. [?telemetry]
+    wraps the tornado evaluation in a [sensitivity.swings] wall-clock
+    span. [?par] (default serial) evaluates the parameters in parallel
+    with identical results, including which error is surfaced on
+    failure. *)
 
 val decision_stable :
   ?telemetry:Tca_telemetry.Sink.t ->
-  ?delta:float -> Params.core -> Params.scenario -> (bool, Diag.t) result
-(** Does the best mode stay the best under every single-parameter ±delta
+  Params.core -> Params.scenario -> (bool, Diag.t) result
+(** Does the best mode stay the best under every single-parameter ±20%
     perturbation? *)
-
-val decision_stable_exn :
-  ?telemetry:Tca_telemetry.Sink.t ->
-  ?delta:float -> Params.core -> Params.scenario -> bool
 
 val rows : swing list -> string list list
 val headers : string list

@@ -17,8 +17,6 @@ type summary = {
 let error p =
   Tca_util.Stats.relative_error ~measured:p.measured ~estimated:p.estimated
 
-let error_exn p = Diag.ok_exn (error p)
-
 let summarize points =
   let* _ =
     Diag.non_empty ~field:"Validate.summarize"
@@ -37,8 +35,6 @@ let summarize points =
   let* median_abs_pct = Tca_util.Stats.median errs in
   let+ max_abs_pct = Tca_util.Stats.max errs in
   { n = Array.length errs; mean_abs_pct; median_abs_pct; max_abs_pct }
-
-let summarize_exn points = Diag.ok_exn (summarize points)
 
 let trends_preserved ?(tolerance = 0.02) points =
   let groups = Hashtbl.create 16 in

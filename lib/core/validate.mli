@@ -19,13 +19,9 @@ val error : point -> (float, Diag.t) result
 (** Signed relative error [(estimated - measured) / measured].
     [Error (Invalid _)] when [measured = 0]. *)
 
-val error_exn : point -> float
-
 val summarize : point list -> (summary, Diag.t) result
 (** [Error (Empty_input _)] on an empty list; also propagates any
     per-point [error] failure (e.g. a zero measurement). *)
-
-val summarize_exn : point list -> summary
 
 val trends_preserved : ?tolerance:float -> point list -> bool
 (** [true] iff, within every [id] group and for every pair of modes whose

@@ -42,11 +42,4 @@ let multiply_blocked_mma ~block ~dim a b =
   done;
   c
 
-let macs_per_invocation dim = dim * dim * dim
-
-let invocations ~n ~dim =
-  if n mod dim <> 0 then invalid_arg "Mma.invocations: dim must divide n";
-  let blocks = n / dim in
-  blocks * blocks * blocks
-
 let compute_latency dim = dim

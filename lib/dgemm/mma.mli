@@ -17,12 +17,6 @@ val multiply_blocked_mma : block:int -> dim:int -> Matrix.t -> Matrix.t -> Matri
     [dim x dim] MMA invocations — numerically identical to
     {!Matrix.multiply_naive} (validated by the test suite). *)
 
-val macs_per_invocation : int -> int
-(** [dim^3]. *)
-
-val invocations : n:int -> dim:int -> int
-(** Total TCA invocations for an [n x n] product: [(n / dim)^3]. *)
-
 val compute_latency : int -> int
 (** Modelled accelerator compute time for one invocation: [dim] cycles
     (a [dim^2]-lane MAC array consuming one operand column per cycle,

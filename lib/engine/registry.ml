@@ -15,8 +15,6 @@ let register t (job : Job.t) =
     Ok ()
   end
 
-let register_exn t job = Tca_util.Diag.ok_exn (register t job)
-
 let find t name = Hashtbl.find_opt t.tbl name
 
 let names t =

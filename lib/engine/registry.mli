@@ -14,9 +14,6 @@ val register : t -> Job.t -> (unit, Tca_util.Diag.t) result
 (** [Error (Invalid _)] on a duplicate name — two jobs with the same
     name would alias each other's cache entries. *)
 
-val register_exn : t -> Job.t -> unit
-(** @raise Tca_util.Diag.Error on a duplicate name. *)
-
 val find : t -> string -> Job.t option
 
 val resolve : t -> string list -> (Job.t list, Tca_util.Diag.t) result

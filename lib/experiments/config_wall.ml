@@ -55,8 +55,9 @@ let run ?telemetry ?(points = 33) () =
              List.map
                (fun (name, config) ->
                  let sc =
-                   Tca_model.Params.scenario_of_granularity_exn ~config
-                     ~a:coverage ~g ~accel ()
+                   Tca_util.Diag.ok_exn
+                     (Tca_model.Params.scenario_of_granularity ~config
+                        ~a:coverage ~g ~accel ())
                  in
                  ( name,
                    Tca_model.Equations.speedup_exn Tca_model.Presets.arm_a72
@@ -89,9 +90,10 @@ let break_evens () =
               List.map
                 (fun mode ->
                   ( mode,
-                    Tca_model.Equations.config_break_even_exn
-                      Tca_model.Presets.arm_a72 ~a:coverage ~accel ~config
-                      mode ))
+                    Tca_util.Diag.ok_exn
+                      (Tca_model.Equations.config_break_even
+                         Tca_model.Presets.arm_a72 ~a:coverage ~accel ~config
+                         mode) ))
                 Tca_model.Mode.all ))
     variants
 
@@ -203,9 +205,10 @@ let validate ?telemetry ?par ?(quick = false) () =
   @@ fun () ->
   let cfg = Exp_common.validation_core () in
   let pair, latency =
-    Exp_common.workload_pair ?telemetry ~cfg
-      ~size:(if quick then 100 else 0)
-      Exp_common.Synthetic
+    Tca_util.Diag.ok_exn
+      (Exp_common.workload_pair ?telemetry ~cfg
+         ~size:(if quick then 100 else 0)
+         Exp_common.Synthetic)
   in
   (* A dense variant — invocations only a couple of app instructions
      apart, so the interval time sits far below [sim_t_config]. The

@@ -17,13 +17,6 @@ val run :
     log-spaced granularities from 10 to 1e9, one speedup column per
     configuration variant. *)
 
-val break_evens :
-  unit ->
-  (string * (Tca_model.Mode.t * float option) list) list
-(** Break-even granularity per configured variant and coupling mode,
-    via {!Tca_model.Equations.config_break_even_exn}; [None] when the
-    variant never breaks even below 1e9. *)
-
 val artifact : row list -> Tca_engine.Artifact.t
 (** The [config_wall] figure: sweep table, break-even table, and the
     (T1)-(T3) reading notes. *)

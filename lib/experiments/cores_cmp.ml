@@ -20,8 +20,9 @@ let run ?telemetry ?par ?(quick = false) () =
   List.map
     (fun (core_name, cfg) ->
       let cmp =
-        Simulator.compare_modes_exn ?telemetry ?par ~cfg
-          ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated ()
+        Tca_util.Diag.ok_exn
+          (Simulator.compare_modes ?telemetry ?par ~cfg
+             ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated ())
       in
       let mode_speedups =
         List.map

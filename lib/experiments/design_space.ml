@@ -19,8 +19,9 @@ let scenarios =
       name = "GreenDroid function (LP core)";
       core = Presets.lp_core;
       scenario =
-        Params.scenario_of_granularity_exn ~a:0.5 ~g:400.0
-          ~accel:(Params.Factor Tca_workloads.Greendroid.accel_factor) ();
+        Tca_util.Diag.ok_exn
+          (Params.scenario_of_granularity ~a:0.5 ~g:400.0
+             ~accel:(Params.Factor Tca_workloads.Greendroid.accel_factor) ());
     };
     {
       name = "DGEMM 4x4 tile (HP core)";
@@ -101,7 +102,9 @@ let energy_items row =
   ]
 
 let sensitivity_items row =
-  let best, _ = Equations.best_mode_exn row.core row.scenario in
+  let best, _ =
+    Tca_util.Diag.ok_exn (Equations.best_mode row.core row.scenario)
+  in
   [
     A.Note "";
     A.Note
@@ -113,10 +116,12 @@ let sensitivity_items row =
          ~headers:Sensitivity.headers
          (List.map (List.map A.text)
             (Sensitivity.rows
-               (Sensitivity.swings_exn row.core row.scenario best))));
+               (Tca_util.Diag.ok_exn
+                  (Sensitivity.swings row.core row.scenario best)))));
     A.Note
       (Printf.sprintf "best-mode decision stable under +/-20%%: %b"
-         (Sensitivity.decision_stable_exn row.core row.scenario));
+         (Tca_util.Diag.ok_exn
+            (Sensitivity.decision_stable row.core row.scenario)));
   ]
 
 let artifact () =

@@ -9,10 +9,11 @@ let validation_core () = Config.hp ()
 let commit_handoff = 2
 
 let model_core_of (cfg : Config.t) ~ipc =
-  Tca_model.Params.core_exn ~ipc ~rob_size:cfg.Config.rob_size
-    ~issue_width:cfg.Config.dispatch_width
-    ~commit_stall:(float_of_int (cfg.Config.commit_depth + commit_handoff))
-    ()
+  Tca_util.Diag.ok_exn
+    (Tca_model.Params.core ~ipc ~rob_size:cfg.Config.rob_size
+       ~issue_width:cfg.Config.dispatch_width
+       ~commit_stall:(float_of_int (cfg.Config.commit_depth + commit_handoff))
+       ())
 
 let coupling_of_mode = function
   | Tca_model.Mode.NL_NT -> Config.coupling_nl_nt
@@ -64,8 +65,10 @@ let validate_pair ?telemetry ?par ?label ~cfg ~(pair : Meta.pair) ~model () =
   let label = Option.value label ~default:meta.Meta.name in
   let cmp =
     Tca_telemetry.Timing.with_span telemetry ("validate." ^ label) (fun () ->
-        Simulator.compare_modes_exn ?telemetry ?par ~cfg
-          ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated ())
+        Tca_util.Diag.ok_exn
+          (Simulator.compare_modes ?telemetry ?par ~cfg
+             ~baseline:pair.Meta.baseline ~accelerated:pair.Meta.accelerated
+             ()))
   in
   let ipc = cmp.Simulator.baseline.Sim_stats.ipc in
   let core = model_core_of cfg ~ipc in
@@ -198,28 +201,43 @@ let workload_kinds =
     ("hashmap", Hashmap); ("regex", Regex); ("strfn", Strfn);
   ]
 
+(* A [--size] the generator cannot build is a diagnostic, not an
+   [Invalid_argument] escaping the CLI. *)
+let size_error fmt =
+  Printf.ksprintf
+    (fun message -> Error (Tca_util.Diag.Invalid { field = "--size"; message }))
+    fmt
+
 let workload_pair ?telemetry ~cfg ?(size = 0) kind =
   Tca_telemetry.Timing.with_span telemetry "sim.workload" @@ fun () ->
   let auto_latency p = meta_latency p.Meta.meta ~cfg in
   match kind with
   | Synthetic ->
+      let n_units = 4000 in
       let n_chunks = if size > 0 then size else 200 in
-      let p =
-        Synthetic.generate
-          (Synthetic.config ~n_units:4000 ~n_chunks ~accel_latency:20 ())
-      in
-      (p, 20.0)
+      if n_chunks > n_units then
+        size_error "synthetic has %d units, so at most %d chunks; got %d"
+          n_units n_units n_chunks
+      else
+        let p =
+          Synthetic.generate
+            (Synthetic.config ~n_units ~n_chunks ~accel_latency:20 ())
+        in
+        Ok (p, 20.0)
   | Heap ->
       let gap = if size > 0 then size else 100 in
       let p =
         Heap_workload.generate
           (Heap_workload.config ~n_calls:2000 ~app_instrs_per_call:gap ())
       in
-      (p, float_of_int Tca_heap.Cost_model.accel_latency)
+      Ok (p, float_of_int Tca_heap.Cost_model.accel_latency)
   | Dgemm ->
       let n = if size > 0 then size else 64 in
-      let p = Dgemm_workload.pair (Dgemm_workload.config ~n ()) ~dim:4 in
-      (p, auto_latency p)
+      if n mod 32 <> 0 then
+        size_error "dgemm needs a multiple of its 32-element block; got %d" n
+      else
+        let p = Dgemm_workload.pair (Dgemm_workload.config ~n ()) ~dim:4 in
+        Ok (p, auto_latency p)
   | Hashmap ->
       let gap = if size > 0 then size else 200 in
       let p, _ =
@@ -227,21 +245,21 @@ let workload_pair ?telemetry ~cfg ?(size = 0) kind =
           (Hashmap_workload.config ~n_lookups:1500 ~app_instrs_per_lookup:gap
              ())
       in
-      (p, auto_latency p)
+      Ok (p, auto_latency p)
   | Regex ->
       let gap = if size > 0 then size else 800 in
       let p, _ =
         Regex_workload.generate
           (Regex_workload.config ~n_records:300 ~app_instrs_per_record:gap ())
       in
-      (p, auto_latency p)
+      Ok (p, auto_latency p)
   | Strfn ->
       let gap = if size > 0 then size else 300 in
       let p, _ =
         Strfn_workload.generate
           (Strfn_workload.config ~n_calls:1000 ~app_instrs_per_call:gap ())
       in
-      (p, auto_latency p)
+      Ok (p, auto_latency p)
 
 let workload_name kind =
   fst (List.find (fun (_, k) -> k = kind) workload_kinds)
@@ -253,7 +271,9 @@ let simulate_title kind =
 
 let simulate_artifact ?telemetry ?par ?size kind =
   let cfg = validation_core () in
-  let pair, latency = workload_pair ?telemetry ~cfg ?size kind in
+  let pair, latency =
+    Tca_util.Diag.ok_exn (workload_pair ?telemetry ~cfg ?size kind)
+  in
   validation_artifact
     ~job:("simulate." ^ workload_name kind)
     ~title:(simulate_title kind)

@@ -40,11 +40,6 @@ type validation_row = {
       (** refill-aware drain estimator (see {!Tca_interval.Drain.spec}) *)
 }
 
-val error_pct : validation_row -> float
-(** Paper-default model vs simulator. *)
-
-val refill_error_pct : validation_row -> float
-
 val scenario_speedup :
   ?config:Tca_model.Params.config_cost ->
   Tca_workloads.Meta.t ->
@@ -125,11 +120,13 @@ val workload_kinds : (string * workload_kind) list
 val workload_pair :
   ?telemetry:Tca_telemetry.Sink.t ->
   cfg:Tca_uarch.Config.t -> ?size:int -> workload_kind ->
-  Tca_workloads.Meta.pair * float
+  (Tca_workloads.Meta.pair * float, Tca_util.Diag.t) result
 (** The workload's trace pair plus the architect's latency estimate for
     its TCA. [size] (default 0 = the workload's default) is chunks
-    (synthetic), app instructions per invocation (heap, hashmap, regex,
-    strfn) or the matrix dimension (dgemm). With [telemetry], the
+    (synthetic, at most its 4000 units), app instructions per invocation
+    (heap, hashmap, regex, strfn) or the matrix dimension (dgemm, a
+    multiple of its 32-element block); any other size is an
+    [Invalid] diagnostic on field ["--size"]. With [telemetry], the
     generation is recorded as a [sim.workload] span. *)
 
 val simulate_title : workload_kind -> string

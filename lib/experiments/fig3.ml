@@ -30,10 +30,9 @@ let interval_trace ~leading ~trailing ~accel_latency =
   Codegen.emit_block gen b trailing;
   Trace.Builder.build b
 
-let run ?telemetry ?par ?(leading = 150) ?(trailing = 150)
-    ?(accel_latency = 40) () =
+let run ?telemetry ?par ?(trailing = 150) ?(accel_latency = 40) () =
   Tca_telemetry.Timing.with_span telemetry "fig3.run" @@ fun () ->
-  let trace = interval_trace ~leading ~trailing ~accel_latency in
+  let trace = interval_trace ~leading:150 ~trailing ~accel_latency in
   let timelines =
     Tca_telemetry.Timing.fan_out ?telemetry ?par
       (fun ~telemetry coupling ->

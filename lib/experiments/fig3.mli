@@ -12,9 +12,9 @@ type timeline = {
 val run :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
-  ?leading:int -> ?trailing:int -> ?accel_latency:int -> unit ->
+  ?trailing:int -> ?accel_latency:int -> unit ->
   timeline list
-(** Defaults: 150 leading μops, 150 trailing μops, 40-cycle TCA. The
+(** 150 leading μops; defaults: 150 trailing μops, 40-cycle TCA. The
     four couplings are simulated independently; [?par] runs them in
     parallel with identical results (per-coupling sinks joined in
     coupling order). *)

@@ -2,10 +2,6 @@
     simulated speedup (b), and error (c) across malloc/free invocation
     frequencies, for all four modes. *)
 
-val gaps : quick:bool -> int list
-(** Application instructions between heap calls; smaller = higher
-    invocation frequency. *)
-
 val run :
   ?telemetry:Tca_telemetry.Sink.t -> ?par:Tca_util.Parmap.t -> ?quick:bool ->
   unit -> Exp_common.validation_row list

@@ -19,8 +19,9 @@ let run ?telemetry ?par ?(cols = 48) ?(rows = 17) () =
       List.map
         (fun mode ->
           let grid =
-            Grid.compute_exn ?telemetry ?par core ~accel ~freqs ~coverages
-              mode
+            Tca_util.Diag.ok_exn
+              (Grid.compute ?telemetry ?par core ~accel ~freqs ~coverages
+                 mode)
           in
           {
             core_name;
@@ -45,15 +46,20 @@ let heatmap_of m =
   let col_labels =
     Array.map (fun v -> Printf.sprintf "v=%.0e" v) g.Grid.freqs
   in
-  let hm = Tca_util.Heatmap.make_exn ~values ~row_labels ~col_labels in
+  let hm =
+    Tca_util.Diag.ok_exn
+      (Tca_util.Heatmap.make ~values ~row_labels ~col_labels)
+  in
   let flip cells = List.map (fun (r, c) -> (nrows - 1 - r, c)) cells in
   let heap_curve =
-    Grid.accelerator_curve_exn g
-      ~granularity:Tca_workloads.Greendroid.heap_manager_granularity
+    Tca_util.Diag.ok_exn
+      (Grid.accelerator_curve g
+         ~granularity:Tca_workloads.Greendroid.heap_manager_granularity)
   in
   let gd_curve =
-    Grid.accelerator_curve_exn g
-      ~granularity:(Tca_workloads.Greendroid.mean_granularity ())
+    Tca_util.Diag.ok_exn
+      (Grid.accelerator_curve g
+         ~granularity:(Tca_workloads.Greendroid.mean_granularity ()))
   in
   let hm = Tca_util.Heatmap.overlay hm (flip heap_curve) 'H' in
   Tca_util.Heatmap.overlay hm (flip gd_curve) 'G'

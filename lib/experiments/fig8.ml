@@ -11,20 +11,24 @@ let granularity = 100.0
 let accel_factor = 2.0
 let accel = Params.Factor accel_factor
 
-let run ?telemetry ?(points = 97) ?(core = Presets.hp_core) () =
+let run ?telemetry ?(points = 97) () =
+  let core = Presets.hp_core in
   Tca_telemetry.Timing.with_span telemetry "fig8.run" @@ fun () ->
   let coverages = Tca_util.Sweep.linspace_exn 0.0 0.99 points in
   List.map
     (fun mode ->
       let pts =
-        Concurrency.coverage_series_exn core ~g:granularity ~accel ~coverages mode
+        Tca_util.Diag.ok_exn
+          (Concurrency.coverage_series core ~g:granularity ~accel ~coverages
+             mode)
       in
-      { mode; points = pts; peak = Concurrency.peak_exn pts })
+      let peak = Tca_util.Diag.ok_exn (Concurrency.peak pts) in
+      { mode; points = pts; peak })
     Mode.all
 
 let ideal_peak =
-  ( Concurrency.ideal_peak_coverage_exn ~accel_factor,
-    Concurrency.ideal_peak_speedup_exn ~accel_factor )
+  ( Tca_util.Diag.ok_exn (Concurrency.ideal_peak_coverage ~accel_factor),
+    Tca_util.Diag.ok_exn (Concurrency.ideal_peak_speedup ~accel_factor) )
 
 let nl_t_local_maxima series =
   match List.find_opt (fun s -> Mode.equal s.mode Mode.NL_T) series with

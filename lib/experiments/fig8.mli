@@ -11,13 +11,11 @@ type series = {
 
 val run :
   ?telemetry:Tca_telemetry.Sink.t ->
-  ?points:int -> ?core:Tca_model.Params.core -> unit -> series list
-(** Default 97 coverage points on the HP core. *)
+  ?points:int -> unit -> series list
+(** Default 97 coverage points, on the HP core. *)
 
 val ideal_peak : float * float
 (** [(2/3, 3.0)]: the analytical optimum for A = 2. *)
-
-val nl_t_local_maxima : series list -> (float * float) list
 
 val artifact : series list -> Tca_engine.Artifact.t
 (** A thinned table (every 4th point) for the text view, the full series

@@ -7,8 +7,6 @@
     probe count (and so the software μops replaced and the TCA's line
     traffic) comes from the live table's collision structure. *)
 
-val gaps : quick:bool -> int list
-
 val run :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->

@@ -141,5 +141,5 @@ let all () =
 
 let registry () =
   let r = Registry.create () in
-  List.iter (Registry.register_exn r) (all ());
+  List.iter (fun j -> Tca_util.Diag.ok_exn (Registry.register r j)) (all ());
   r

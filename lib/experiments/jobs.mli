@@ -6,9 +6,6 @@
     the tests resolve them through {!registry} instead of bespoke
     dispatch. *)
 
-val all : unit -> Tca_engine.Job.t list
-(** Declaration order: figures/tables, extensions, then the
-    [simulate.*] family. *)
-
 val registry : unit -> Tca_engine.Registry.t
-(** A fresh registry holding {!all}. *)
+(** A fresh registry holding every job: figures and tables, extensions,
+    then the [simulate.*] family. *)

@@ -14,9 +14,5 @@ type row = {
 }
 
 val run : ?points:int -> unit -> row list
-val logca_params : Tca_logca.Logca.t
-(** Matched to the Fig. 2 scenario: A = 3, per-invocation overhead
-    equivalent to the TCA model's commit stall, negligible interface
-    latency (tightly-coupled data path). *)
 
 val artifact : row list -> Tca_engine.Artifact.t

@@ -11,6 +11,9 @@ let unit_latency (sc : Multi_tca.scenario) (u : Multi_tca.unit_usage) ~cfg =
       Meta.compute_latency = u.Multi_tca.compute_latency }
     ~cfg
 
+(* The composed-model inputs read off a scenario: per-unit a_i/v_i from
+   the usage counts, per-unit [unit_latency], the scenario's chained
+   fraction, shared commit port. *)
 let composition_of ?drain (sc : Multi_tca.scenario) ~cfg =
   let nb =
     float_of_int sc.Multi_tca.pair.Meta.meta.Meta.baseline_instrs
@@ -29,13 +32,17 @@ let composition_of ?drain (sc : Multi_tca.scenario) ~cfg =
     ~chained:sc.Multi_tca.chained_fraction
     ~commit_port:Tca_model.Params.Shared ~units ()
 
+(* Install the scenario's unit table, run baseline + four couplings and
+   score the composed model (paper-default and refill-aware drain)
+   against the simulator. *)
 let validate ?telemetry ?par ~cfg (sc : Multi_tca.scenario) =
   let cfg = Config.with_tca_units cfg sc.Multi_tca.tca_units in
   Exp_common.validate_pair ?telemetry ?par ~cfg ~pair:sc.Multi_tca.pair
     ~model:(fun ~drain core mode ->
-      Tca_model.Equations.composed_speedup_exn core
-        (composition_of ~drain sc ~cfg)
-        mode)
+      Tca_util.Diag.ok_exn
+        (Tca_model.Equations.composed_speedup core
+           (composition_of ~drain sc ~cfg)
+           mode))
     ()
 
 let scenarios ?(quick = false) () =
@@ -117,7 +124,8 @@ let artifact results =
    scenario's unit mix. Model-only (the simulated anchor points are the
    job above); shows the contention term t_cont = chi * v * t_commit
    splitting the shared from the private port as chaining grows. *)
-let sweep ?(points = 21) ?(core = Tca_model.Presets.hp_core) () =
+let sweep ?(points = 21) () =
+  let core = Tca_model.Presets.hp_core in
   let cfg = Exp_common.validation_core () in
   let sc = Multi_tca.generate (Multi_tca.config Multi_tca.Chained) in
   let base = composition_of sc ~cfg in
@@ -127,8 +135,9 @@ let sweep ?(points = 21) ?(core = Tca_model.Presets.hp_core) () =
     List.map
       (fun chained ->
         let speedups port =
-          Tca_model.Equations.composed_speedups_exn core
-            { base with Tca_model.Params.chained; commit_port = port }
+          Tca_util.Diag.ok_exn
+            (Tca_model.Equations.composed_speedups core
+               { base with Tca_model.Params.chained; commit_port = port })
         in
         ( chained,
           speedups Tca_model.Params.Shared,

@@ -7,38 +7,6 @@
     speedup-vs-chained-fraction sweep that exhibits the commit-port
     contention term. *)
 
-val unit_latency :
-  Tca_workloads.Multi_tca.scenario ->
-  Tca_workloads.Multi_tca.unit_usage ->
-  cfg:Tca_uarch.Config.t ->
-  float
-(** Architect's per-invocation latency estimate for one unit: its
-    compute latency plus the scenario's shared memory-time estimate
-    (see {!Exp_common.meta_latency}). *)
-
-val composition_of :
-  ?drain:Tca_interval.Drain.spec ->
-  Tca_workloads.Multi_tca.scenario ->
-  cfg:Tca_uarch.Config.t ->
-  Tca_model.Params.composition
-(** The composed-model inputs read off a scenario: per-unit [a_i]/[v_i]
-    from the usage counts, per-unit {!unit_latency}, the scenario's
-    chained fraction, shared commit port. *)
-
-val validate :
-  ?telemetry:Tca_telemetry.Sink.t ->
-  ?par:Tca_util.Parmap.t ->
-  cfg:Tca_uarch.Config.t ->
-  Tca_workloads.Multi_tca.scenario ->
-  Exp_common.validation_row list * Tca_uarch.Simulator.comparison
-(** Install the scenario's unit table, run baseline + four couplings,
-    and score the composed model (paper-default and refill-aware drain)
-    against the simulator — one row per mode, plus the raw comparison
-    for the per-unit counter breakdown. *)
-
-val scenarios :
-  ?quick:bool -> unit -> Tca_workloads.Multi_tca.scenario list
-
 val run :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->
@@ -60,7 +28,6 @@ val artifact :
 
 val sweep :
   ?points:int ->
-  ?core:Tca_model.Params.core ->
   unit ->
   Tca_model.Params.core
   * Tca_model.Params.composition
@@ -68,9 +35,9 @@ val sweep :
     * (Tca_model.Mode.t * float) list
     * (Tca_model.Mode.t * float) list)
     list
-(** Composed-model speedups for all four modes as the chained fraction
-    sweeps [0, 1], once with a shared and once with private commit
-    ports, on the chained scenario's unit mix. *)
+(** Composed-model speedups on the HP core for all four modes as the
+    chained fraction sweeps [0, 1], once with a shared and once with
+    private commit ports, on the chained scenario's unit mix. *)
 
 val sweep_artifact :
   Tca_model.Params.core

@@ -3,8 +3,6 @@
     from a real NFA/DFA engine (data-dependent like the hash map, but an
     order of magnitude coarser). *)
 
-val gaps : quick:bool -> int list
-
 val run :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->

@@ -2,8 +2,6 @@
     functions" marker of the paper's Fig. 2 (STTNI-style acceleration),
     with per-call byte counts from a real string arena. *)
 
-val gaps : quick:bool -> int list
-
 val run :
   ?telemetry:Tca_telemetry.Sink.t ->
   ?par:Tca_util.Parmap.t ->

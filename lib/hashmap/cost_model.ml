@@ -1,5 +1,8 @@
 open Tca_uarch
 
+(* μops to compute the hash and initial index; per inspected bucket
+   (load key, compare, branch, advance); after the loop (load the value,
+   produce the result). *)
 let hash_uops = 6
 let uops_per_probe = 4
 let tail_uops = 3

@@ -7,16 +7,6 @@
     lines of the buckets the real table probed, with a short compute
     latency (the hash unit plus comparators). *)
 
-val hash_uops : int
-(** μops to compute the hash and initial index (6). *)
-
-val uops_per_probe : int
-(** μops per inspected bucket in software (4: load key, compare, branch,
-    advance). *)
-
-val tail_uops : int
-(** μops after the loop: load the value, produce the result (3). *)
-
 val software_uops : probes:int -> int
 (** Total software μops for an operation with the given probe count. *)
 

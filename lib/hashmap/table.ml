@@ -8,8 +8,6 @@ type t = {
   values : int array;
   state : Bytes.t;
   mutable len : int;
-  mutable total_probes : int;
-  mutable total_ops : int;
 }
 
 let bucket_bytes = 16
@@ -25,13 +23,10 @@ let create ?(base = 0x2000_0000) ~capacity_pow2 () =
     values = Array.make n 0;
     state = Bytes.make n '\000';
     len = 0;
-    total_probes = 0;
-    total_ops = 0;
   }
 
 let capacity t = t.mask + 1
 let length t = t.len
-let load_factor t = float_of_int t.len /. float_of_int (capacity t)
 
 type probe_result = {
   found : bool;
@@ -52,10 +47,6 @@ let bucket_addr t idx = t.base + (bucket_bytes * idx)
 
 let slot_state t idx = Bytes.get t.state idx |> Char.code
 
-let record t probes =
-  t.total_probes <- t.total_probes + probes;
-  t.total_ops <- t.total_ops + 1
-
 (* Walk the probe sequence until [stop] says where to end. Returns the
    final index, the probe count and the visited bucket addresses. *)
 let probe_seq t key stop =
@@ -69,17 +60,15 @@ let probe_seq t key stop =
   in
   go start 1 []
 
+(* Probe until the key or an empty slot (the key is absent). A tombstone
+   keeps its key, so it ends only the probe for that key. *)
+let probe_key t key =
+  probe_seq t key (fun idx -> slot_state t idx = 0 || t.keys.(idx) = key)
+
 let find t key =
   check_key key;
-  let idx, probes, addrs =
-    probe_seq t key (fun idx ->
-        match slot_state t idx with
-        | 0 -> true (* empty: key absent *)
-        | 1 -> t.keys.(idx) = key
-        | _ -> false (* tombstone: keep probing *))
-  in
-  record t probes;
-  let found = slot_state t idx = 1 && t.keys.(idx) = key in
+  let idx, probes, addrs = probe_key t key in
+  let found = slot_state t idx = 1 in
   {
     found;
     probes;
@@ -90,53 +79,23 @@ let find t key =
 let insert t key value =
   check_key key;
   if t.len > capacity t * 7 / 8 then failwith "Table.insert: table full";
-  (* Probe until the key or a truly-empty slot: an existing key may live
-     beyond a tombstone, and inserting at the tombstone first would
-     create a duplicate. The first tombstone seen is remembered as the
-     placement slot for a fresh key. *)
-  let first_tombstone = ref (-1) in
-  let idx, probes, addrs =
-    probe_seq t key (fun idx ->
-        match slot_state t idx with
-        | 0 -> true
-        | 1 -> t.keys.(idx) = key
-        | _ ->
-            if !first_tombstone < 0 then first_tombstone := idx;
-            false)
-  in
-  record t probes;
-  let existed = slot_state t idx = 1 && t.keys.(idx) = key in
-  let slot =
-    if existed then idx
-    else if !first_tombstone >= 0 then !first_tombstone
-    else idx
-  in
+  let idx, probes, addrs = probe_key t key in
+  let existed = slot_state t idx = 1 in
   if not existed then t.len <- t.len + 1;
-  Bytes.set t.state slot '\001';
-  t.keys.(slot) <- key;
-  t.values.(slot) <- value;
+  Bytes.set t.state idx '\001';
+  t.keys.(idx) <- key;
+  t.values.(idx) <- value;
   { found = existed; probes; bucket_addrs = addrs; value = Some value }
 
 let remove t key =
   check_key key;
-  let idx, probes, addrs =
-    probe_seq t key (fun idx ->
-        match slot_state t idx with
-        | 0 -> true
-        | 1 -> t.keys.(idx) = key
-        | _ -> false)
-  in
-  record t probes;
-  let found = slot_state t idx = 1 && t.keys.(idx) = key in
+  let idx, probes, addrs = probe_key t key in
+  let found = slot_state t idx = 1 in
   if found then begin
     Bytes.set t.state idx '\002';
     t.len <- t.len - 1
   end;
   { found; probes; bucket_addrs = addrs; value = None }
-
-let mean_probes t =
-  if t.total_ops = 0 then 0.0
-  else float_of_int t.total_probes /. float_of_int t.total_ops
 
 let check_invariants t =
   let occupied = ref 0 in

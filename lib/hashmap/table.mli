@@ -16,7 +16,6 @@ val create : ?base:int -> capacity_pow2:int -> unit -> t
 
 val capacity : t -> int
 val length : t -> int
-val load_factor : t -> float
 
 type probe_result = {
   found : bool;
@@ -34,11 +33,8 @@ val insert : t -> int -> int -> probe_result
     trace covers the buckets inspected to find the slot. *)
 
 val remove : t -> int -> probe_result
-(** Tombstone deletion; [found = false] when absent. *)
-
-val mean_probes : t -> float
-(** Average probes per operation since creation (cost-model
-    calibration). *)
+(** Tombstone deletion; [found = false] when absent. Only a later insert
+    of the same key reuses the tombstone's slot. *)
 
 val check_invariants : t -> (unit, string) result
 (** Every stored key is findable; length matches occupied slots. *)

@@ -1,21 +1,14 @@
-type t = { mutable items : int list; mutable len : int }
+type t = { mutable items : int list }
 
-let create () = { items = []; len = 0 }
-
-let push t addr =
-  t.items <- addr :: t.items;
-  t.len <- t.len + 1
+let create () = { items = [] }
+let push t addr = t.items <- addr :: t.items
 
 let pop t =
   match t.items with
   | [] -> None
   | x :: rest ->
       t.items <- rest;
-      t.len <- t.len - 1;
       Some x
 
-let peek t = match t.items with [] -> None | x :: _ -> Some x
-let length t = t.len
-let is_empty t = t.len = 0
-let mem t addr = List.mem addr t.items
+let is_empty t = t.items = []
 let to_list t = t.items

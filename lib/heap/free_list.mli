@@ -6,11 +6,7 @@ type t
 val create : unit -> t
 val push : t -> int -> unit
 val pop : t -> int option
-val peek : t -> int option
-val length : t -> int
 val is_empty : t -> bool
-val mem : t -> int -> bool
-(** Linear scan; intended for invariant checking, not hot paths. *)
 
 val to_list : t -> int list
 (** Head first; non-destructive. *)

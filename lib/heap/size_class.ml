@@ -14,6 +14,3 @@ let class_bytes c =
   check_class c;
   (c + 1) * granule
 
-let class_range c =
-  check_class c;
-  ((c * granule) + 1, (c + 1) * granule)

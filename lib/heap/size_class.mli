@@ -16,5 +16,3 @@ val class_bytes : int -> int
 (** Rounded allocation size of a class: 32, 64, 96 or 128. Raises
     [Invalid_argument] for an out-of-range index. *)
 
-val class_range : int -> int * int
-(** Inclusive [min, max] request sizes mapped to a class. *)

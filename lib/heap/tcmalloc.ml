@@ -1,6 +1,5 @@
 type t = {
   base : int;
-  arena_bytes : int;
   mutable bump : int;  (** next never-allocated address *)
   free_lists : Free_list.t array;
   live : (int, int) Hashtbl.t;  (** block address -> class (or -1: large) *)
@@ -11,13 +10,12 @@ type t = {
 exception Out_of_memory
 
 let default_base = 0x1000_0000
+let arena_bytes = 16 * 1024 * 1024
 
-let create ?(base = default_base) ?(arena_bytes = 16 * 1024 * 1024) () =
+let create ?(base = default_base) () =
   if base < 0 then invalid_arg "Tcmalloc.create: negative base";
-  if arena_bytes <= 0 then invalid_arg "Tcmalloc.create: empty arena";
   {
     base;
-    arena_bytes;
     bump = base;
     free_lists = Array.init Size_class.num_classes (fun _ -> Free_list.create ());
     live = Hashtbl.create 1024;
@@ -27,7 +25,7 @@ let create ?(base = default_base) ?(arena_bytes = 16 * 1024 * 1024) () =
 
 let bump_alloc t bytes =
   let addr = t.bump in
-  if addr + bytes > t.base + t.arena_bytes then raise Out_of_memory;
+  if addr + bytes > t.base + arena_bytes then raise Out_of_memory;
   t.bump <- addr + bytes;
   addr
 
@@ -73,10 +71,7 @@ let malloc_hits_free_list t size =
   | None -> false
   | Some cls -> not (Free_list.is_empty t.free_lists.(cls))
 
-let free_list_length t cls = Free_list.length t.free_lists.(cls)
-let live_blocks t = Hashtbl.length t.live
 let live_bytes t = t.live_bytes
-let arena_used t = t.bump - t.base
 let class_of_block t addr =
   match Hashtbl.find_opt t.live addr with
   | Some c when c >= 0 -> Some c
@@ -102,13 +97,13 @@ let check_invariants t =
           if Hashtbl.mem seen addr then
             fail (Printf.sprintf "block %#x appears twice in free lists" addr);
           Hashtbl.replace seen addr ();
-          if addr < t.base || addr >= t.base + t.arena_bytes then
+          if addr < t.base || addr >= t.base + arena_bytes then
             fail (Printf.sprintf "free block %#x outside arena" addr))
         (Free_list.to_list fl))
     t.free_lists;
   Hashtbl.iter
     (fun addr _cls ->
-      if addr < t.base || addr >= t.base + t.arena_bytes then
+      if addr < t.base || addr >= t.base + arena_bytes then
         fail (Printf.sprintf "live block %#x outside arena" addr))
     t.live;
   match !err with None -> Ok () | Some msg -> Error msg

@@ -10,10 +10,9 @@
 
 type t
 
-val create : ?base:int -> ?arena_bytes:int -> unit -> t
-(** [base] is the arena's start address (default 0x1000_0000, clear of
-    the workload generators' static data); [arena_bytes] defaults to
-    16 MB. *)
+val create : ?base:int -> unit -> t
+(** [base] is the start address of the 16 MB arena (default
+    0x1000_0000, clear of the workload generators' static data). *)
 
 exception Out_of_memory
 
@@ -31,12 +30,7 @@ val malloc_hits_free_list : t -> int -> bool
 (** Would [malloc size] be served from a free list (the accelerated fast
     path) rather than the bump pointer? *)
 
-val free_list_length : t -> int -> int
-(** Current length of a class's free list. *)
-
-val live_blocks : t -> int
 val live_bytes : t -> int
-val arena_used : t -> int
 
 val class_of_block : t -> int -> int option
 (** Size class of a currently-allocated block. *)

@@ -12,10 +12,7 @@ let calibrate ~ipc ~window ~beta =
 let critical_path fit w =
   if w <= 0.0 then 0.0 else (w /. fit.alpha) ** (1.0 /. fit.beta)
 
-let steady_ipc fit w =
-  if w <= 0.0 then 0.0 else w /. critical_path fit w
-
-(* steady_ipc(W) = alpha^(1/beta) * W^(1 - 1/beta); solve for W. *)
+(* w / l(w) = alpha^(1/beta) * w^(1 - 1/beta); solve for w. *)
 let window_for_ipc fit ipc =
   if ipc <= 0.0 then invalid_arg "Power_law.window_for_ipc: ipc must be positive";
   if fit.beta = 1.0 then invalid_arg "Power_law.window_for_ipc: beta = 1 gives constant IPC";

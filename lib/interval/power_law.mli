@@ -23,10 +23,7 @@ val critical_path : fit -> float -> float
     expected time to drain a window holding [w] instructions. [w <= 0]
     yields [0]. *)
 
-val steady_ipc : fit -> float -> float
-(** [steady_ipc fit w] is [w / l(w)], the sustainable issue rate with a
-    window of size [w]. *)
-
 val window_for_ipc : fit -> float -> float
-(** Inverse of [steady_ipc]: the window size needed to sustain a target
-    IPC. Useful for limit studies. *)
+(** The window size [w] whose sustainable issue rate [w / l(w)] is the
+    target IPC. Useful for limit studies. Raises [Invalid_argument] when
+    [ipc <= 0] or [beta = 1] (constant IPC). *)

@@ -1,41 +1,29 @@
 type t = {
   latency : float;
-  latency_exponent : float;
   overhead : float;
   compute_index : float;
-  compute_exponent : float;
   acceleration : float;
 }
 
-let make ?(latency_exponent = 1.0) ?(compute_exponent = 1.0) ~latency ~overhead
-    ~compute_index ~acceleration () =
+let make ~latency ~overhead ~compute_index ~acceleration () =
   if latency < 0.0 then invalid_arg "Logca.make: negative latency";
   if overhead < 0.0 then invalid_arg "Logca.make: negative overhead";
   if compute_index <= 0.0 then invalid_arg "Logca.make: compute_index must be positive";
   if acceleration <= 1.0 then invalid_arg "Logca.make: acceleration must exceed 1";
-  if latency_exponent < 0.0 || compute_exponent <= 0.0 then
-    invalid_arg "Logca.make: bad exponent";
-  {
-    latency;
-    latency_exponent;
-    overhead;
-    compute_index;
-    compute_exponent;
-    acceleration;
-  }
+  { latency; overhead; compute_index; acceleration }
 
 let check_granularity g =
   if g <= 0.0 then invalid_arg "Logca: granularity must be positive"
 
 let time_unaccelerated t g =
   check_granularity g;
-  t.compute_index *. (g ** t.compute_exponent)
+  t.compute_index *. g
 
 let time_accelerated t g =
   check_granularity g;
   t.overhead
-  +. (t.latency *. (g ** t.latency_exponent))
-  +. (t.compute_index *. (g ** t.compute_exponent) /. t.acceleration)
+  +. (t.latency *. g)
+  +. (t.compute_index *. g /. t.acceleration)
 
 let speedup t g = time_unaccelerated t g /. time_accelerated t g
 
@@ -57,12 +45,9 @@ let bisect_threshold f target =
 
 let break_even t = bisect_threshold (speedup t) 1.0
 
+(* c g / (l g + c g / A) as g -> inf *)
 let asymptotic_speedup t =
-  if t.compute_exponent > t.latency_exponent then t.acceleration
-  else if t.compute_exponent < t.latency_exponent then 0.0
-  else
-    (* c g^b / (l g^b + c g^b / A) as g -> inf *)
-    t.compute_index /. (t.latency +. (t.compute_index /. t.acceleration))
+  t.compute_index /. (t.latency +. (t.compute_index /. t.acceleration))
 
 let g_half t =
   let target = asymptotic_speedup t /. 2.0 in

@@ -8,26 +8,23 @@
     very effects that dominate for tightly-coupled accelerators. We
     implement it as the comparison baseline.
 
-    Parameters, for an offload of granularity [g] (bytes or elements):
+    Parameters, for an offload of granularity [g] (bytes or elements),
+    with the data moved and the work done both linear in [g] (LogCA's
+    exponents [tau = beta = 1]):
     - [l] (Latency): cycles to move data to/from the accelerator,
-      per unit of granularity (scaled by [g^tau]);
+      per unit of granularity;
     - [o] (overhead): fixed cycles to set up an invocation;
-    - [c] (Computational index): host cycles of work per unit, scaled by
-      [g^beta] ([beta = 1] for linear algorithms);
+    - [c] (Computational index): host cycles of work per unit;
     - [acceleration]: peak speedup [A] of the accelerator on the kernel. *)
 
 type t = {
   latency : float;  (** [l]: interface latency coefficient *)
-  latency_exponent : float;  (** [tau]: usually 1 (linear in data moved) *)
   overhead : float;  (** [o]: fixed invocation overhead, cycles *)
   compute_index : float;  (** [c]: host cycles per unit of granularity *)
-  compute_exponent : float;  (** [beta]: algorithmic complexity exponent *)
   acceleration : float;  (** [A > 1] *)
 }
 
 val make :
-  ?latency_exponent:float ->
-  ?compute_exponent:float ->
   latency:float ->
   overhead:float ->
   compute_index:float ->
@@ -35,14 +32,13 @@ val make :
   unit ->
   t
 (** Raises [Invalid_argument] on non-positive [compute_index] or
-    [acceleration <= 1], or negative latency/overhead. Exponents default
-    to 1. *)
+    [acceleration <= 1], or negative latency/overhead. *)
 
 val time_unaccelerated : t -> float -> float
-(** [c * g^beta]. *)
+(** [c * g]. *)
 
 val time_accelerated : t -> float -> float
-(** [o + l * g^tau + c * g^beta / A]. *)
+(** [o + l * g + c * g / A]. *)
 
 val speedup : t -> float -> float
 (** [time_unaccelerated / time_accelerated] at granularity [g > 0]. *)
@@ -56,6 +52,4 @@ val g_half : t -> float option
     [None] if unreachable in [1, 1e12]. *)
 
 val asymptotic_speedup : t -> float
-(** Limit of [speedup] as [g -> infinity]: [A] when [beta > tau]; the
-    closed-form ratio when [beta = tau]; [0] when the interface scales
-    worse than the computation ([beta < tau]). *)
+(** Limit of [speedup] as [g -> infinity]: [c / (l + c / A)]. *)

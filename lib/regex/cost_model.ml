@@ -1,11 +1,14 @@
 open Tca_uarch
 
+(* Per-search setup (pattern/table base loads, state init), then
+   software μops per inspected character. *)
 let setup_uops = 8
 let uops_per_char = 6
 
 let software_uops ~chars_scanned =
   setup_uops + (uops_per_char * max 1 chars_scanned)
 
+(* TCA scan throughput, bytes per cycle. *)
 let chars_per_cycle = 16
 
 let accel_compute_latency ~chars_scanned =

@@ -4,22 +4,12 @@
     byte load, transition-table index arithmetic, a transition load and
     an accept-check branch. The TCA is a hardware DFA (as in the
     server-side scripting accelerators the paper cites) that consumes
-    {!chars_per_cycle} text bytes per cycle, reading the text's cache
-    lines. *)
-
-val setup_uops : int
-(** Per-search setup: pattern/table base loads and state init (8). *)
-
-val uops_per_char : int
-(** Software μops per inspected character (6). *)
+    16 text bytes per cycle, reading the text's cache lines. *)
 
 val software_uops : chars_scanned:int -> int
 
-val chars_per_cycle : int
-(** TCA scan throughput (16 bytes/cycle). *)
-
 val accel_compute_latency : chars_scanned:int -> int
-(** ceil(chars / {!chars_per_cycle}), at least 1. *)
+(** ceil(chars / 16), at least 1. *)
 
 val result_reg : int
 

@@ -1,11 +1,15 @@
 open Tca_uarch
 
+(* Argument moves and pointer setup, then μops per inspected byte (4 for
+   single-string scans; strcmp's byte count already covers both
+   streams). *)
 let setup_uops = 5
 let uops_per_byte = 4
 
 let software_uops ~bytes_inspected =
   setup_uops + (uops_per_byte * max 1 bytes_inspected)
 
+(* One XMM-width comparison per cycle. *)
 let bytes_per_cycle = 16
 
 let accel_compute_latency ~bytes_inspected =

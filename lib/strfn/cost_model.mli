@@ -2,20 +2,10 @@
 
     Software: the classic byte loop — load, compare, branch, advance —
     per inspected byte, plus setup. Accelerated: an SSE4.2/STTNI-style
-    instruction processing {!bytes_per_cycle} bytes per cycle, reading
+    instruction processing 16 bytes per cycle, reading
     the inspected bytes' cache lines. *)
 
-val setup_uops : int
-(** 5: argument moves and pointer setup. *)
-
-val uops_per_byte : int
-(** 4 for single-string scans; strcmp inspects two streams so its cost
-    uses the byte count from the scan (which already counts both). *)
-
 val software_uops : bytes_inspected:int -> int
-
-val bytes_per_cycle : int
-(** 16, one XMM-width comparison per cycle. *)
 
 val accel_compute_latency : bytes_inspected:int -> int
 

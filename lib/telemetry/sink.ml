@@ -10,7 +10,6 @@ type event = {
 }
 
 type t = {
-  sample_interval : int;
   mutable buf : event array;
   mutable len : int;
 }
@@ -30,10 +29,8 @@ let dummy =
     args = [];
   }
 
-let create ?(interval = 256) () =
-  { sample_interval = max 1 interval; buf = Array.make 1024 dummy; len = 0 }
-
-let interval t = t.sample_interval
+let create () = { buf = Array.make 1024 dummy; len = 0 }
+let interval _ = 256
 
 let push t ev =
   if t.len = Array.length t.buf then begin
@@ -77,7 +74,7 @@ let clear t = t.len <- 0
    because a serial run also finishes task i's events before task
    i+1's. *)
 
-let fork t = create ~interval:t.sample_interval ()
+let fork _ = create ()
 
 let join ~into child =
   for i = 0 to child.len - 1 do

@@ -24,11 +24,11 @@
 
 type t
 
-val create : ?interval:int -> unit -> t
-(** [interval] (default 256 cycles, min 1) is the sampling period used
-    by the simulator's per-interval counters. *)
+val create : unit -> t
 
 val interval : t -> int
+(** 256 cycles: the sampling period used by the simulator's
+    per-interval counters. *)
 
 val track_sim : int
 (** [pid] for cycle-timestamped simulator events (= 0). *)
@@ -84,7 +84,7 @@ val clear : t -> unit
     implementation of this protocol over a {!Tca_util.Parmap.t}. *)
 
 val fork : t -> t
-(** A fresh, empty sink with the parent's sampling interval. *)
+(** A fresh, empty sink. *)
 
 val join : into:t -> t -> unit
 (** Append the child's events (in their emission order) to [into]. The

@@ -53,7 +53,7 @@ let default_mem =
     ~l2:(Cache.config ~size_bytes:(1024 * 1024) ~assoc:16 ~hit_latency:12 ())
     ~mem_latency:100 ()
 
-let hp ?(coupling = coupling_l_t) () =
+let hp () =
   {
     dispatch_width = 4;
     issue_width = 4;
@@ -70,14 +70,14 @@ let hp ?(coupling = coupling_l_t) () =
     latencies = default_latencies;
     bpred = Bpred.Tournament 14;
     mem = default_mem;
-    coupling;
+    coupling = coupling_l_t;
     tca_occupancy = Pipelined;
     tca_units = [| Tca_unit.default 0 |];
     tca_speculate_fraction = None;
     max_cycles = None;
   }
 
-let lp ?(coupling = coupling_l_t) () =
+let lp () =
   {
     dispatch_width = 2;
     issue_width = 2;
@@ -94,7 +94,7 @@ let lp ?(coupling = coupling_l_t) () =
     latencies = default_latencies;
     bpred = Bpred.Bimodal 12;
     mem = default_mem;
-    coupling;
+    coupling = coupling_l_t;
     tca_occupancy = Pipelined;
     tca_units = [| Tca_unit.default 0 |];
     tca_speculate_fraction = None;
@@ -201,5 +201,3 @@ let validate t =
   match t.max_cycles with
   | None -> Ok ()
   | Some c -> bound "max_cycles" c 1
-
-let validate_exn t = Tca_util.Diag.ok_exn (validate t)

@@ -75,12 +75,14 @@ val default_mem : Mem_hier.config
 (** 32 kB 8-way L1 (2-cycle), 1 MB 16-way L2 (12-cycle), 100-cycle
     memory. *)
 
-val hp : ?coupling:coupling -> unit -> t
+val hp : unit -> t
 (** High-performance core: 4-wide, 256-entry ROB, deep pipeline —
-    matching the model's [Presets.hp_core] structural parameters. *)
+    matching the model's [Presets.hp_core] structural parameters —
+    with the [L_T] coupling. *)
 
-val lp : ?coupling:coupling -> unit -> t
-(** Low-performance core: 2-wide, 64-entry ROB, shallow pipeline. *)
+val lp : unit -> t
+(** Low-performance core: 2-wide, 64-entry ROB, shallow pipeline, with
+    the [L_T] coupling. *)
 
 val with_coupling : t -> coupling -> t
 
@@ -106,6 +108,3 @@ val validate : t -> (unit, Tca_util.Diag.t) result
     [tca_units] table, or a unit whose id is not its position, is
     [Invalid]; a unit failing {!Tca_unit.validate} returns that
     diagnostic. *)
-
-val validate_exn : t -> unit
-(** Raises {!Tca_util.Diag.Error}. *)

@@ -77,7 +77,3 @@ let compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated () =
   in
   let+ modes = seq 1 in
   { baseline = base_stats; baseline_partial; modes }
-
-let compare_modes_exn ?telemetry ?par ~cfg ~baseline ~accelerated () =
-  Tca_util.Diag.ok_exn
-    (compare_modes ?telemetry ?par ~cfg ~baseline ~accelerated ())

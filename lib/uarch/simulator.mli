@@ -54,8 +54,3 @@ val compare_modes :
     kept (with [partial] set), not turned into errors. [Error] on an
     invalid configuration or (pathological) zero-cycle accelerated
     run. *)
-
-val compare_modes_exn :
-  ?telemetry:Tca_telemetry.Sink.t ->
-  ?par:Tca_util.Parmap.t ->
-  cfg:Config.t -> baseline:Trace.t -> accelerated:Trace.t -> unit -> comparison

@@ -27,4 +27,3 @@ let write_with path f =
           match e with Sys_error message -> fail message | e -> raise e))
 
 let write path contents = write_with path (fun oc -> output_string oc contents)
-let write_exn path contents = Diag.ok_exn (write path contents)

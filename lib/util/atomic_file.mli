@@ -21,6 +21,3 @@ val write_with :
 
 val write : string -> string -> (unit, Diag.t) result
 (** [write path contents] is [write_with] writing [contents]. *)
-
-val write_exn : string -> string -> unit
-(** @raise Diag.Error on failure. *)

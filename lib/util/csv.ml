@@ -25,9 +25,3 @@ let to_string ~header rows =
       Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let write_file path ~header rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~header rows))

@@ -9,5 +9,3 @@ val line : string list -> string
 
 val to_string : header:string list -> string list list -> string
 (** Full document with header row and trailing newline. *)
-
-val write_file : string -> header:string list -> string list list -> unit

@@ -6,9 +6,9 @@
     and so that callers (the CLI, the fuzz harness) can map a failure to a
     precise, machine-readable diagnostic and a stable exit code.
 
-    Convention: for a converted function [f], [f] returns a [result] and
-    [f_exn] is a thin wrapper that raises {!Error} — use it where the
-    inputs are correct by construction. An [Ok] result never carries a
+    Convention: a fallible function has one form, returning a [result].
+    A caller whose inputs are correct by construction unwraps it with
+    {!ok_exn}, which raises {!Error}. An [Ok] result never carries a
     non-finite float. *)
 
 type t =
@@ -52,9 +52,9 @@ type t =
           of the simulator's {!Watchdog}. *)
 
 exception Error of t
-(** Raised by the [*_exn] wrappers. *)
+(** Raised by {!ok_exn}, and by the few functions whose failure is itself
+    their result ([Pipeline.run_exn], [Scheduler.artifact_exn]). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val exit_code : t -> int

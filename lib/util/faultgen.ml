@@ -1,7 +1,6 @@
 type t = Prng.t
 
 let create ~seed = Prng.create seed
-let fork = Prng.split
 
 let specials =
   [|

@@ -15,9 +15,6 @@ type t
 val create : seed:int -> t
 (** Equal seeds yield equal adversarial streams. *)
 
-val fork : t -> t
-(** Independent child stream. *)
-
 val float_adversarial : t -> float
 (** Any float: NaN, [infinity], [neg_infinity], [0.], [-0.], denormals,
     [max_float]-scale magnitudes, negatives, and ordinary values. *)

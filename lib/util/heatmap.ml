@@ -36,9 +36,6 @@ let make ~values ~row_labels ~col_labels =
   in
   Ok { values; row_labels; col_labels; markers = Hashtbl.create 16 }
 
-let make_exn ~values ~row_labels ~col_labels =
-  Diag.ok_exn (make ~values ~row_labels ~col_labels)
-
 (* Thresholds are multiplicative: a 1.5x speedup and a 1/1.5 slowdown get
    symmetric intensity. *)
 let cell_char v =

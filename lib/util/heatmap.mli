@@ -17,13 +17,6 @@ val make :
     grid, [Error (Ragged_input _)] on ragged rows or label/row count
     mismatches. *)
 
-val make_exn :
-  values:float array array ->
-  row_labels:string array ->
-  col_labels:string array ->
-  t
-(** Raises {!Diag.Error}. *)
-
 val cell_char : float -> char
 (** Character for one speedup value: ['#'] strong speedup down to ['.']
     mild, [' '] neutral (within 2% of 1.0), and ['-'/'='/'%'/'@'] for

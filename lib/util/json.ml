@@ -81,8 +81,6 @@ let to_string_indent v =
   write b ~indent:true ~level:0 v;
   Buffer.contents b
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
@@ -298,5 +296,3 @@ let parse s =
              input = truncate_input s;
              message = Printf.sprintf "at offset %d: %s" pos message;
            })
-
-let parse_exn s = Diag.ok_exn (parse s)

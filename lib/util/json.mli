@@ -14,18 +14,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape_string : string -> string
-(** JSON string escaping, without the surrounding quotes. *)
-
 val to_string : t -> string
 (** Compact, single-line serialisation. Non-finite floats are emitted as
     [null] (JSON has no NaN/infinity), matching what browsers accept. *)
 
 val to_string_indent : t -> string
 (** Two-space indented serialisation, for human-inspected files. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact form, same as {!to_string}. *)
 
 (** {2 Accessors} — total, [None] on shape mismatch. *)
 
@@ -46,6 +40,3 @@ val parse : string -> (t, Diag.t) result
     [Error (Parse _)] carries a character offset and reason. Integers
     without fraction/exponent parse as [Int]; everything else numeric as
     [Float]. *)
-
-val parse_exn : string -> t
-(** @raise Diag.Error on malformed input. *)

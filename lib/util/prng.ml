@@ -21,27 +21,9 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let int_res t bound =
-  match Diag.positive_int ~field:"Prng.int.bound" bound with
-  | Error _ as e -> e
-  | Ok bound -> Ok (int t bound)
-
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
-
-let int_in_res t lo hi =
-  match Diag.at_least ~field:"Prng.int_in.hi" ~min:lo hi with
-  | Error _ as e -> e
-  | Ok hi ->
-      (* [hi - lo + 1] overflows when the range spans most of the int
-         domain (e.g. [min_int + 1, max_int]); [int] would then see a
-         negative bound. *)
-      if hi - lo + 1 <= 0 then
-        Error
-          (Diag.Invalid
-             { field = "Prng.int_in"; message = "range width overflows int" })
-      else Ok (int_in t lo hi)
 
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
@@ -54,11 +36,6 @@ let bernoulli t p = float t 1.0 < p
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
   arr.(int t (Array.length arr))
-
-let choose_res t arr =
-  match Diag.non_empty ~field:"Prng.choose" arr with
-  | Error _ as e -> e
-  | Ok arr -> Ok (choose t arr)
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

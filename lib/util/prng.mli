@@ -19,18 +19,10 @@ val next : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
-    if [bound <= 0]. The raising forms are the hot-path APIs for
-    generators whose bounds are correct by construction; defensive
-    callers use the [*_res] forms below. *)
-
-val int_res : t -> int -> (int, Diag.t) result
-(** Checked variant: [Error (Domain _)] when [bound <= 0]. *)
+    if [bound <= 0]: every caller's bound is correct by construction. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
-val int_in_res : t -> int -> int -> (int, Diag.t) result
-(** Checked variant: [Error (Domain _)] on an empty range. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
@@ -42,9 +34,6 @@ val bernoulli : t -> float -> bool
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val choose_res : t -> 'a array -> ('a, Diag.t) result
-(** Checked variant: [Error (Empty_input _)] on an empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -14,8 +14,6 @@ let mean xs =
   finite_out "Stats.mean"
     (Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs))
 
-let mean_exn xs = Diag.ok_exn (mean xs)
-
 let geomean xs =
   let* () = non_empty "Stats.geomean" xs in
   let* sum_logs =
@@ -29,8 +27,6 @@ let geomean xs =
   finite_out "Stats.geomean"
     (exp (sum_logs /. float_of_int (Array.length xs)))
 
-let geomean_exn xs = Diag.ok_exn (geomean xs)
-
 let variance xs =
   let* () = non_empty "Stats.variance" xs in
   let* m = mean xs in
@@ -38,25 +34,13 @@ let variance xs =
     (Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
     /. float_of_int (Array.length xs))
 
-let variance_exn xs = Diag.ok_exn (variance xs)
-
 let stddev xs =
   let* v = variance xs in
   Ok (sqrt v)
 
-let stddev_exn xs = Diag.ok_exn (stddev xs)
-
-let min xs =
-  let* () = non_empty "Stats.min" xs in
-  finite_out "Stats.min" (Array.fold_left Stdlib.min xs.(0) xs)
-
-let min_exn xs = Diag.ok_exn (min xs)
-
 let max xs =
   let* () = non_empty "Stats.max" xs in
   finite_out "Stats.max" (Array.fold_left Stdlib.max xs.(0) xs)
-
-let max_exn xs = Diag.ok_exn (max xs)
 
 let percentile xs p =
   let* () = non_empty "Stats.percentile" xs in
@@ -91,16 +75,6 @@ let relative_error ~measured ~estimated =
        huge [estimated]); keep the output-finiteness guarantee. *)
     Diag.finite ~field:"Stats.relative_error" ((estimated -. measured) /. measured)
 
-let relative_error_exn ~measured ~estimated =
-  Diag.ok_exn (relative_error ~measured ~estimated)
-
-let abs_relative_error ~measured ~estimated =
-  let+ e = relative_error ~measured ~estimated in
-  Float.abs e
-
-let abs_relative_error_exn ~measured ~estimated =
-  Diag.ok_exn (abs_relative_error ~measured ~estimated)
-
 let mape ~measured ~estimated =
   let* () = Diag.same_length ~field:"Stats.mape" measured estimated in
   let* () = non_empty "Stats.mape" measured in
@@ -108,12 +82,10 @@ let mape ~measured ~estimated =
     Array.fold_left
       (fun acc (m, e) ->
         let* acc = acc in
-        let* err = abs_relative_error ~measured:m ~estimated:e in
-        Ok (err :: acc))
+        let* err = relative_error ~measured:m ~estimated:e in
+        Ok (Float.abs err :: acc))
       (Ok [])
       (Array.map2 (fun m e -> (m, e)) measured estimated)
   in
   let* m = mean (Array.of_list errs) in
   finite_out "Stats.mape" (100.0 *. m)
-
-let mape_exn ~measured ~estimated = Diag.ok_exn (mape ~measured ~estimated)

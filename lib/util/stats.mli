@@ -4,30 +4,19 @@
     Every aggregate returns [('a, Diag.t) result]: [Error (Empty_input _)]
     on an empty array, [Error (Non_finite _)] when a NaN or infinity
     enters (or would leave) the computation, so a poisoned element can
-    never silently corrupt a geomean. The [*_exn] forms raise
-    {!Diag.Error} and are for callers whose inputs are correct by
-    construction. *)
+    never silently corrupt a geomean. *)
 
 val mean : float array -> (float, Diag.t) result
 (** Arithmetic mean. *)
 
-val mean_exn : float array -> float
-
 val geomean : float array -> (float, Diag.t) result
 (** Geometric mean. All elements must be positive and finite. *)
-
-val geomean_exn : float array -> float
 
 val variance : float array -> (float, Diag.t) result
 (** Population variance. *)
 
-val variance_exn : float array -> float
 val stddev : float array -> (float, Diag.t) result
-val stddev_exn : float array -> float
-val min : float array -> (float, Diag.t) result
-val min_exn : float array -> float
 val max : float array -> (float, Diag.t) result
-val max_exn : float array -> float
 val median : float array -> (float, Diag.t) result
 val median_exn : float array -> float
 
@@ -42,15 +31,6 @@ val relative_error : measured:float -> estimated:float -> (float, Diag.t) result
     optimistic relative to the measurement. [Error (Invalid _)] when
     [measured = 0]. *)
 
-val relative_error_exn : measured:float -> estimated:float -> float
-
-val abs_relative_error :
-  measured:float -> estimated:float -> (float, Diag.t) result
-
-val abs_relative_error_exn : measured:float -> estimated:float -> float
-
 val mape : measured:float array -> estimated:float array -> (float, Diag.t) result
 (** Mean absolute percentage error, in percent. [Error (Ragged_input _)]
     when the arrays differ in length. *)
-
-val mape_exn : measured:float array -> estimated:float array -> float

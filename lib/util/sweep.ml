@@ -70,5 +70,3 @@ let geometric_ints lo hi ratio =
   let* pts = build [] 0 lo in
   let pts = match pts with last :: _ when last < hi -> hi :: pts | _ -> pts in
   Ok (Array.of_list (List.rev pts))
-
-let geometric_ints_exn lo hi ratio = Diag.ok_exn (geometric_ints lo hi ratio)

@@ -3,8 +3,7 @@
 
     The range builders return [('a, Diag.t) result] — a degenerate range
     (too few points, non-positive log endpoints, non-finite bounds) is a
-    [Domain] or [Non_finite] diagnostic rather than an abort. The [*_exn]
-    forms raise {!Diag.Error}. *)
+    [Domain] or [Non_finite] diagnostic rather than an abort. *)
 
 val linspace : float -> float -> int -> (float array, Diag.t) result
 (** [linspace lo hi n] is [n >= 2] evenly spaced points including both
@@ -26,5 +25,3 @@ val geometric_ints : int -> int -> float -> (int array, Diag.t) result
     [lo; lo*ratio; ...] capped at [hi] (always includes [lo]; includes [hi]
     if distinct from the last generated point). Requires [lo > 0] and a
     finite [ratio > 1]. *)
-
-val geometric_ints_exn : int -> int -> float -> int array

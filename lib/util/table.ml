@@ -1,15 +1,8 @@
-type align = Left | Right
+let pad ~left width s =
+  let fill = String.make (Stdlib.max 0 (width - String.length s)) ' ' in
+  if left then s ^ fill else fill ^ s
 
-let pad align width s =
-  let n = String.length s in
-  if n >= width then s
-  else
-    let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
-
-let default_aligns n = List.init n (fun i -> if i = 0 then Left else Right)
-
-let render ?aligns ~headers rows =
+let render ~headers rows =
   let arity = List.length headers in
   List.iteri
     (fun i row ->
@@ -18,12 +11,6 @@ let render ?aligns ~headers rows =
           (Printf.sprintf "Table.render: row %d has %d cells, expected %d" i
              (List.length row) arity))
     rows;
-  let aligns =
-    match aligns with
-    | Some a when List.length a = arity -> a
-    | Some _ -> invalid_arg "Table.render: aligns arity mismatch"
-    | None -> default_aligns arity
-  in
   let widths =
     List.mapi
       (fun i h ->
@@ -35,7 +22,9 @@ let render ?aligns ~headers rows =
   let buf = Buffer.create 1024 in
   let emit_row cells =
     let padded =
-      List.map2 (fun (a, w) c -> pad a w c) (List.combine aligns widths) cells
+      List.mapi
+        (fun i (w, c) -> pad ~left:(i = 0) w c)
+        (List.combine widths cells)
     in
     Buffer.add_string buf (String.concat "  " padded);
     Buffer.add_char buf '\n'
@@ -47,7 +36,7 @@ let render ?aligns ~headers rows =
   List.iter emit_row rows;
   Buffer.contents buf
 
-let print ?aligns ~headers rows = print_string (render ?aligns ~headers rows)
+let print ~headers rows = print_string (render ~headers rows)
 
 let float_cell ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
 

@@ -4,17 +4,13 @@
     that regenerates each paper table/figure has a uniform, diffable
     format. *)
 
-type align = Left | Right
-
-val render :
-  ?aligns:align list -> headers:string list -> string list list -> string
+val render : headers:string list -> string list list -> string
 (** [render ~headers rows] lays out [rows] under [headers] with a separator
-    rule. Each row must have the same arity as [headers]; raises
-    [Invalid_argument] otherwise. Default alignment is [Right] for cells
-    that parse as numbers would be overkill — it is [Left] for the first
-    column and [Right] for the rest unless [aligns] is given. *)
+    rule, the first column left-aligned and the rest right-aligned. Each
+    row must have the same arity as [headers]; raises [Invalid_argument]
+    otherwise. *)
 
-val print : ?aligns:align list -> headers:string list -> string list list -> unit
+val print : headers:string list -> string list list -> unit
 (** [render] followed by [print_string]. *)
 
 val float_cell : ?decimals:int -> float -> string

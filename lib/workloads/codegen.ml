@@ -48,7 +48,6 @@ type t = {
   rng : Tca_util.Prng.t;
   sites : site array;
   reg_base : int;
-  data_base : int;
   mutable emitted : int;
   mutable next_dst : int;
   mutable defined : int;
@@ -57,12 +56,11 @@ type t = {
 }
 
 let create ?(config = default_config) ?(site_base = 0x8000) ?(reg_base = 0)
-    ?(data_base = data_base) ~rng () =
+    ~rng () =
   if config.dep_window < 2 || config.dep_window > 40 then
     invalid_arg "Codegen.create: dep_window out of [2, 40]";
   if reg_base < 0 || reg_base + config.dep_window > Isa.num_arch_regs then
     invalid_arg "Codegen.create: register window out of the architectural file";
-  if data_base < 0 then invalid_arg "Codegen.create: negative data_base";
   if config.n_branch_sites < 1 then
     invalid_arg "Codegen.create: need at least one branch site";
   if config.working_set_bytes < 64 then
@@ -88,7 +86,6 @@ let create ?(config = default_config) ?(site_base = 0x8000) ?(reg_base = 0)
     rng;
     sites;
     reg_base;
-    data_base;
     emitted = 0;
     next_dst = 0;
     defined = 0;
@@ -116,7 +113,7 @@ let recent_src t =
 
 let random_addr t =
   let lines = t.cfg.working_set_bytes / 64 in
-  t.data_base
+  data_base
   + (64 * Tca_util.Prng.int t.rng lines)
   + (8 * Tca_util.Prng.int t.rng 8)
 

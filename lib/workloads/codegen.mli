@@ -41,7 +41,6 @@ val create :
   ?config:config ->
   ?site_base:int ->
   ?reg_base:int ->
-  ?data_base:int ->
   rng:Tca_util.Prng.t ->
   unit ->
   t
@@ -50,16 +49,13 @@ val create :
     contributing to one trace must use disjoint bases or their
     conflicting biases alias in the predictor tables. [reg_base]
     (default 0) offsets the register dependence window to
-    [reg_base, reg_base + dep_window) and [data_base] (default
-    {!data_base}) relocates the working set: two generators contributing
-    to one trace must also keep these disjoint, or their register and
-    memory state alias — which changes program semantics, not just
-    timing (see {!Tca_analysis.Equiv}). Neither parameter consumes PRNG
-    draws, so the emitted instruction stream is isomorphic across bases
-    for a fixed seed. *)
-
-val emit : t -> Tca_uarch.Trace.Builder.t -> unit
-(** Append one application μop. *)
+    [reg_base, reg_base + dep_window): two generators contributing to
+    one trace must also keep these disjoint, or their register state
+    aliases — which changes program semantics, not just timing (see
+    {!Tca_analysis.Equiv}). Every generator's working set sits at the
+    same static-data base, below any heap arena. Neither base consumes
+    PRNG draws, so the emitted instruction stream is isomorphic across
+    bases for a fixed seed. *)
 
 val emit_block : t -> Tca_uarch.Trace.Builder.t -> int -> unit
 (** Append [n] application μops. *)
@@ -79,7 +75,3 @@ val call_sites :
     [\[mean_gap - h, mean_gap + h\]], [h = max 1 (mean_gap / 2)] (none
     when [mean_gap <= 0]); then [emit b call]. Fresh rngs of the same
     seeds give two variants the same application instructions. *)
-
-val data_base : int
-(** Base address of the generator's working-set region (static data,
-    below any heap arena). *)

@@ -18,7 +18,8 @@ let accel_factor = 1.5
 let granularities () =
   Array.of_list (List.map (fun f -> float_of_int f.static_instrs) functions)
 
-let mean_granularity () = Tca_util.Stats.mean_exn (granularities ())
+let mean_granularity () =
+  Tca_util.Diag.ok_exn (Tca_util.Stats.mean (granularities ()))
 
 let heap_manager_granularity =
   float_of_int (Tca_heap.Cost_model.malloc_uops + Tca_heap.Cost_model.free_uops)

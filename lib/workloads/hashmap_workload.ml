@@ -5,31 +5,19 @@ type config = {
   n_lookups : int;
   app_instrs_per_lookup : int;
   capacity_pow2 : int;
-  load_factor : float;
-  hit_fraction : float;
   app : Codegen.config;
   seed : int;
 }
 
-let config ?(capacity_pow2 = 14) ?(load_factor = 0.6) ?(hit_fraction = 0.9)
-    ?(app = Codegen.model_friendly_config) ?(seed = 1) ~n_lookups
-    ~app_instrs_per_lookup () =
+let load_factor = 0.6
+let hit_fraction = 0.9
+
+let config ?(capacity_pow2 = 14) ?(app = Codegen.model_friendly_config)
+    ?(seed = 1) ~n_lookups ~app_instrs_per_lookup () =
   if n_lookups <= 0 then invalid_arg "Hashmap_workload.config: n_lookups must be positive";
   if app_instrs_per_lookup < 0 then
     invalid_arg "Hashmap_workload.config: negative app_instrs_per_lookup";
-  if load_factor <= 0.0 || load_factor > 0.85 then
-    invalid_arg "Hashmap_workload.config: load_factor out of (0, 0.85]";
-  if hit_fraction < 0.0 || hit_fraction > 1.0 then
-    invalid_arg "Hashmap_workload.config: hit_fraction out of [0, 1]";
-  {
-    n_lookups;
-    app_instrs_per_lookup;
-    capacity_pow2;
-    load_factor;
-    hit_fraction;
-    app;
-    seed;
-  }
+  { n_lookups; app_instrs_per_lookup; capacity_pow2; app; seed }
 
 (* Populate a table to the target load factor and pre-plan every lookup's
    probe trace, so both variants replay identical table behaviour. *)
@@ -37,13 +25,13 @@ let plan cfg =
   let rng = Tca_util.Prng.create (cfg.seed + 0x4a5) in
   let table = Table.create ~capacity_pow2:cfg.capacity_pow2 () in
   let n_keys =
-    int_of_float (cfg.load_factor *. float_of_int (Table.capacity table))
+    int_of_float (load_factor *. float_of_int (Table.capacity table))
   in
   let keys = Array.init n_keys (fun i -> (i * 7919) + 13) in
   Array.iter (fun k -> ignore (Table.insert table k (k * 3))) keys;
   Array.init cfg.n_lookups (fun _ ->
       let key =
-        if Tca_util.Prng.bernoulli rng cfg.hit_fraction then
+        if Tca_util.Prng.bernoulli rng hit_fraction then
           Tca_util.Prng.choose rng keys
         else 1_000_000_000 + Tca_util.Prng.int rng 1_000_000
       in
@@ -52,8 +40,11 @@ let plan cfg =
 let generate cfg =
   let lookups = plan cfg in
   let mean_probes =
-    Tca_util.Stats.mean_exn
-      (Array.map (fun (r : Table.probe_result) -> float_of_int r.Table.probes) lookups)
+    Tca_util.Diag.ok_exn
+      (Tca_util.Stats.mean
+         (Array.map
+            (fun (r : Table.probe_result) -> float_of_int r.Table.probes)
+            lookups))
   in
   let build emit_find =
     Codegen.call_sites ~config:cfg.app

@@ -1,6 +1,6 @@
 (** Hash-map lookup microbenchmark: application code interleaved with
-    lookups against a real open-addressing table (pre-populated to a
-    configurable load factor). The baseline expands each lookup into the
+    lookups against a real open-addressing table (pre-populated to load
+    factor 0.6). The baseline expands each lookup into the
     software probe loop touching the exact buckets the table probed; the
     accelerated variant issues one TCA instruction reading the same
     cache lines. Probe counts — and therefore both the software cost and
@@ -11,17 +11,15 @@ type config = {
   n_lookups : int;
   app_instrs_per_lookup : int;
   capacity_pow2 : int;  (** table size: 2^k buckets *)
-  load_factor : float;  (** fill level before the benchmark, in (0, 0.85] *)
-  hit_fraction : float;  (** fraction of lookups finding their key *)
   app : Codegen.config;
   seed : int;
 }
 
 val config :
-  ?capacity_pow2:int -> ?load_factor:float -> ?hit_fraction:float ->
-  ?app:Codegen.config -> ?seed:int ->
+  ?capacity_pow2:int -> ?app:Codegen.config -> ?seed:int ->
   n_lookups:int -> app_instrs_per_lookup:int -> unit -> config
-(** Defaults: 2^14 buckets, load 0.6, 90% hits. *)
+(** Defaults: 2^14 buckets. The table is filled to load factor 0.6
+    and 90% of lookups find their key. *)
 
 val generate : config -> Meta.pair * float
 (** The pair plus the measured mean probes per lookup (granularity

@@ -22,9 +22,9 @@ val config :
   n_calls:int -> app_instrs_per_call:int -> unit -> config
 (** Validates positive counts. [seed] defaults to 1. *)
 
-val generate : config -> Meta.pair
-(** The pair plus meta; [meta.compute_latency] is the 1-cycle heap TCA. *)
-
 val expected_call_fraction : config -> float
 (** Rough a-priori acceleratable fraction, for sizing sweeps:
     [avg_call_uops / (avg_call_uops + app_instrs_per_call)]. *)
+
+val generate : config -> Meta.pair
+(** The pair plus meta; [meta.compute_latency] is the 1-cycle heap TCA. *)

@@ -12,24 +12,25 @@ let all_kinds = [ Alternating; Chained; Contended ]
 type config = {
   kind : kind;
   n_pairs : int;
-  app_len : int;
   unit_len : int;
   latency0 : int;
   latency1 : int;
   seed : int;
 }
 
+(* Application instructions before (between) chunks. *)
+let app_len = 60
+
 (* Enough iterations that the L1 is warm for the vast majority of the
    run: at the default sizes one pair is 220 baseline instructions, and
    the ~16 KiB working set stops missing after the first ~40 pairs. *)
-let config ?(n_pairs = 400) ?(app_len = 60) ?(unit_len = 50) ?(latency0 = 10)
-    ?(latency1 = 60) ?(seed = 1) kind =
+let config ?(n_pairs = 400) ?(unit_len = 50) ?(latency0 = 10) ?(latency1 = 60)
+    ?(seed = 1) kind =
   if n_pairs <= 0 then invalid_arg "Multi_tca.config: n_pairs must be positive";
-  if app_len <= 0 then invalid_arg "Multi_tca.config: app_len must be positive";
   if unit_len < 4 then invalid_arg "Multi_tca.config: unit_len below 4";
   if latency0 < 1 || latency1 < 1 then
     invalid_arg "Multi_tca.config: latency below 1";
-  { kind; n_pairs; app_len; unit_len; latency0; latency1; seed }
+  { kind; n_pairs; unit_len; latency0; latency1; seed }
 
 type unit_usage = {
   unit_id : int;
@@ -83,7 +84,7 @@ let generate cfg =
     in
     let b =
       Trace.Builder.create
-        ~capacity:(cfg.n_pairs * ((2 * cfg.app_len) + (2 * cfg.unit_len)))
+        ~capacity:(cfg.n_pairs * ((2 * app_len) + (2 * cfg.unit_len)))
         ()
     in
     (* One baseline chunk: an import prologue seeding the chunk window
@@ -124,12 +125,12 @@ let generate cfg =
       | `Accelerated -> emit_accel u ~src1 ~dst ~reads
     in
     for _ = 1 to cfg.n_pairs do
-      Codegen.emit_block gen b cfg.app_len;
+      Codegen.emit_block gen b app_len;
       emit_unit 0;
       (* Alternating interposes application code between the two
          invocations; Chained and Contended issue them back to back so
          both are simultaneously in flight. *)
-      if cfg.kind = Alternating then Codegen.emit_block gen b cfg.app_len;
+      if cfg.kind = Alternating then Codegen.emit_block gen b app_len;
       emit_unit 1
     done;
     Trace.Builder.build b

@@ -32,7 +32,6 @@ val all_kinds : kind list
 type config = {
   kind : kind;
   n_pairs : int;  (** loop iterations; each invokes both units once *)
-  app_len : int;  (** application instructions before (between) chunks *)
   unit_len : int;  (** baseline instructions per acceleratable region *)
   latency0 : int;  (** unit 0 (fast) compute latency, cycles *)
   latency1 : int;  (** unit 1 (slow) compute latency, cycles *)
@@ -41,7 +40,6 @@ type config = {
 
 val config :
   ?n_pairs:int ->
-  ?app_len:int ->
   ?unit_len:int ->
   ?latency0:int ->
   ?latency1:int ->
@@ -50,9 +48,9 @@ val config :
   config
 (** Defaults: 400 pairs (large enough that the cache-warmup transient
     is a small fraction of the run, as the model's steady-state IPC
-    assumption needs), 60-instruction app blocks, 50-instruction
-    regions, latencies 10 and 60, seed 1. Validates positive sizes and
-    [unit_len >= 4]. *)
+    assumption needs), 50-instruction regions, latencies 10 and 60,
+    seed 1; application blocks are 60 instructions. Validates positive
+    sizes and [unit_len >= 4]. *)
 
 type unit_usage = {
   unit_id : int;

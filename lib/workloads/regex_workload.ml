@@ -3,53 +3,37 @@ open Tca_regex
 
 type config = {
   n_records : int;
-  record_len : int;
-  pattern : string;
-  match_fraction : float;
   app_instrs_per_record : int;
   app : Codegen.config;
   seed : int;
 }
 
-let default_pattern = "err(or)?[0-9]+"
+let pattern = "err(or)?[0-9]+"
+let record_len = 256
+let match_fraction = 0.3
 
-let config ?(record_len = 256) ?(pattern = default_pattern)
-    ?(match_fraction = 0.3) ?(app = Codegen.model_friendly_config) ?(seed = 1)
-    ~n_records ~app_instrs_per_record () =
+let config ?(app = Codegen.model_friendly_config) ?(seed = 1) ~n_records
+    ~app_instrs_per_record () =
   if n_records <= 0 then invalid_arg "Regex_workload.config: n_records must be positive";
-  if record_len < 8 then invalid_arg "Regex_workload.config: record_len below 8";
   if app_instrs_per_record < 0 then
     invalid_arg "Regex_workload.config: negative app_instrs_per_record";
-  if match_fraction < 0.0 || match_fraction > 1.0 then
-    invalid_arg "Regex_workload.config: match_fraction out of [0, 1]";
-  (match Pattern.parse pattern with
-  | Ok _ -> ()
-  | Error e -> invalid_arg ("Regex_workload.config: bad pattern: " ^ e));
-  {
-    n_records;
-    record_len;
-    pattern;
-    match_fraction;
-    app_instrs_per_record;
-    app;
-    seed;
-  }
+  { n_records; app_instrs_per_record; app; seed }
 
 let text_base = 0x3000_0000
 
 (* Filler text over a lowercase-ish alphabet that cannot accidentally
-   complete the default pattern (no digits). *)
+   complete the pattern (no digits). *)
 let filler_alphabet = "abcdfghjklmnpqstuvwxyz .,;:"
 
-let make_record rng cfg ~planted =
-  let b = Bytes.create cfg.record_len in
-  for i = 0 to cfg.record_len - 1 do
+let make_record rng ~planted =
+  let b = Bytes.create record_len in
+  for i = 0 to record_len - 1 do
     Bytes.set b i
       filler_alphabet.[Tca_util.Prng.int rng (String.length filler_alphabet)]
   done;
   if planted then begin
     let needle = Printf.sprintf "error%d" (Tca_util.Prng.int rng 100) in
-    let max_at = cfg.record_len - String.length needle - 1 in
+    let max_at = record_len - String.length needle - 1 in
     let at = Tca_util.Prng.int rng (max 1 max_at) in
     Bytes.blit_string needle 0 b at (String.length needle)
   end;
@@ -59,21 +43,21 @@ let make_record rng cfg ~planted =
    identical scan behaviour. *)
 let plan cfg =
   let rng = Tca_util.Prng.create (cfg.seed + 0x8e6) in
-  let engine = Engine.compile (Pattern.parse_exn cfg.pattern) in
+  let engine = Engine.compile (Pattern.parse_exn pattern) in
   Array.init cfg.n_records (fun i ->
-      let planted = Tca_util.Prng.bernoulli rng cfg.match_fraction in
-      let record = make_record rng cfg ~planted in
+      let planted = Tca_util.Prng.bernoulli rng match_fraction in
+      let record = make_record rng ~planted in
       let result = Engine.search engine record in
       (* Sanity: planted matches must be found. *)
       if planted && not result.Engine.found then
         failwith "Regex_workload: planted match not found by the engine";
-      (i * cfg.record_len, result.Engine.chars_scanned))
+      (i * record_len, result.Engine.chars_scanned))
 
 let generate cfg =
   let searches = plan cfg in
   let mean_scan =
-    Tca_util.Stats.mean_exn
-      (Array.map (fun (_, c) -> float_of_int c) searches)
+    Tca_util.Diag.ok_exn
+      (Tca_util.Stats.mean (Array.map (fun (_, c) -> float_of_int c) searches))
   in
   let build emit_search =
     Codegen.call_sites ~config:cfg.app

@@ -9,20 +9,16 @@
 
 type config = {
   n_records : int;
-  record_len : int;  (** characters per record *)
-  pattern : string;
-  match_fraction : float;  (** records with a planted match *)
   app_instrs_per_record : int;
   app : Codegen.config;
   seed : int;
 }
 
 val config :
-  ?record_len:int -> ?pattern:string -> ?match_fraction:float ->
   ?app:Codegen.config -> ?seed:int ->
   n_records:int -> app_instrs_per_record:int -> unit -> config
-(** Defaults: 256-char records, pattern ["err(or)?[0-9]+"], 30% planted
-    matches. Raises [Invalid_argument] on a malformed pattern. *)
+(** Records are 256 characters; 30% of them carry a planted match of
+    the pattern ["err(or)?[0-9]+"]. *)
 
 val generate : config -> Meta.pair * float
 (** The pair plus the mean characters scanned per search. *)

@@ -6,18 +6,15 @@
 
 type config = {
   n_calls : int;
-  n_strings : int;
-  min_len : int;
-  max_len : int;
   app_instrs_per_call : int;
   app : Codegen.config;
   seed : int;
 }
 
 val config :
-  ?n_strings:int -> ?min_len:int -> ?max_len:int -> ?app:Codegen.config ->
-  ?seed:int -> n_calls:int -> app_instrs_per_call:int -> unit -> config
-(** Defaults: 512 strings of 8..120 characters. *)
+  ?app:Codegen.config -> ?seed:int -> n_calls:int -> app_instrs_per_call:int ->
+  unit -> config
+(** The arena holds 512 strings of 8..120 characters. *)
 
 val generate : config -> Meta.pair * float
 (** The pair plus the mean bytes inspected per call. *)

@@ -2,21 +2,22 @@ open Tca_uarch
 
 type config = {
   n_units : int;
-  unit_len : int;
   n_chunks : int;
   accel_latency : int;
   app : Codegen.config;
   seed : int;
 }
 
-let config ?(unit_len = 50) ?(app = Codegen.model_friendly_config) ?(seed = 1)
-    ~n_units ~n_chunks ~accel_latency () =
+(* Instructions per unit. *)
+let unit_len = 50
+
+let config ?(app = Codegen.model_friendly_config) ?(seed = 1) ~n_units
+    ~n_chunks ~accel_latency () =
   if n_units <= 0 then invalid_arg "Synthetic.config: n_units must be positive";
-  if unit_len <= 0 then invalid_arg "Synthetic.config: unit_len must be positive";
   if n_chunks < 0 || n_chunks > n_units then
     invalid_arg "Synthetic.config: n_chunks out of range";
   if accel_latency < 1 then invalid_arg "Synthetic.config: accel_latency below 1";
-  { n_units; unit_len; n_chunks; accel_latency; app; seed }
+  { n_units; n_chunks; accel_latency; app; seed }
 
 let latency_for_factor ~unit_len ~ipc ~accel_factor =
   if ipc <= 0.0 || accel_factor <= 0.0 then
@@ -79,8 +80,8 @@ let generate cfg =
        instruction, so its surrounding code keeps the overlap the
        tight-coupling modes assume. Region reads of application
        registers are equivalence-legal; region writes would not be. *)
-    let n_import = min cfg.app.Codegen.dep_window cfg.unit_len in
-    let b = Trace.Builder.create ~capacity:(cfg.n_units * cfg.unit_len) () in
+    let n_import = min cfg.app.Codegen.dep_window unit_len in
+    let b = Trace.Builder.create ~capacity:(cfg.n_units * unit_len) () in
     for u = 0 to cfg.n_units - 1 do
       if chosen.(u) then
         match variant with
@@ -89,12 +90,12 @@ let generate cfg =
               Trace.Builder.add b
                 (Isa.int_alu ~src1:i ~dst:(chunk_reg_base + i) ())
             done;
-            Codegen.emit_block chunk_gen b (cfg.unit_len - n_import)
+            Codegen.emit_block chunk_gen b (unit_len - n_import)
         | `Accelerated ->
             Trace.Builder.add b
               (Isa.accel ~compute_latency:cfg.accel_latency ~reads:[||]
                  ~writes:[||] ())
-      else Codegen.emit_block gen b cfg.unit_len
+      else Codegen.emit_block gen b unit_len
     done;
     Trace.Builder.build b
   in

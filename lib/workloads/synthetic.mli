@@ -10,7 +10,6 @@
 
 type config = {
   n_units : int;
-  unit_len : int;  (** instructions per unit *)
   n_chunks : int;  (** acceleratable units, [<= n_units] *)
   accel_latency : int;  (** TCA execution cycles per invocation *)
   app : Codegen.config;
@@ -18,7 +17,6 @@ type config = {
 }
 
 val config :
-  ?unit_len:int ->
   ?app:Codegen.config ->
   ?seed:int ->
   n_units:int ->
@@ -26,9 +24,9 @@ val config :
   accel_latency:int ->
   unit ->
   config
-(** [unit_len] defaults to 50, [app] to
+(** Units are 50 instructions long. [app] defaults to
     {!Codegen.model_friendly_config}, [seed] to 1. Validates
-    [0 <= n_chunks <= n_units], positive lengths. *)
+    [0 <= n_chunks <= n_units] and a positive [n_units]. *)
 
 val latency_for_factor :
   unit_len:int -> ipc:float -> accel_factor:float -> int

@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
 # Docs-drift guard for code identifiers: every backtick-quoted
-# `Equations.*`, `Params.*`, `Tca_unit.*`, `Sim_stats.*`, `Config.*`,
-# `Pipeline.*`, `Trace.*`, `Simulator.*` or `Scheduler.*` value/field
-# mentioned in MODEL.md / DESIGN.md must exist in the corresponding
-# interface (.mli) — so a rename or a deletion in lib/ can't leave the
-# docs pointing at symbols that no longer exist.
+# `Module.symbol` value/field mentioned in README.md, EXPERIMENTS.md,
+# MODEL.md or DESIGN.md, for a module mapped in iface_of below, must
+# exist in that module's interface (.mli) — so a rename or a deletion
+# in lib/ can't leave the docs pointing at symbols that no longer
+# exist.
 #
-# This is a lexical check against the .mli files (val names, record
-# fields, constructors), deliberately cheap: it proves the documented
-# symbol surface exists without compiling anything. Run from the
-# repository root:
+# This is a lexical check against the .mli files (val, type and record
+# field declarations, outside comments), deliberately cheap: it proves the
+# documented symbol surface exists without compiling anything. Run
+# from the repository root:
 #
 #   scripts/check_docs_symbols.sh
 set -u
 
-DOCS=${DOCS:-"MODEL.md DESIGN.md"}
+DOCS=${DOCS:-"README.md EXPERIMENTS.md MODEL.md DESIGN.md"}
 
 # module prefix -> interface file that must declare the symbol
 iface_of() {
@@ -28,6 +28,14 @@ iface_of() {
     Trace) echo lib/uarch/trace.mli ;;
     Simulator) echo lib/uarch/simulator.mli ;;
     Scheduler) echo lib/engine/scheduler.mli ;;
+    Stats) echo lib/util/stats.mli ;;
+    Sweep) echo lib/util/sweep.mli ;;
+    Diag) echo lib/util/diag.mli ;;
+    Grid) echo lib/core/grid.mli ;;
+    Sensitivity) echo lib/core/sensitivity.mli ;;
+    Concurrency) echo lib/core/concurrency.mli ;;
+    Validate) echo lib/core/validate.mli ;;
+    Analysis) echo lib/analysis/analysis.mli ;;
     *) echo "" ;;
   esac
 }
@@ -39,7 +47,8 @@ checked=0
 # `Equations.config_break_even`. Longer backtick spans (expressions,
 # qualified sub-fields, code fragments) are skipped: only the exact
 # two-component form is a checkable symbol reference.
-refs=$(grep -ohE '`(Equations|Params|Tca_unit|Sim_stats|Config|Pipeline|Trace|Simulator|Scheduler)\.[a-z_][A-Za-z0-9_]*`' $DOCS \
+modules='Equations|Params|Tca_unit|Sim_stats|Config|Pipeline|Trace|Simulator|Scheduler|Stats|Sweep|Diag|Grid|Sensitivity|Concurrency|Validate|Analysis'
+refs=$(grep -ohE "\`($modules)\.[a-z_][A-Za-z0-9_]*\`" $DOCS \
   | tr -d '`' | sort -u)
 
 if [ -z "$refs" ]; then
@@ -57,10 +66,14 @@ for ref in $refs; do
     continue
   fi
   checked=$((checked + 1))
-  # Accept any of: a val declaration, a record field, or use as a
-  # field/val name anywhere in the interface (covers inline records).
-  if ! grep -qE "(^|[^A-Za-z0-9_'])${symbol}([^A-Za-z0-9_']|$)" "$iface"; then
-    echo "FAIL: $ref documented but '$symbol' does not appear in $iface" >&2
+  # Accept a val, type or record-field declaration (inline records
+  # included), matched in the interface with its comments stripped: a
+  # word that only a doc comment mentions is not a symbol.
+  decl="(^|[[:space:]])(val|type|and)[[:space:]]+('[a-z_]+[[:space:]]+)?${symbol}([^A-Za-z0-9_']|$)"
+  field="(^|[{;[:space:]])(mutable[[:space:]]+)?${symbol}[[:space:]]+:"
+  if ! perl -0pe '1 while s/\(\*(?:(?!\(\*|\*\)).)*\*\)//gs' "$iface" \
+    | grep -qE "$decl|$field"; then
+    echo "FAIL: $ref documented but '$symbol' is not declared in $iface" >&2
     fail=1
   fi
 done

@@ -94,8 +94,7 @@ let model_case i g =
           | Error _ -> ());
           ok_finite i "Equations.ideal_speedup" (Equations.ideal_speedup core s);
           ok_finite i "Params.granularity" (Params.granularity s);
-          (let delta = Tca_util.Faultgen.fraction_adversarial g in
-           match Sensitivity.swings ~delta core s Mode.L_T with
+          (match Sensitivity.swings core s Mode.L_T with
            | Ok sw ->
                List.iter
                  (fun (w : Sensitivity.swing) ->
@@ -149,7 +148,6 @@ let util_case i g =
       ok_finite i "Stats.geomean" (Stats.geomean xs);
       ok_finite i "Stats.variance" (Stats.variance xs);
       ok_finite i "Stats.stddev" (Stats.stddev xs);
-      ok_finite i "Stats.min" (Stats.min xs);
       ok_finite i "Stats.max" (Stats.max xs);
       ok_finite i "Stats.median" (Stats.median xs);
       ok_finite i "Stats.percentile"
@@ -188,15 +186,7 @@ let util_case i g =
         Heatmap.make ~values ~row_labels:(labels "r") ~col_labels:(labels "c")
       with
       | Ok h -> ignore (Heatmap.render h)
-      | Error _ -> ());
-  guard i "prng" (fun () ->
-      let p = Prng.create i in
-      (match Prng.int_res p (Faultgen.int_adversarial g) with
-      | Ok _ | Error _ -> ());
-      (match Prng.int_in_res p (Faultgen.int_adversarial g) (Faultgen.int_adversarial g) with
-      | Ok _ | Error _ -> ());
-      match Prng.choose_res p (Faultgen.array_adversarial g Faultgen.float_adversarial) with
-      | Ok _ | Error _ -> ())
+      | Error _ -> ())
 
 (* --- cycle-level simulator layer --- *)
 
@@ -506,7 +496,7 @@ let telemetry_case i g =
   let trace = hostile_trace g ~len:60 in
   guard i "Pipeline.run (telemetry on/off)" (fun () ->
       let plain = Pipeline.run cfg trace in
-      let sink = Tca_telemetry.Sink.create ~interval:16 () in
+      let sink = Tca_telemetry.Sink.create () in
       let traced = Pipeline.run ~telemetry:sink cfg trace in
       let strip = function
         | Ok (Pipeline.Complete stats) -> Some (stats, None)
@@ -524,7 +514,7 @@ let analysis_case i g =
   let open Tca_uarch in
   let len = 10 + (abs (Tca_util.Faultgen.size_adversarial g ~max:150) mod 150) in
   let trace = hostile_trace g ~len in
-  guard i "Analysis.lint" (fun () -> ignore (Tca_analysis.Analysis.lint trace));
+  guard i "Lint.run_trace" (fun () -> ignore (Tca_analysis.Lint.run_trace trace));
   let cfg =
     let base = Config.hp () in
     if abs (Tca_util.Faultgen.size_adversarial g ~max:4) mod 2 = 0 then base

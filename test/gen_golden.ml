@@ -21,8 +21,8 @@ open Tca_uarch
 let lines_of_pair (pair : Tca_workloads.Meta.pair) =
   let cfg = Config.hp () in
   let cmp =
-    Simulator.compare_modes_exn ~cfg ~baseline:pair.Tca_workloads.Meta.baseline
-      ~accelerated:pair.Tca_workloads.Meta.accelerated ()
+    Tca_util.Diag.ok_exn (Simulator.compare_modes ~cfg ~baseline:pair.Tca_workloads.Meta.baseline
+      ~accelerated:pair.Tca_workloads.Meta.accelerated ())
   in
   let line label stats =
     Printf.sprintf "%s\t%s" label

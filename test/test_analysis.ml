@@ -275,7 +275,10 @@ let test_derive_speedups_close () =
         | Error e -> Alcotest.fail (Tca_util.Diag.to_string e)
       in
       let from_derived =
-        match Derive.scenario d with
+        match
+          Tca_model.Params.scenario ~a:d.Derive.a ~v:d.Derive.v
+            ~accel:(Tca_model.Params.Latency d.Derive.accel_latency) ()
+        with
         | Ok s -> s
         | Error e -> Alcotest.fail (Tca_util.Diag.to_string e)
       in
@@ -300,7 +303,7 @@ let test_lint_clean_on_generators () =
   List.iter
     (fun (name, pair) ->
       let check what trace =
-        let findings = Analysis.lint trace in
+        let findings = Lint.run_trace trace in
         Alcotest.(check bool)
           (Printf.sprintf "%s %s clean (worst: %s)" name what
              (match Lint.max_severity findings with

@@ -114,8 +114,6 @@ let test_row_segment_lines () =
 
 let test_mma_dims () =
   Alcotest.(check (list int)) "2 4 8" [ 2; 4; 8 ] Mma.supported_dims;
-  Alcotest.(check int) "macs" 64 (Mma.macs_per_invocation 4);
-  Alcotest.(check int) "invocations" 512 (Mma.invocations ~n:32 ~dim:4);
   Alcotest.(check int) "latency" 8 (Mma.compute_latency 8)
 
 let test_mma_update_known () =
@@ -157,10 +155,7 @@ let test_mma_multiply_invalid () =
   let a = Matrix.create 32 in
   Alcotest.check_raises "dim divides block"
     (Invalid_argument "Mma.multiply_blocked_mma: dim must divide block")
-    (fun () -> ignore (Mma.multiply_blocked_mma ~block:32 ~dim:5 a a));
-  Alcotest.check_raises "invocations dim"
-    (Invalid_argument "Mma.invocations: dim must divide n") (fun () ->
-      ignore (Mma.invocations ~n:10 ~dim:4))
+    (fun () -> ignore (Mma.multiply_blocked_mma ~block:32 ~dim:5 a a))
 
 let prop_mma_equals_naive =
   qtest ~count:20 "MMA decomposition = naive on random 16x16"

@@ -164,7 +164,7 @@ let job_named name =
 
 let test_registry_duplicate () =
   let r = Registry.create () in
-  Registry.register_exn r (job_named "a");
+  Tca_util.Diag.ok_exn (Registry.register r (job_named "a"));
   match Registry.register r (job_named "a") with
   | Error (Tca_util.Diag.Invalid _) -> ()
   | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
@@ -172,7 +172,7 @@ let test_registry_duplicate () =
 
 let test_registry_resolve () =
   let r = Registry.create () in
-  List.iter (fun n -> Registry.register_exn r (job_named n)) [ "a"; "b"; "c" ];
+  List.iter (fun n -> Tca_util.Diag.ok_exn (Registry.register r (job_named n))) [ "a"; "b"; "c" ];
   (match Registry.resolve r [ "c"; "a" ] with
   | Ok js ->
       Alcotest.(check (list string)) "order preserved" [ "c"; "a" ]

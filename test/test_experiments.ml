@@ -32,6 +32,45 @@ let test_model_core_of () =
   Alcotest.(check int) "rob propagated" cfg.Tca_uarch.Config.rob_size
     core.Params.rob_size
 
+(* A size the generator cannot build comes back as an [Invalid]
+   diagnostic naming [--size] (exit 7 at the CLI), never as an escaping
+   [Invalid_argument]. *)
+let test_workload_pair_size () =
+  let cfg = Exp_common.validation_core () in
+  let rejects what size kind =
+    match Exp_common.workload_pair ~cfg ~size kind with
+    | Error (Tca_util.Diag.Invalid { field; _ }) ->
+        Alcotest.(check string) (what ^ " names --size") "--size" field
+    | Error d -> Alcotest.fail (what ^ ": " ^ Tca_util.Diag.to_string d)
+    | Ok _ -> Alcotest.fail (what ^ " accepted")
+  in
+  rejects "dgemm 33" 33 Exp_common.Dgemm;
+  rejects "dgemm 10" 10 Exp_common.Dgemm;
+  rejects "synthetic 5000" 5000 Exp_common.Synthetic;
+  match Exp_common.workload_pair ~cfg ~size:32 Exp_common.Dgemm with
+  | Ok (pair, _) ->
+      Alcotest.(check bool) "dgemm 32 builds" true
+        (pair.Tca_workloads.Meta.meta.Tca_workloads.Meta.invocations > 0)
+  | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
+
+(* Omitting [--size] builds every workload at its default, and the
+   synthetic chunk bound is inclusive: one chunk per unit is legal. *)
+let test_workload_pair_defaults () =
+  let cfg = Exp_common.validation_core () in
+  let invocations ?size kind =
+    match Exp_common.workload_pair ~cfg ?size kind with
+    | Ok (pair, latency) ->
+        Alcotest.(check bool) "positive latency estimate" true (latency > 0.0);
+        pair.Tca_workloads.Meta.meta.Tca_workloads.Meta.invocations
+    | Error d -> Alcotest.fail (Tca_util.Diag.to_string d)
+  in
+  List.iter
+    (fun (name, kind) ->
+      Alcotest.(check bool) (name ^ " default builds") true (invocations kind > 0))
+    Exp_common.workload_kinds;
+  Alcotest.(check int) "synthetic at 4000 chunks" 4000
+    (invocations ~size:4000 Exp_common.Synthetic)
+
 (* --- Table 1 --- *)
 
 let test_table1 () =
@@ -64,7 +103,7 @@ let test_fig2_csv () =
 (* --- Fig 3 --- *)
 
 let test_fig3 () =
-  let timelines = Fig3.run ~leading:80 ~trailing:80 ~accel_latency:30 () in
+  let timelines = Fig3.run ~trailing:80 ~accel_latency:30 () in
   Alcotest.(check int) "four timelines" 4 (List.length timelines);
   let cycles m =
     (List.find (fun t -> Mode.equal t.Fig3.mode m) timelines).Fig3.cycles
@@ -77,7 +116,8 @@ let test_fig3 () =
       Alcotest.(check int) "probe length equals cycles" t.Fig3.cycles
         (Array.length t.Fig3.issued);
       let total = Array.fold_left ( + ) 0 t.Fig3.issued in
-      Alcotest.(check int) "everything issued once" 161 total)
+      (* 150 leading + 1 TCA + 80 trailing μops. *)
+      Alcotest.(check int) "everything issued once" 231 total)
     timelines
 
 (* --- Fig 4 --- *)
@@ -98,7 +138,7 @@ let test_fig4_refill_accuracy () =
      workload's ILP structure, the model tracks the simulator within a
      few percent (paper: "typically less than 5% error"). *)
   let rows = Lazy.force fig4_rows in
-  let s = Validate.summarize_exn (Exp_common.refill_points_of_rows rows) in
+  let s = Tca_util.Diag.ok_exn (Validate.summarize (Exp_common.refill_points_of_rows rows)) in
   Alcotest.(check bool)
     (Printf.sprintf "median %.1f%% below 5%%" s.Validate.median_abs_pct)
     true
@@ -157,7 +197,7 @@ let test_fig5_error_band () =
   (* Paper: heap errors stay moderate (theirs: within ~10%); allow a
      wider but still bounded band for the reproduction. *)
   let rows = Lazy.force fig5_rows in
-  let s = Validate.summarize_exn (Exp_common.points_of_rows rows) in
+  let s = Tca_util.Diag.ok_exn (Validate.summarize (Exp_common.points_of_rows rows)) in
   Alcotest.(check bool)
     (Printf.sprintf "median %.1f%% below 25%%" s.Validate.median_abs_pct)
     true
@@ -334,6 +374,8 @@ let () =
         [
           Alcotest.test_case "mode/coupling roundtrip" `Quick test_mode_coupling_roundtrip;
           Alcotest.test_case "model core" `Quick test_model_core_of;
+          Alcotest.test_case "workload_pair size" `Quick test_workload_pair_size;
+          Alcotest.test_case "workload_pair defaults" `Quick test_workload_pair_defaults;
         ] );
       ("table1", [ Alcotest.test_case "rows" `Quick test_table1 ]);
       ( "fig2",

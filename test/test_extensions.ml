@@ -27,11 +27,6 @@ let test_cost_ordering () =
   Alcotest.(check bool) "L_T = datapath + both" true
     (feq (Hw_cost.mode_cost c Mode.L_T) (1.0 +. 0.35 +. 0.5))
 
-let test_cost_validation () =
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Hw_cost.make: negative cost component") (fun () ->
-      ignore (Hw_cost.make ~rollback:(-0.1) ()))
-
 let test_pareto_front () =
   let all = Hw_cost.designs hp heap_scenario in
   let front = Hw_cost.pareto_front all in
@@ -70,6 +65,19 @@ let test_pareto_no_dominated_on_front () =
         all)
     front
 
+let test_designs_default_costs () =
+  let all = Hw_cost.designs hp heap_scenario in
+  Alcotest.(check bool) "one design per mode, in Mode.all order" true
+    (List.map (fun (d : Hw_cost.design) -> d.Hw_cost.mode) all = Mode.all);
+  List.iter
+    (fun (d : Hw_cost.design) ->
+      Alcotest.(check bool) "default cost" true
+        (feq d.Hw_cost.cost (Hw_cost.mode_cost Hw_cost.default d.Hw_cost.mode));
+      Alcotest.(check bool) "model speedup" true
+        (feq d.Hw_cost.speedup
+           (Equations.speedup_exn hp heap_scenario d.Hw_cost.mode)))
+    all
+
 let test_cheapest_at_least () =
   let all = Hw_cost.designs hp heap_scenario in
   (match Hw_cost.cheapest_at_least all ~speedup:1.0 with
@@ -83,7 +91,7 @@ let prop_pareto_subset =
     QCheck.(pair (float_range 0.05 0.95) (float_range 1.1 20.0))
     (fun (a, factor) ->
       let s =
-        Params.scenario_of_granularity_exn ~a ~g:200.0 ~accel:(Params.Factor factor) ()
+        Diag.ok_exn (Params.scenario_of_granularity ~a ~g:200.0 ~accel:(Params.Factor factor) ())
       in
       let all = Hw_cost.designs hp s in
       let front = Hw_cost.pareto_front all in
@@ -98,10 +106,7 @@ let prop_pareto_subset =
 
 let test_energy_validation () =
   Alcotest.check_raises "static" (Invalid_argument "Energy.make: negative static power")
-    (fun () -> ignore (Energy.make ~static_power:(-1.0) ()));
-  Alcotest.check_raises "ratio"
-    (Invalid_argument "Energy.make: accel_energy_ratio out of (0, 1]")
-    (fun () -> ignore (Energy.make ~accel_energy_ratio:0.0 ()))
+    (fun () -> ignore (Energy.make ~static_power:(-1.0) ()))
 
 let test_energy_l_t_saves () =
   let verdicts = Energy.evaluate (Energy.make ()) hp heap_scenario in
@@ -130,7 +135,7 @@ let test_energy_break_even () =
   let be = Energy.energy_break_even_speedup model hp heap_scenario in
   Alcotest.(check bool) "break-even below 1" true (be > 0.0 && be < 1.0);
   (* A mode exactly at the break-even speedup has relative energy 1. *)
-  let base_t = (Equations.interval_times_exn hp heap_scenario).Equations.t_baseline in
+  let base_t = (Diag.ok_exn (Equations.interval_times hp heap_scenario)).Equations.t_baseline in
   ignore base_t;
   (* Verify algebraically: energy at t = t_baseline / be equals baseline
      energy. *)
@@ -148,7 +153,7 @@ let prop_energy_positive =
     QCheck.(pair (float_range 0.05 0.95) (float_range 0.0 2.0))
     (fun (a, static) ->
       let s =
-        Params.scenario_of_granularity_exn ~a ~g:100.0 ~accel:(Params.Factor 3.0) ()
+        Diag.ok_exn (Params.scenario_of_granularity ~a ~g:100.0 ~accel:(Params.Factor 3.0) ())
       in
       let model = Energy.make ~static_power:static () in
       List.for_all
@@ -159,7 +164,7 @@ let prop_energy_positive =
 (* --- Sensitivity --- *)
 
 let test_sensitivity_swings () =
-  let sw = Sensitivity.swings_exn hp heap_scenario Mode.L_T in
+  let sw = Diag.ok_exn (Sensitivity.swings hp heap_scenario Mode.L_T) in
   Alcotest.(check int) "one swing per parameter" 7 (List.length sw);
   (* Tornado ordering: magnitudes non-increasing. *)
   let rec sorted = function
@@ -169,8 +174,27 @@ let test_sensitivity_swings () =
   in
   Alcotest.(check bool) "tornado order" true (sorted sw)
 
+(* Each swing's ends are the speedups with its parameter scaled by 0.8
+   and 1.2. *)
+let test_sensitivity_twenty_percent () =
+  let sw = Diag.ok_exn (Sensitivity.swings hp heap_scenario Mode.L_T) in
+  let speedup_at (sw : Sensitivity.swing) factor =
+    let core, s =
+      Diag.ok_exn
+        (Sensitivity.perturb hp heap_scenario sw.Sensitivity.parameter factor)
+    in
+    Equations.speedup_exn core s Mode.L_T
+  in
+  List.iter
+    (fun (sw : Sensitivity.swing) ->
+      Alcotest.(check bool) "low end at 0.8" true
+        (feq sw.Sensitivity.low (speedup_at sw 0.8));
+      Alcotest.(check bool) "high end at 1.2" true
+        (feq sw.Sensitivity.high (speedup_at sw 1.2)))
+    sw
+
 let test_sensitivity_acceleration_direction () =
-  let sw = Sensitivity.swings_exn hp heap_scenario Mode.L_T in
+  let sw = Diag.ok_exn (Sensitivity.swings hp heap_scenario Mode.L_T) in
   let accel =
     List.find
       (fun (s : Sensitivity.swing) -> s.Sensitivity.parameter = Sensitivity.Acceleration)
@@ -179,36 +203,23 @@ let test_sensitivity_acceleration_direction () =
   Alcotest.(check bool) "more acceleration never hurts L_T" true
     (accel.Sensitivity.high >= accel.Sensitivity.low)
 
-let test_sensitivity_delta_validation () =
-  (match Sensitivity.swings ~delta:1.5 hp heap_scenario Mode.L_T with
-  | Error (Tca_util.Diag.Domain { field; _ }) ->
-      Alcotest.(check string) "field" "Sensitivity.swings.delta" field
-  | Error d ->
-      Alcotest.fail ("expected Domain, got " ^ Tca_util.Diag.to_string d)
-  | Ok _ -> Alcotest.fail "delta out of range accepted");
-  Alcotest.(check bool) "swings_exn raises Diag.Error" true
-    (try
-       ignore (Sensitivity.swings_exn ~delta:1.5 hp heap_scenario Mode.L_T);
-       false
-     with Tca_util.Diag.Error (Tca_util.Diag.Domain _) -> true)
-
 let test_sensitivity_perturb_clamps () =
   (* Coverage perturbation clamps into validity. *)
   let s = Params.scenario_exn ~a:0.9 ~v:0.001 ~accel:(Params.Factor 2.0) () in
-  let _, s' = Sensitivity.perturb_exn hp s Sensitivity.Coverage 1.5 in
+  let _, s' = Diag.ok_exn (Sensitivity.perturb hp s Sensitivity.Coverage 1.5) in
   Alcotest.(check bool) "a clamped to 1" true (s'.Params.a <= 1.0);
-  let _, s'' = Sensitivity.perturb_exn hp s Sensitivity.Frequency 2.0 in
+  let _, s'' = Diag.ok_exn (Sensitivity.perturb hp s Sensitivity.Frequency 2.0) in
   Alcotest.(check bool) "v stays feasible" true (s''.Params.v <= s''.Params.a)
 
 let test_sensitivity_latency_direction () =
   (* For an explicit-latency accel, scaling "acceleration" up means less
      latency, so speedup must not fall. *)
-  let _, s = Sensitivity.perturb_exn hp heap_scenario Sensitivity.Acceleration 2.0 in
+  let _, s = Diag.ok_exn (Sensitivity.perturb hp heap_scenario Sensitivity.Acceleration 2.0) in
   (match s.Params.accel with
   | Params.Latency l -> Alcotest.(check bool) "latency halved" true (feq l 0.5)
   | Params.Factor _ -> Alcotest.fail "expected latency");
   Alcotest.(check bool) "decision check runs" true
-    (let _ = Sensitivity.decision_stable_exn hp heap_scenario in
+    (let _ = Diag.ok_exn (Sensitivity.decision_stable hp heap_scenario) in
      true)
 
 (* --- Mechanistic --- *)
@@ -299,7 +310,7 @@ let test_exclusive_occupancy () =
   let t = accel_mem_trace 60 in
   let run occ =
     let cfg =
-      { (Config.hp ~coupling:Config.coupling_l_t ()) with Config.tca_occupancy = occ }
+      { (Config.hp ()) with Config.tca_occupancy = occ }
     in
     (Pipeline.run_exn cfg t).Sim_stats.cycles
   in
@@ -310,7 +321,7 @@ let test_exclusive_occupancy () =
   let run_nt occ =
     let cfg =
       {
-        (Config.hp ~coupling:Config.coupling_nl_nt ()) with
+        (Config.with_coupling (Config.hp ()) Config.coupling_nl_nt) with
         Config.tca_occupancy = occ;
       }
     in
@@ -384,7 +395,7 @@ let test_partial_speculation_endpoints () =
   let cycles coupling frac =
     let cfg =
       {
-        (Config.hp ~coupling ()) with
+        (Config.with_coupling (Config.hp ()) coupling) with
         Config.tca_speculate_fraction = frac;
       }
     in
@@ -434,10 +445,10 @@ let () =
       ( "hw_cost",
         [
           Alcotest.test_case "cost ordering" `Quick test_cost_ordering;
-          Alcotest.test_case "validation" `Quick test_cost_validation;
           Alcotest.test_case "pareto front" `Quick test_pareto_front;
           Alcotest.test_case "front undominated" `Quick test_pareto_no_dominated_on_front;
           Alcotest.test_case "cheapest at least" `Quick test_cheapest_at_least;
+          Alcotest.test_case "designs at default costs" `Quick test_designs_default_costs;
           prop_pareto_subset;
         ] );
       ( "energy",
@@ -451,8 +462,8 @@ let () =
       ( "sensitivity",
         [
           Alcotest.test_case "swings" `Quick test_sensitivity_swings;
+          Alcotest.test_case "swings at +-20%" `Quick test_sensitivity_twenty_percent;
           Alcotest.test_case "acceleration direction" `Quick test_sensitivity_acceleration_direction;
-          Alcotest.test_case "delta validation" `Quick test_sensitivity_delta_validation;
           Alcotest.test_case "perturb clamps" `Quick test_sensitivity_perturb_clamps;
           Alcotest.test_case "latency direction" `Quick test_sensitivity_latency_direction;
         ] );

@@ -45,6 +45,37 @@ let test_remove_tombstones () =
     ((Table.find t 10).Table.found && (Table.find t 30).Table.found);
   Alcotest.(check bool) "remove absent" false (Table.remove t 999).Table.found
 
+(* At 12 keys in 16 buckets the probe chains overlap, so removals leave
+   tombstones inside other keys' chains. *)
+let test_remove_reinsert () =
+  let t = Table.create ~capacity_pow2:4 () in
+  let keys = List.init 12 (fun i -> (i * 37) + 5) in
+  List.iter (fun k -> ignore (Table.insert t k k)) keys;
+  let removed, kept = List.partition (fun k -> k mod 2 = 0) keys in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "removed" true (Table.remove t k).Table.found;
+      Alcotest.(check bool) "second remove misses" false
+        (Table.remove t k).Table.found)
+    removed;
+  List.iter
+    (fun k ->
+      Alcotest.(check (option int)) "kept key findable" (Some k)
+        (Table.find t k).Table.value)
+    kept;
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "reinsert is fresh" false
+        (Table.insert t k (-k)).Table.found)
+    removed;
+  Alcotest.(check int) "length restored" 12 (Table.length t);
+  List.iter
+    (fun k ->
+      Alcotest.(check (option int)) "reinserted value" (Some (-k))
+        (Table.find t k).Table.value)
+    removed;
+  Alcotest.(check bool) "invariants" true (Table.check_invariants t = Ok ())
+
 let test_probe_addresses () =
   let t = Table.create ~base:0x1000 ~capacity_pow2:4 () in
   let r = Table.find t 5 in
@@ -170,12 +201,12 @@ let test_workload_structure () =
     (pair.Meta.meta.Meta.avg_fresh_lines_per_invocation > 0.0)
 
 let test_workload_validation () =
-  Alcotest.check_raises "load factor"
-    (Invalid_argument "Hashmap_workload.config: load_factor out of (0, 0.85]")
-    (fun () ->
-      ignore
-        (Tca_workloads.Hashmap_workload.config ~load_factor:0.95 ~n_lookups:10
-           ~app_instrs_per_lookup:10 ()))
+  Alcotest.check_raises "no lookups"
+    (Invalid_argument "Hashmap_workload.config: n_lookups must be positive") (fun () ->
+      ignore (Tca_workloads.Hashmap_workload.config ~n_lookups:0 ~app_instrs_per_lookup:10 ()));
+  Alcotest.check_raises "negative gap"
+    (Invalid_argument "Hashmap_workload.config: negative app_instrs_per_lookup") (fun () ->
+      ignore (Tca_workloads.Hashmap_workload.config ~n_lookups:10 ~app_instrs_per_lookup:(-1) ()))
 
 let test_workload_determinism () =
   let cfg =
@@ -216,6 +247,7 @@ let () =
           Alcotest.test_case "insert/find" `Quick test_insert_find;
           Alcotest.test_case "update" `Quick test_update;
           Alcotest.test_case "remove/tombstones" `Quick test_remove_tombstones;
+          Alcotest.test_case "remove then reinsert" `Quick test_remove_reinsert;
           Alcotest.test_case "probe addresses" `Quick test_probe_addresses;
           Alcotest.test_case "full table" `Quick test_full_table_rejected;
           Alcotest.test_case "negative key" `Quick test_negative_key;

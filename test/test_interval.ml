@@ -11,9 +11,7 @@ let test_calibration_point () =
   (* At the calibration window, draining at the measured IPC. *)
   let fit = Power_law.calibrate ~ipc:2.0 ~window:256 ~beta:2.0 in
   Alcotest.(check bool) "critical path at window" true
-    (feq ~eps:1e-6 (Power_law.critical_path fit 256.0) 128.0);
-  Alcotest.(check bool) "steady ipc at window" true
-    (feq ~eps:1e-6 (Power_law.steady_ipc fit 256.0) 2.0)
+    (feq ~eps:1e-6 (Power_law.critical_path fit 256.0) 128.0)
 
 let test_calibrate_invalid () =
   Alcotest.check_raises "bad ipc"
@@ -58,18 +56,21 @@ let prop_critical_path_monotone =
       let lo = Float.min w1 w2 and hi = Float.max w1 w2 in
       Power_law.critical_path fit lo <= Power_law.critical_path fit hi +. 1e-9)
 
+(* The sustainable issue rate with a window of w instructions is
+   w / l(w). *)
 let prop_steady_ipc_monotone =
   qtest "steady IPC grows with window (beta > 1)"
     QCheck.(pair fit_gen (pair (float_range 1.0 500.0) (float_range 1.0 500.0)))
     (fun ((_, _, _, fit), (w1, w2)) ->
       let lo = Float.min w1 w2 and hi = Float.max w1 w2 in
-      Power_law.steady_ipc fit lo <= Power_law.steady_ipc fit hi +. 1e-9)
+      let ipc w = w /. Power_law.critical_path fit w in
+      ipc lo <= ipc hi +. 1e-9)
 
 let prop_calibration_consistent =
   qtest "calibrated fit reproduces inputs" fit_gen
     (fun (ipc, window, _, fit) ->
-      Float.abs (Power_law.steady_ipc fit (float_of_int window) -. ipc)
-      < 1e-6 *. ipc)
+      let w = float_of_int window in
+      Float.abs ((w /. Power_law.critical_path fit w) -. ipc) < 1e-6 *. ipc)
 
 (* --- Drain --- *)
 

@@ -66,23 +66,9 @@ let test_break_even_never () =
   Alcotest.(check bool) "never" true (Logca.break_even t = None)
 
 let test_asymptote () =
-  (* beta > tau: pure A. *)
-  let t =
-    Logca.make ~compute_exponent:2.0 ~latency:1.0 ~overhead:10.0
-      ~compute_index:1.0 ~acceleration:16.0 ()
-  in
-  Alcotest.(check bool) "beta > tau gives A" true
-    (feq (Logca.asymptotic_speedup t) 16.0);
-  (* beta = tau: closed form c / (l + c/A). *)
+  (* Closed form c / (l + c/A). *)
   Alcotest.(check bool) "beta = tau closed form" true
-    (feq (Logca.asymptotic_speedup basic) (2.0 /. (0.1 +. 0.25)));
-  (* beta < tau: interface dominates. *)
-  let t2 =
-    Logca.make ~latency_exponent:2.0 ~latency:0.1 ~overhead:0.0
-      ~compute_index:1.0 ~acceleration:4.0 ()
-  in
-  Alcotest.(check bool) "beta < tau gives 0" true
-    (feq (Logca.asymptotic_speedup t2) 0.0)
+    (feq (Logca.asymptotic_speedup basic) (2.0 /. (0.1 +. 0.25)))
 
 let test_g_half () =
   match Logca.g_half basic with

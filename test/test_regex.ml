@@ -218,13 +218,12 @@ let test_workload_structure () =
     (pair.Meta.meta.Meta.avg_reads_per_invocation >= 1.0)
 
 let test_workload_validation () =
-  Alcotest.check_raises "bad pattern rejected"
-    (Invalid_argument
-       "Regex_workload.config: bad pattern: position 1: unclosed group")
-    (fun () ->
-      ignore
-        (Tca_workloads.Regex_workload.config ~pattern:"(" ~n_records:10
-           ~app_instrs_per_record:10 ()))
+  Alcotest.check_raises "no records"
+    (Invalid_argument "Regex_workload.config: n_records must be positive") (fun () ->
+      ignore (Tca_workloads.Regex_workload.config ~n_records:0 ~app_instrs_per_record:10 ()));
+  Alcotest.check_raises "negative gap"
+    (Invalid_argument "Regex_workload.config: negative app_instrs_per_record") (fun () ->
+      ignore (Tca_workloads.Regex_workload.config ~n_records:10 ~app_instrs_per_record:(-1) ()))
 
 let test_workload_determinism () =
   let cfg =

@@ -127,6 +127,14 @@ let test_workload_structure () =
   Alcotest.(check bool) "a sane" true
     (pair.Meta.meta.Meta.a > 0.1 && pair.Meta.meta.Meta.a < 0.9)
 
+let test_workload_validation () =
+  Alcotest.check_raises "no calls"
+    (Invalid_argument "Strfn_workload.config: n_calls must be positive") (fun () ->
+      ignore (Tca_workloads.Strfn_workload.config ~n_calls:0 ~app_instrs_per_call:10 ()));
+  Alcotest.check_raises "negative gap"
+    (Invalid_argument "Strfn_workload.config: negative app_instrs_per_call") (fun () ->
+      ignore (Tca_workloads.Strfn_workload.config ~n_calls:10 ~app_instrs_per_call:(-1) ()))
+
 let test_workload_determinism () =
   let cfg =
     Tca_workloads.Strfn_workload.config ~n_calls:40 ~app_instrs_per_call:30
@@ -139,13 +147,6 @@ let test_workload_determinism () =
     (Tca_uarch.Trace.length p1.Meta.baseline)
     (Tca_uarch.Trace.length p2.Meta.baseline);
   Alcotest.(check (float 1e-12)) "same mean" m1 m2
-
-let test_workload_validation () =
-  Alcotest.check_raises "length range"
-    (Invalid_argument "Strfn_workload.config: bad length range") (fun () ->
-      ignore
-        (Tca_workloads.Strfn_workload.config ~min_len:10 ~max_len:5
-           ~n_calls:10 ~app_instrs_per_call:10 ()))
 
 let test_experiment_quick () =
   let rows, mean_bytes = Tca_experiments.Strfn_val.run ~quick:true () in
@@ -180,8 +181,8 @@ let () =
       ( "workload",
         [
           Alcotest.test_case "structure" `Quick test_workload_structure;
-          Alcotest.test_case "determinism" `Quick test_workload_determinism;
           Alcotest.test_case "validation" `Quick test_workload_validation;
+          Alcotest.test_case "determinism" `Quick test_workload_determinism;
           Alcotest.test_case "experiment quick" `Slow test_experiment_quick;
         ] );
     ]

@@ -172,9 +172,6 @@ let test_sink_events () =
   Sink.clear s;
   Alcotest.(check int) "cleared" 0 (Sink.length s)
 
-let test_sink_interval_floor () =
-  Alcotest.(check int) "min 1" 1 (Sink.interval (Sink.create ~interval:0 ()))
-
 (* Schema check applied to every event of a Chrome trace. Returns the
    number of data events; 'M' lane-name metadata (synthesized by the
    exporter for Perfetto) is validated but not counted. *)
@@ -291,9 +288,9 @@ let sim_pair () =
     (Tca_workloads.Synthetic.config ~n_units:400 ~n_chunks:25
        ~accel_latency:12 ())
 
-let run_with_sink ?(interval = 64) trace =
-  let sink = Sink.create ~interval () in
-  let cfg = Tca_uarch.Config.hp ~coupling:Tca_uarch.Config.coupling_l_t () in
+let run_with_sink trace =
+  let sink = Sink.create () in
+  let cfg = Tca_uarch.Config.hp () in
   let stats = Tca_uarch.Pipeline.run_exn ~telemetry:sink cfg trace in
   (stats, sink)
 
@@ -334,6 +331,28 @@ let test_stall_deltas_reconcile () =
     (float_of_int stats.Tca_uarch.Sim_stats.committed)
     (counter_sum sink "sim.pipeline" "committed")
 
+(* The per-interval counters flush every [Sink.interval] = 256 cycles,
+   plus the final partial interval when the run ends. *)
+let test_interval_period () =
+  let pair = sim_pair () in
+  let stats, sink = run_with_sink pair.Tca_workloads.Meta.accelerated in
+  let ts =
+    List.filter_map
+      (fun ev ->
+        if ev.Sink.name = "sim.pipeline" && ev.Sink.ph = 'C' then
+          Some (int_of_float ev.Sink.ts)
+        else None)
+      (Sink.events sink)
+  in
+  let cycles = stats.Tca_uarch.Sim_stats.cycles in
+  Alcotest.(check int) "period" 256 (Sink.interval sink);
+  Alcotest.(check int) "one flush per started interval"
+    ((cycles + 255) / 256) (List.length ts);
+  List.iteri
+    (fun i t ->
+      Alcotest.(check int) "flush cycle" (Stdlib.min cycles ((i + 1) * 256)) t)
+    ts
+
 let test_registry_reconciles () =
   let pair = sim_pair () in
   let stats, sink = run_with_sink pair.Tca_workloads.Meta.accelerated in
@@ -357,12 +376,12 @@ let test_registry_reconciles () =
 
 let test_telemetry_is_pure_observation () =
   let pair = sim_pair () in
-  let cfg = Tca_uarch.Config.hp ~coupling:Tca_uarch.Config.coupling_l_t () in
+  let cfg = Tca_uarch.Config.hp () in
   let run ?telemetry trace = Tca_uarch.Pipeline.run_exn ?telemetry cfg trace in
   List.iter
     (fun trace ->
       let plain = run trace in
-      let sink = Sink.create ~interval:32 () in
+      let sink = Sink.create () in
       let traced = run ~telemetry:sink trace in
       Alcotest.(check bool) "bit-identical stats" true (plain = traced))
     [ pair.Tca_workloads.Meta.baseline; pair.Tca_workloads.Meta.accelerated ]
@@ -549,10 +568,9 @@ let test_fan_out_equals_serial () =
     [ ("serial", Tca_util.Parmap.serial); ("pool", Tca_engine.Pool.parmap pool) ]
 
 let test_fork_carries_capabilities () =
-  let parent = Sink.create ~interval:7 () in
+  let parent = Sink.create () in
   Sink.instant parent ~ts:0.0 "before";
   let child = Sink.fork parent in
-  Alcotest.(check int) "interval inherited" 7 (Sink.interval child);
   Alcotest.(check int) "events not inherited" 0 (Sink.length child)
 
 let test_join_empty_child () =
@@ -778,7 +796,6 @@ let () =
       ( "sink",
         [
           Alcotest.test_case "events" `Quick test_sink_events;
-          Alcotest.test_case "interval floor" `Quick test_sink_interval_floor;
           Alcotest.test_case "exporter schema" `Quick test_exporter_schema;
           Alcotest.test_case "exporter files" `Quick test_exporter_files;
           Alcotest.test_case "bad path" `Quick test_exporter_bad_path;
@@ -808,6 +825,7 @@ let () =
         [
           Alcotest.test_case "stall deltas reconcile" `Quick
             test_stall_deltas_reconcile;
+          Alcotest.test_case "interval period" `Quick test_interval_period;
           Alcotest.test_case "registry reconciles" `Quick
             test_registry_reconciles;
           Alcotest.test_case "pure observation" `Quick

@@ -281,7 +281,7 @@ let test_trace_packed_columns () =
   let cfg = Exp_common.validation_core () in
   List.iter
     (fun (name, kind) ->
-      check_pair ("verify " ^ name) (fst (Exp_common.workload_pair ~cfg kind)))
+      check_pair ("verify " ^ name) (fst (Tca_util.Diag.ok_exn (Exp_common.workload_pair ~cfg kind))))
     Exp_common.workload_kinds;
   List.iter
     (fun kind ->
@@ -384,7 +384,7 @@ let test_trace_io_simulates_identically () =
     (fun () ->
       Trace.save path t;
       let t' = Trace.load path in
-      let cfg = Config.hp ~coupling:Config.coupling_nl_t () in
+      let cfg = Config.with_coupling (Config.hp ()) Config.coupling_nl_t in
       Alcotest.(check int) "same cycles"
         (Pipeline.run_exn cfg t).Sim_stats.cycles
         (Pipeline.run_exn cfg t').Sim_stats.cycles)
@@ -785,8 +785,8 @@ let accel_trace ~latency ~n ~gap =
 
 let test_pipeline_serialize_barrier () =
   let t = accel_trace ~latency:20 ~n:50 ~gap:40 in
-  let nt = Pipeline.run_exn (Config.hp ~coupling:Config.coupling_l_nt ()) t in
-  let tt = Pipeline.run_exn (Config.hp ~coupling:Config.coupling_l_t ()) t in
+  let nt = Pipeline.run_exn (Config.with_coupling (Config.hp ()) Config.coupling_l_nt) t in
+  let tt = Pipeline.run_exn (Config.hp ()) t in
   Alcotest.(check bool) "NT stalls dispatch" true
     (nt.Sim_stats.stalls.Sim_stats.serialize > 0);
   Alcotest.(check int) "T never serializes" 0
@@ -796,8 +796,8 @@ let test_pipeline_serialize_barrier () =
 
 let test_pipeline_nl_head_wait () =
   let t = accel_trace ~latency:20 ~n:50 ~gap:40 in
-  let nl = Pipeline.run_exn (Config.hp ~coupling:Config.coupling_nl_t ()) t in
-  let l = Pipeline.run_exn (Config.hp ~coupling:Config.coupling_l_t ()) t in
+  let nl = Pipeline.run_exn (Config.with_coupling (Config.hp ()) Config.coupling_nl_t) t in
+  let l = Pipeline.run_exn (Config.hp ()) t in
   Alcotest.(check bool) "NL waits for head" true
     (nl.Sim_stats.accel_wait_for_head_cycles > 0);
   Alcotest.(check int) "L never waits" 0 l.Sim_stats.accel_wait_for_head_cycles;
@@ -806,7 +806,7 @@ let test_pipeline_nl_head_wait () =
 
 let test_pipeline_mode_cycle_ordering () =
   let t = accel_trace ~latency:30 ~n:40 ~gap:50 in
-  let cycles c = (Pipeline.run_exn (Config.hp ~coupling:c ()) t).Sim_stats.cycles in
+  let cycles c = (Pipeline.run_exn (Config.with_coupling (Config.hp ()) c) t).Sim_stats.cycles in
   let nl_nt = cycles Config.coupling_nl_nt
   and l_nt = cycles Config.coupling_l_nt
   and nl_t = cycles Config.coupling_nl_t
@@ -953,7 +953,7 @@ let test_pipeline_quiet_stretch () =
   let cases =
     [
       ( "latency 5000 NL_NT",
-        Config.hp ~coupling:Config.coupling_nl_nt (),
+        Config.with_coupling (Config.hp ()) Config.coupling_nl_nt,
         accel 5000 :: alus );
       ("sync config 3000", unit_cfg Tca_unit.Sync 1, accel 20 :: alus);
       ( "queued depth 1, config 3000",
@@ -1042,7 +1042,7 @@ let prop_random_traces_terminate =
           | _ -> Trace.Builder.add b i)
         instrs;
       let t = Trace.Builder.build b in
-      let stats = Pipeline.run_exn (Config.hp ~coupling ()) t in
+      let stats = Pipeline.run_exn (Config.with_coupling (Config.hp ()) coupling) t in
       stats.Sim_stats.committed = Trace.length t
       && stats.Sim_stats.cycles > 0)
 
@@ -1069,7 +1069,7 @@ let prop_latency_monotone =
     QCheck.(pair small_int (int_range 0 3))
     (fun (seed, coupling_idx) ->
       let coupling = List.nth Config.all_couplings coupling_idx in
-      let cfg = Config.hp ~coupling () in
+      let cfg = Config.with_coupling (Config.hp ()) coupling in
       let fast = Pipeline.run_exn cfg (mixed_accel_trace seed 5) in
       let slow = Pipeline.run_exn cfg (mixed_accel_trace seed 50) in
       (* Fully-overlapped couplings can absorb the extra latency and even
@@ -1083,7 +1083,7 @@ let prop_coupling_monotone =
     QCheck.small_int
     (fun seed ->
       let t = mixed_accel_trace seed 20 in
-      let cycles c = (Pipeline.run_exn (Config.hp ~coupling:c ()) t).Sim_stats.cycles in
+      let cycles c = (Pipeline.run_exn (Config.with_coupling (Config.hp ()) c) t).Sim_stats.cycles in
       let nl_nt = float_of_int (cycles Config.coupling_nl_nt)
       and l_nt = float_of_int (cycles Config.coupling_l_nt)
       and nl_t = float_of_int (cycles Config.coupling_nl_t)
@@ -1119,7 +1119,7 @@ let test_simulator_compare_modes () =
   let baseline = ignore baseline; Trace.Builder.build b in
   let accelerated = accel_trace ~latency:20 ~n:10 ~gap:80 in
   let cmp =
-    Simulator.compare_modes_exn ~cfg:(Config.hp ()) ~baseline ~accelerated ()
+    Tca_util.Diag.ok_exn (Simulator.compare_modes ~cfg:(Config.hp ()) ~baseline ~accelerated ())
   in
   Alcotest.(check int) "four modes" 4 (List.length cmp.Simulator.modes);
   List.iter
@@ -1365,7 +1365,7 @@ let test_multi_trace_unit_bound () =
 
 (* [stats] as a JSON reader sees it: serialized, then parsed. *)
 let stats_json stats =
-  Tca_util.Json.parse_exn (Tca_util.Json.to_string (Sim_stats.to_json stats))
+  Tca_util.Diag.ok_exn (Tca_util.Json.parse (Tca_util.Json.to_string (Sim_stats.to_json stats)))
 
 let json_int obj name =
   Option.bind (Tca_util.Json.member name obj) Tca_util.Json.to_int_opt
@@ -1410,7 +1410,7 @@ let test_multi_sim_stats_roundtrips () =
 (* --- Configuration mechanisms (T1)-(T3) --- *)
 
 let config_cfg ?(coupling = Config.coupling_l_t) ?(depth = 2) mode latency =
-  Config.with_tca_units (Config.hp ~coupling ())
+  Config.with_tca_units (Config.with_coupling (Config.hp ()) coupling)
     [|
       Tca_unit.make ~config_mode:mode ~config_latency:latency
         ~config_queue_depth:depth 0;
@@ -1777,9 +1777,9 @@ let golden_line label stats =
 
 let golden_optimized (pair : Tca_workloads.Meta.pair) =
   let cmp =
-    Simulator.compare_modes_exn ~cfg:(Config.hp ())
+    Tca_util.Diag.ok_exn (Simulator.compare_modes ~cfg:(Config.hp ())
       ~baseline:pair.Tca_workloads.Meta.baseline
-      ~accelerated:pair.Tca_workloads.Meta.accelerated ()
+      ~accelerated:pair.Tca_workloads.Meta.accelerated ())
   in
   String.concat ""
     (golden_line "baseline" cmp.Simulator.baseline

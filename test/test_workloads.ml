@@ -303,7 +303,8 @@ let test_dgemm_accelerated_structure () =
   List.iter
     (fun dim ->
       let pair = Dgemm_workload.pair cfg ~dim in
-      let expected_invocations = Tca_dgemm.Mma.invocations ~n:32 ~dim in
+      let blocks = 32 / dim in
+      let expected_invocations = blocks * blocks * blocks in
       Alcotest.(check int)
         (Printf.sprintf "invocations dim %d" dim)
         expected_invocations pair.Meta.meta.Meta.invocations;
