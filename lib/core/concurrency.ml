@@ -4,6 +4,7 @@ let coverage_series core ~g ~accel ~coverages mode =
   let* _ =
     Diag.in_range ~field:"Concurrency.coverage_series.g" ~lo:1.0 ~hi:infinity g
   in
+  let speedup = Equations.speedup core in
   let* cells =
     Array.fold_left
       (fun acc a ->
@@ -12,7 +13,7 @@ let coverage_series core ~g ~accel ~coverages mode =
           if a <= 0.0 then Ok (a, 1.0)
           else
             let* s = Params.scenario_of_granularity ~a ~g ~accel () in
-            let* sp = Equations.speedup core s mode in
+            let* sp = speedup s mode in
             Ok (a, sp)
         in
         Ok (pt :: acc))

@@ -24,53 +24,68 @@ let config_overhead (config : Params.config_cost) ~base =
 
 (* Extreme-but-valid inputs (v = 1e-300, latency = 1e308, ...) can push an
    intermediate time to infinity; checking the computed record keeps the
-   [Ok ==> finite] contract without re-deriving overflow conditions. *)
+   [Ok ==> finite] contract without re-deriving overflow conditions. The
+   first non-finite field, in record order, is the diagnostic; a record
+   that passes allocates nothing. *)
+let non_finite field value = Some (Diag.Non_finite { field; value })
+
 let check_times t =
-  let* _ = Diag.finite ~field:"Equations.t_baseline" t.t_baseline in
-  let* _ = Diag.finite ~field:"Equations.t_accl" t.t_accl in
-  let* _ = Diag.finite ~field:"Equations.t_non_accl" t.t_non_accl in
-  let* _ = Diag.finite ~field:"Equations.t_drain" t.t_drain in
-  let* _ = Diag.finite ~field:"Equations.t_rob_fill" t.t_rob_fill in
-  let* _ = Diag.finite ~field:"Equations.t_commit" t.t_commit in
-  let* _ =
+  if not (Float.is_finite t.t_baseline) then
+    non_finite "Equations.t_baseline" t.t_baseline
+  else if not (Float.is_finite t.t_accl) then
+    non_finite "Equations.t_accl" t.t_accl
+  else if not (Float.is_finite t.t_non_accl) then
+    non_finite "Equations.t_non_accl" t.t_non_accl
+  else if not (Float.is_finite t.t_drain) then
+    non_finite "Equations.t_drain" t.t_drain
+  else if not (Float.is_finite t.t_rob_fill) then
+    non_finite "Equations.t_rob_fill" t.t_rob_fill
+  else if not (Float.is_finite t.t_commit) then
+    non_finite "Equations.t_commit" t.t_commit
+  else
     match t.config with
-    | Params.No_config -> Ok 0.0
+    | Params.No_config -> None
     | Params.Sync c
     | Params.Queued { t_config = c; _ }
     | Params.Preprogrammed { t_config = c; _ } ->
-        Diag.finite ~field:"Equations.t_config" c
-  in
-  Ok t
+        if Float.is_finite c then None else non_finite "Equations.t_config" c
 
-let interval_times (core : Params.core) (s : Params.scenario) =
-  let* () =
+(* Staged on the core: the power-law fit, the full-window drain and the
+   ROB refill time depend on the core alone, so a sweep computes them
+   once. The scenario must have [v > 0]. *)
+let times_of (core : Params.core) =
+  let fit =
+    Tca_interval.Power_law.calibrate ~ipc:core.ipc ~window:core.rob_size
+      ~beta:core.drain_beta
+  in
+  let drain = Tca_interval.Drain.time ~fit ~window:core.rob_size in
+  let t_rob_fill = float_of_int core.rob_size /. float_of_int core.issue_width in
+  fun (s : Params.scenario) ->
+    let t_baseline = 1.0 /. (s.v *. core.ipc) in
+    let t_accl =
+      match s.accel with
+      | Params.Factor a_factor -> s.a /. (s.v *. a_factor *. core.ipc)
+      | Params.Latency l -> l
+    in
+    let t_non_accl = (1.0 -. s.a) /. (s.v *. core.ipc) in
+    let t_drain =
+      drain s.drain ~interval_instrs:((1.0 -. s.a) /. s.v)
+        ~non_accl_time:t_non_accl
+    in
+    { t_baseline; t_accl; t_non_accl; t_drain; t_rob_fill;
+      t_commit = core.commit_stall; config = s.config }
+
+let interval_times core =
+  let times = times_of core in
+  fun (s : Params.scenario) ->
     if s.v <= 0.0 then
       Error
         (Diag.Domain
            { field = "Equations.interval_times.v"; lo = Float.min_float;
              hi = infinity; actual = s.v })
-    else Ok ()
-  in
-  let t_baseline = 1.0 /. (s.v *. core.ipc) in
-  let t_accl =
-    match s.accel with
-    | Params.Factor a_factor -> s.a /. (s.v *. a_factor *. core.ipc)
-    | Params.Latency l -> l
-  in
-  let t_non_accl = (1.0 -. s.a) /. (s.v *. core.ipc) in
-  let fit =
-    Tca_interval.Power_law.calibrate ~ipc:core.ipc ~window:core.rob_size
-      ~beta:core.drain_beta
-  in
-  let t_drain =
-    Tca_interval.Drain.time s.drain ~fit ~window:core.rob_size
-      ~interval_instrs:((1.0 -. s.a) /. s.v)
-      ~non_accl_time:t_non_accl
-  in
-  let t_rob_fill = float_of_int core.rob_size /. float_of_int core.issue_width in
-  check_times
-    { t_baseline; t_accl; t_non_accl; t_drain; t_rob_fill;
-      t_commit = core.commit_stall; config = s.config }
+    else
+      let t = times s in
+      match check_times t with None -> Ok t | Some d -> Error d
 
 let time_of_times (t : times) (mode : Mode.t) =
   let base =
@@ -105,20 +120,26 @@ let mode_time core s mode =
   let* t = interval_times core s in
   Diag.finite ~field:"Equations.mode_time" (time_of_times t mode)
 
-let speedup core s mode =
-  if s.Params.v <= 0.0 then Ok 1.0
-  else
-    let* t = interval_times core s in
-    Diag.finite ~field:"Equations.speedup"
-      (t.t_baseline /. time_of_times t mode)
+let speedup core =
+  let times = times_of core in
+  fun (s : Params.scenario) mode ->
+    if s.v <= 0.0 then Ok 1.0
+    else
+      let t = times s in
+      match check_times t with
+      | Some d -> Error d
+      | None ->
+          Diag.finite ~field:"Equations.speedup"
+            (t.t_baseline /. time_of_times t mode)
 
 let speedup_exn core s mode = Diag.ok_exn (speedup core s mode)
 
 let speedups core s =
+  let speedup = speedup core in
   List.fold_right
     (fun m acc ->
       let* acc = acc in
-      let* sp = speedup core s m in
+      let* sp = speedup s m in
       Ok ((m, sp) :: acc))
     Mode.all (Ok [])
 
@@ -138,15 +159,14 @@ let best_mode core s =
    fixed (a, accel, config) — larger invocations amortize every fixed
    per-invocation cost — so one sign change bounds the crossing and a
    geometric bisection (g spans decades) pins it down. *)
-let config_break_even ?(hi = 1e9) (core : Params.core) ~a ~accel ~config mode =
+let config_break_even (core : Params.core) ~a ~accel ~config mode =
+  let speedup = speedup core in
   let speedup_at g =
-    let* s = Params.scenario_of_granularity ~config ~a ~g ~accel () in
-    speedup core s mode
+    match Params.scenario_of_granularity ~config ~a ~g ~accel () with
+    | Ok s -> speedup s mode
+    | Error d -> Error d
   in
-  let* hi =
-    Diag.in_range ~field:"Equations.config_break_even.hi" ~lo:1.0 ~hi:infinity
-      hi
-  in
+  let hi = 1e9 in
   let* s_lo = speedup_at 1.0 in
   if s_lo >= 1.0 then Ok (Some 1.0)
   else
@@ -157,8 +177,11 @@ let config_break_even ?(hi = 1e9) (core : Params.core) ~a ~accel ~config mode =
         if n = 0 || hi -. lo <= 1e-6 *. hi then Ok (Some hi)
         else
           let mid = Float.sqrt (lo *. hi) in
-          let* s_mid = speedup_at mid in
-          if s_mid >= 1.0 then bisect lo mid (n - 1) else bisect mid hi (n - 1)
+          match speedup_at mid with
+          | Error d -> Error d
+          | Ok s_mid ->
+              if s_mid >= 1.0 then bisect lo mid (n - 1)
+              else bisect mid hi (n - 1)
       in
       bisect 1.0 hi 100
 
@@ -188,96 +211,106 @@ type composed_times = {
   c_cfg_floor : float;
 }
 
+(* As [check_times]: the first non-finite term, in the order below. *)
 let check_composed t =
-  let* _ = Diag.finite ~field:"Equations.c_baseline" t.c_baseline in
-  let* _ = Diag.finite ~field:"Equations.c_non_accl" t.c_non_accl in
-  let* _ = Diag.finite ~field:"Equations.c_accl_total" t.c_accl_total in
-  let* _ = Diag.finite ~field:"Equations.c_drain" t.c_drain in
-  let* _ = Diag.finite ~field:"Equations.c_contend" t.c_contend in
-  let* _ = Diag.finite ~field:"Equations.c_cfg_add" t.c_cfg_add in
-  let* _ = Diag.finite ~field:"Equations.c_cfg_floor" t.c_cfg_floor in
-  let* _ =
-    List.fold_left
-      (fun acc (_, tl) ->
-        let* _ = acc in
-        Diag.finite ~field:"Equations.c_unit_terms" tl)
-      (Ok 0.0) t.c_unit_terms
-  in
-  Ok t
+  if not (Float.is_finite t.c_baseline) then
+    non_finite "Equations.c_baseline" t.c_baseline
+  else if not (Float.is_finite t.c_non_accl) then
+    non_finite "Equations.c_non_accl" t.c_non_accl
+  else if not (Float.is_finite t.c_accl_total) then
+    non_finite "Equations.c_accl_total" t.c_accl_total
+  else if not (Float.is_finite t.c_drain) then
+    non_finite "Equations.c_drain" t.c_drain
+  else if not (Float.is_finite t.c_contend) then
+    non_finite "Equations.c_contend" t.c_contend
+  else if not (Float.is_finite t.c_cfg_add) then
+    non_finite "Equations.c_cfg_add" t.c_cfg_add
+  else if not (Float.is_finite t.c_cfg_floor) then
+    non_finite "Equations.c_cfg_floor" t.c_cfg_floor
+  else
+    List.find_map
+      (fun (_, tl) ->
+        if Float.is_finite tl then None
+        else non_finite "Equations.c_unit_terms" tl)
+      t.c_unit_terms
 
 let composed_v_total (c : Params.composition) =
   List.fold_left
     (fun acc (u : Params.unit_scenario) -> acc +. u.Params.v)
     0.0 c.Params.units
 
-let composed_times (core : Params.core) (c : Params.composition) =
-  let v_total = composed_v_total c in
-  let* () =
+(* Staged on the core, as [times_of]. *)
+let composed_times (core : Params.core) =
+  let fit =
+    Tca_interval.Power_law.calibrate ~ipc:core.ipc ~window:core.rob_size
+      ~beta:core.drain_beta
+  in
+  let drain = Tca_interval.Drain.time ~fit ~window:core.rob_size in
+  let c_rob_fill = float_of_int core.rob_size /. float_of_int core.issue_width in
+  fun (c : Params.composition) ->
+    let v_total = composed_v_total c in
     if v_total <= 0.0 then
       Error
         (Diag.Domain
            { field = "Equations.composed_times.v_total"; lo = Float.min_float;
              hi = infinity; actual = v_total })
-    else Ok ()
-  in
-  let a_total =
-    List.fold_left
-      (fun acc (u : Params.unit_scenario) -> acc +. u.Params.a)
-      0.0 c.Params.units
-  in
-  (* Per-invocation execution time of one unit: eq. (2) scaled to a
-     single invocation, or the architect's explicit latency. *)
-  let unit_latency (u : Params.unit_scenario) =
-    match u.Params.accel with
-    | Params.Factor f ->
-        if u.Params.v <= 0.0 then 0.0
-        else u.Params.a /. (u.Params.v *. f *. core.ipc)
-    | Params.Latency l -> l
-  in
-  let c_unit_terms =
-    List.map (fun (u : Params.unit_scenario) -> (u.Params.v, unit_latency u))
-      c.Params.units
-  in
-  let c_baseline = 1.0 /. core.ipc in
-  let c_non_accl = (1.0 -. a_total) /. core.ipc in
-  let c_accl_total =
-    List.fold_left (fun acc (v, tl) -> acc +. (v *. tl)) 0.0 c_unit_terms
-  in
-  let fit =
-    Tca_interval.Power_law.calibrate ~ipc:core.ipc ~window:core.rob_size
-      ~beta:core.drain_beta
-  in
-  let c_drain =
-    Tca_interval.Drain.time c.Params.drain ~fit ~window:core.rob_size
-      ~interval_instrs:((1.0 -. a_total) /. v_total)
-      ~non_accl_time:(c_non_accl /. v_total)
-  in
-  let c_rob_fill = float_of_int core.rob_size /. float_of_int core.issue_width in
-  let c_v_drain = (1.0 -. c.Params.chained) *. v_total in
-  let c_contend =
-    match c.Params.commit_port with
-    | Params.Shared -> c.Params.chained *. v_total *. core.commit_stall
-    | Params.Private -> 0.0
-  in
-  (* Per-unit (T1)-(T3): additive mechanisms sum per instruction, each
-     queued descriptor engine is an independent throughput floor of
-     which only the busiest binds. *)
-  let c_cfg_add, c_cfg_floor =
-    List.fold_left
-      (fun (add, floor) (u : Params.unit_scenario) ->
-        match u.Params.config with
-        | Params.No_config -> (add, floor)
-        | Params.Sync cfg -> (add +. (u.Params.v *. cfg), floor)
-        | Params.Queued { t_config = cfg; _ } ->
-            (add, Float.max floor (u.Params.v *. cfg))
-        | Params.Preprogrammed { t_config = cfg; invocations = n } ->
-            (add +. (u.Params.v *. cfg /. float_of_int n), floor))
-      (0.0, 0.0) c.Params.units
-  in
-  check_composed
-    { c_baseline; c_non_accl; c_accl_total; c_drain; c_rob_fill;
-      c_commit = core.commit_stall; c_v_total = v_total; c_v_drain; c_contend;
-      c_unit_terms; c_cfg_add; c_cfg_floor }
+    else
+      let a_total =
+        List.fold_left
+          (fun acc (u : Params.unit_scenario) -> acc +. u.Params.a)
+          0.0 c.Params.units
+      in
+      (* Per-invocation execution time of one unit: eq. (2) scaled to a
+         single invocation, or the architect's explicit latency. *)
+      let unit_latency (u : Params.unit_scenario) =
+        match u.Params.accel with
+        | Params.Factor f ->
+            if u.Params.v <= 0.0 then 0.0
+            else u.Params.a /. (u.Params.v *. f *. core.ipc)
+        | Params.Latency l -> l
+      in
+      let c_unit_terms =
+        List.map
+          (fun (u : Params.unit_scenario) -> (u.Params.v, unit_latency u))
+          c.Params.units
+      in
+      let c_baseline = 1.0 /. core.ipc in
+      let c_non_accl = (1.0 -. a_total) /. core.ipc in
+      let c_accl_total =
+        List.fold_left (fun acc (v, tl) -> acc +. (v *. tl)) 0.0 c_unit_terms
+      in
+      let c_drain =
+        drain c.Params.drain
+          ~interval_instrs:((1.0 -. a_total) /. v_total)
+          ~non_accl_time:(c_non_accl /. v_total)
+      in
+      let c_v_drain = (1.0 -. c.Params.chained) *. v_total in
+      let c_contend =
+        match c.Params.commit_port with
+        | Params.Shared -> c.Params.chained *. v_total *. core.commit_stall
+        | Params.Private -> 0.0
+      in
+      (* Per-unit (T1)-(T3): additive mechanisms sum per instruction, each
+         queued descriptor engine is an independent throughput floor of
+         which only the busiest binds. *)
+      let c_cfg_add, c_cfg_floor =
+        List.fold_left
+          (fun (add, floor) (u : Params.unit_scenario) ->
+            match u.Params.config with
+            | Params.No_config -> (add, floor)
+            | Params.Sync cfg -> (add +. (u.Params.v *. cfg), floor)
+            | Params.Queued { t_config = cfg; _ } ->
+                (add, Float.max floor (u.Params.v *. cfg))
+            | Params.Preprogrammed { t_config = cfg; invocations = n } ->
+                (add +. (u.Params.v *. cfg /. float_of_int n), floor))
+          (0.0, 0.0) c.Params.units
+      in
+      let t =
+        { c_baseline; c_non_accl; c_accl_total; c_drain; c_rob_fill;
+          c_commit = core.commit_stall; c_v_total = v_total; c_v_drain;
+          c_contend; c_unit_terms; c_cfg_add; c_cfg_floor }
+      in
+      match check_composed t with None -> Ok t | Some d -> Error d
 
 let composed_time_of_times (t : composed_times) (mode : Mode.t) =
   (* Σ_i v_i · max(0, over(t_accl_i)): the per-unit generalization of
@@ -325,18 +358,23 @@ let composed_time_of_times (t : composed_times) (mode : Mode.t) =
       let rob_full = rob_stall (fun tl -> tl -. t.c_rob_fill) in
       Float.max (t.c_non_accl +. rob_full) t.c_accl_total +. t.c_contend
 
-let composed_speedup core c mode =
-  if composed_v_total c <= 0.0 then Ok 1.0
-  else
-    let* t = composed_times core c in
-    Diag.finite ~field:"Equations.composed_speedup"
-      (t.c_baseline /. composed_time_of_times t mode)
+let composed_speedup core =
+  let times = composed_times core in
+  fun c mode ->
+    if composed_v_total c <= 0.0 then Ok 1.0
+    else
+      match times c with
+      | Error d -> Error d
+      | Ok t ->
+          Diag.finite ~field:"Equations.composed_speedup"
+            (t.c_baseline /. composed_time_of_times t mode)
 
 let composed_speedups core c =
+  let speedup = composed_speedup core in
   List.fold_right
     (fun m acc ->
       let* acc = acc in
-      let* sp = composed_speedup core c m in
+      let* sp = speedup c m in
       Ok ((m, sp) :: acc))
     Mode.all (Ok [])
 

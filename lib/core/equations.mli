@@ -43,25 +43,23 @@ val config_overhead : Params.config_cost -> base:float -> float
     the identity, so the pinned eqs. (4)-(9) results are unchanged. *)
 
 val config_break_even :
-  ?hi:float ->
   Params.core ->
   a:float -> accel:Params.accel_time -> config:Params.config_cost ->
   Mode.t -> (float option, Diag.t) result
 (** The smallest invocation granularity [g = a/v] at which the mode's
     speedup with the given configuration cost reaches 1.0 (acceleration
     stops losing to the configuration wall). Found by bisection over
-    [g in [1, hi]] ([hi] defaults to [1e9]); [Ok None] when the mode
-    never breaks even below [hi], [Ok (Some 1.)] when it already breaks
-    even at the smallest legal granularity. Used by the lint layer to
-    warn on invocation streams whose measured granularity sits below
-    this threshold. *)
+    [g in [1, 1e9]]; [Ok None] when the mode never breaks even below
+    [1e9], [Ok (Some 1.)] when it already breaks even at the smallest
+    legal granularity. Used by the lint layer to warn on invocation
+    streams whose measured granularity sits below this threshold. *)
 
 val interval_times :
   Params.core -> Params.scenario -> (times, Diag.t) result
 (** All intermediate quantities for one (core, scenario) pair.
     [Error (Domain _)] when [v = 0] (no invocations: there is no
     interval); [Error (Non_finite _)] when an extreme input overflows a
-    time. *)
+    time. Staged like {!speedup}. *)
 
 val time_of_times : times -> Mode.t -> float
 (** Pure combination of precomputed interval times per eqs. (4)-(9),
@@ -76,7 +74,15 @@ val mode_time :
 val speedup :
   Params.core -> Params.scenario -> Mode.t -> (float, Diag.t) result
 (** [t_baseline / mode_time]. [Ok 1.0] when [v = 0] (nothing is
-    accelerated). Values below 1 are program slowdowns. *)
+    accelerated). Values below 1 are program slowdowns.
+
+    Staged on the core: [let sp = speedup core in] computes the
+    power-law fit, the full-window drain and [t_rob_fill] once, and
+    each [sp s mode] evaluates only the scenario's terms. A sweep over
+    one core should apply it once; the results are the same floats as
+    the full application [speedup core s mode]. A point that passes
+    every check allocates its interval times and its result, and no
+    closure or intermediate [result]. *)
 
 val speedup_exn : Params.core -> Params.scenario -> Mode.t -> float
 
@@ -148,7 +154,8 @@ type composed_times = {
 val composed_times :
   Params.core -> Params.composition -> (composed_times, Diag.t) result
 (** [Error (Domain _)] when [Σ v_i = 0] (no invocations at all);
-    [Error (Non_finite _)] on overflow, as {!interval_times}. *)
+    [Error (Non_finite _)] on overflow, as {!interval_times}. Staged on
+    the core like {!speedup}, as is {!composed_speedup}. *)
 
 val composed_time_of_times : composed_times -> Mode.t -> float
 (** Pure combination of precomputed composed times per the table

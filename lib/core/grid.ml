@@ -19,28 +19,31 @@ let compute ?telemetry ?(par = Tca_util.Parmap.serial) core ~accel ~freqs
         ("mode", Tca_util.Json.String (Mode.to_string mode));
       ]
   @@ fun () ->
+  let speedup = Equations.speedup core in
   (* One task per row; each returns its cells plus its own failures in
      column order, so the concatenation in row order reproduces the
      serial (row-major) failure order exactly. *)
   let row_task (row, a) =
     let failures = ref [] in
-    let cells =
-      Array.mapi
-        (fun col v ->
-          if v <= 0.0 || a <= 0.0 || a < v then Float.nan
-          else
-            (* Skip-and-record: a bad point poisons one cell, never the
-               whole sweep. *)
-            match
-              let* s = Params.scenario ~a ~v ~accel () in
-              Equations.speedup core s mode
-            with
-            | Ok sp -> sp
-            | Error d ->
-                failures := ((row, col), d) :: !failures;
-                Float.nan)
-        freqs
+    (* Skip-and-record: a bad point poisons one cell, never the whole
+       sweep. *)
+    let fail col d =
+      failures := ((row, col), d) :: !failures;
+      Float.nan
     in
+    let cells = Array.create_float (Array.length freqs) in
+    Array.iteri
+      (fun col v ->
+        cells.(col) <-
+          (if v <= 0.0 || a <= 0.0 || a < v then Float.nan
+           else
+             match Params.scenario ~a ~v ~accel () with
+             | Error d -> fail col d
+             | Ok s -> (
+                 match speedup s mode with
+                 | Ok sp -> sp
+                 | Error d -> fail col d)))
+      freqs;
     (cells, List.rev !failures)
   in
   let rows =

@@ -55,75 +55,89 @@ let core ?(commit_stall = 5.0) ?(drain_beta = 2.0) ~ipc ~rob_size ~issue_width
   let* drain_beta = Diag.positive ~field:"Params.core.drain_beta" drain_beta in
   Ok { ipc; rob_size; issue_width; commit_stall; drain_beta }
 
-let validate_accel = function
+(* The per-point checks. Each returns the first failing field's
+   diagnostic, or [None]: written as if/else-if chains so that a point
+   that passes allocates nothing, with the diagnostic built only in the
+   failing branch. A float check rejects NaN and infinities first, as
+   [Diag.in_range] does. *)
+let non_finite field value = Some (Diag.Non_finite { field; value })
+let outside field ~lo ~hi actual = Some (Diag.Domain { field; lo; hi; actual })
+
+let non_negative_error field x =
+  if not (Float.is_finite x) then non_finite field x
+  else if x < 0.0 then outside field ~lo:0.0 ~hi:infinity x
+  else None
+
+let count_error field n =
+  if n < 1 then outside field ~lo:1.0 ~hi:infinity (float_of_int n) else None
+
+(* [what] names the constructor in the diagnostic. *)
+let coverage_error what ~a ~v =
+  if not (Float.is_finite a) then non_finite ("Params." ^ what ^ ".a") a
+  else if a < 0.0 || a > 1.0 then
+    outside ("Params." ^ what ^ ".a") ~lo:0.0 ~hi:1.0 a
+  else if not (Float.is_finite v) then non_finite ("Params." ^ what ^ ".v") v
+  else if v < 0.0 then outside ("Params." ^ what ^ ".v") ~lo:0.0 ~hi:infinity v
+  else if v > 0.0 && a < v then
+    outside ("Params." ^ what ^ " granularity a/v") ~lo:1.0 ~hi:infinity
+      (a /. v)
+  else None
+
+let accel_error = function
   | Factor f ->
-      let+ f = Diag.positive ~field:"Params.scenario.accel factor" f in
-      Factor f
-  | Latency l ->
-      let+ l = Diag.non_negative ~field:"Params.scenario.accel latency" l in
-      Latency l
+      if not (Float.is_finite f) then
+        non_finite "Params.scenario.accel factor" f
+      else if f <= 0.0 then
+        outside "Params.scenario.accel factor" ~lo:0.0 ~hi:infinity f
+      else None
+  | Latency l -> non_negative_error "Params.scenario.accel latency" l
 
-let validate_config = function
-  | No_config -> Ok No_config
-  | Sync t ->
-      let+ t = Diag.non_negative ~field:"Params.config Sync t_config" t in
-      Sync t
-  | Queued { t_config; depth } ->
-      let* t_config =
-        Diag.non_negative ~field:"Params.config Queued t_config" t_config
-      in
-      let+ depth = Diag.positive_int ~field:"Params.config Queued depth" depth in
-      Queued { t_config; depth }
-  | Preprogrammed { t_config; invocations } ->
-      let* t_config =
-        Diag.non_negative ~field:"Params.config Preprogrammed t_config" t_config
-      in
-      let+ invocations =
-        Diag.positive_int ~field:"Params.config Preprogrammed invocations"
-          invocations
-      in
-      Preprogrammed { t_config; invocations }
+let drain_error = function
+  | Tca_interval.Drain.Fixed t -> non_negative_error "Params.scenario.drain" t
+  | Tca_interval.Drain.Auto | Tca_interval.Drain.Refill_aware -> None
 
-let validate_drain = function
-  | Tca_interval.Drain.Fixed t ->
-      let+ t = Diag.non_negative ~field:"Params.scenario.drain" t in
-      Tca_interval.Drain.Fixed t
-  | (Tca_interval.Drain.Auto | Tca_interval.Drain.Refill_aware) as d -> Ok d
+let config_error = function
+  | No_config -> None
+  | Sync t -> non_negative_error "Params.config Sync t_config" t
+  | Queued { t_config; depth } -> (
+      match non_negative_error "Params.config Queued t_config" t_config with
+      | None -> count_error "Params.config Queued depth" depth
+      | e -> e)
+  | Preprogrammed { t_config; invocations } -> (
+      match
+        non_negative_error "Params.config Preprogrammed t_config" t_config
+      with
+      | None ->
+          count_error "Params.config Preprogrammed invocations" invocations
+      | e -> e)
+
+let checked x = function None -> Ok x | Some d -> Error d
+let validate_config c = checked c (config_error c)
 
 let scenario ?(drain = Tca_interval.Drain.Auto) ?(config = No_config) ~a ~v
     ~accel () =
-  let* a = Diag.in_range ~field:"Params.scenario.a" ~lo:0.0 ~hi:1.0 a in
-  let* v = Diag.non_negative ~field:"Params.scenario.v" v in
-  let* () =
-    if v > 0.0 && a < v then
-      Error
-        (Diag.Domain
-           { field = "Params.scenario granularity a/v"; lo = 1.0;
-             hi = infinity; actual = a /. v })
-    else Ok ()
-  in
-  let* accel = validate_accel accel in
-  let* drain = validate_drain drain in
-  let* config = validate_config config in
-  Ok { a; v; accel; drain; config }
+  checked { a; v; accel; drain; config }
+    (match coverage_error "scenario" ~a ~v with
+    | Some _ as e -> e
+    | None -> (
+        match accel_error accel with
+        | Some _ as e -> e
+        | None -> (
+            match drain_error drain with
+            | Some _ as e -> e
+            | None -> config_error config)))
 
 let scenario_exn ?drain ?config ~a ~v ~accel () =
   Diag.ok_exn (scenario ?drain ?config ~a ~v ~accel ())
 
 let unit_scenario ?(config = No_config) ~a ~v ~accel () =
-  let* a = Diag.in_range ~field:"Params.unit_scenario.a" ~lo:0.0 ~hi:1.0 a in
-  let* v = Diag.non_negative ~field:"Params.unit_scenario.v" v in
-  let* () =
-    if v > 0.0 && a < v then
-      Error
-        (Diag.Domain
-           { field = "Params.unit_scenario granularity a/v"; lo = 1.0;
-             hi = infinity; actual = a /. v })
-    else Ok ()
-  in
-  let* accel = validate_accel accel in
-  let* config = validate_config config in
-  Ok ({ a; v; accel; config } : unit_scenario)
+  checked ({ a; v; accel; config } : unit_scenario)
+    (match coverage_error "unit_scenario" ~a ~v with
+    | Some _ as e -> e
+    | None -> (
+        match accel_error accel with
+        | Some _ as e -> e
+        | None -> config_error config))
 
 let unit_scenario_exn ?config ~a ~v ~accel () =
   Diag.ok_exn (unit_scenario ?config ~a ~v ~accel ())
@@ -157,8 +171,8 @@ let composition ?(drain = Tca_interval.Drain.Auto) ?(chained = 0.0)
   let* chained =
     Diag.in_range ~field:"Params.composition.chained" ~lo:0.0 ~hi:1.0 chained
   in
-  let* drain = validate_drain drain in
-  Ok ({ units; chained; commit_port; drain } : composition)
+  checked ({ units; chained; commit_port; drain } : composition)
+    (drain_error drain)
 
 let composition_exn ?drain ?chained ?commit_port ~units () =
   Diag.ok_exn (composition ?drain ?chained ?commit_port ~units ())
@@ -183,11 +197,11 @@ let granularity s =
   else Ok (s.a /. s.v)
 
 let scenario_of_granularity ?drain ?config ~a ~g ~accel () =
-  let* g =
-    Diag.in_range ~field:"Params.scenario_of_granularity.g" ~lo:1.0
-      ~hi:infinity g
-  in
-  scenario ?drain ?config ~a ~v:(a /. g) ~accel ()
+  let field = "Params.scenario_of_granularity.g" in
+  if not (Float.is_finite g) then Error (Diag.Non_finite { field; value = g })
+  else if g < 1.0 then
+    Error (Diag.Domain { field; lo = 1.0; hi = infinity; actual = g })
+  else scenario ?drain ?config ~a ~v:(a /. g) ~accel ()
 
 let pp_core fmt c =
   Format.fprintf fmt

@@ -72,15 +72,15 @@ let perturb (core : Params.core) (s : Params.scenario) param factor =
   | Coverage ->
       let a = clamp s.Params.v 1.0 (s.Params.a *. factor) in
       let+ s' =
-        Params.scenario ~drain:s.Params.drain ~a ~v:s.Params.v
-          ~accel:s.Params.accel ()
+        Params.scenario ~drain:s.Params.drain ~config:s.Params.config ~a
+          ~v:s.Params.v ~accel:s.Params.accel ()
       in
       (core, s')
   | Frequency ->
       let v = clamp 0.0 s.Params.a (s.Params.v *. factor) in
       let+ s' =
-        Params.scenario ~drain:s.Params.drain ~a:s.Params.a ~v
-          ~accel:s.Params.accel ()
+        Params.scenario ~drain:s.Params.drain ~config:s.Params.config
+          ~a:s.Params.a ~v ~accel:s.Params.accel ()
       in
       (core, s')
   | Acceleration ->
@@ -92,8 +92,8 @@ let perturb (core : Params.core) (s : Params.scenario) param factor =
             Params.Latency (l /. factor)
       in
       let+ s' =
-        Params.scenario ~drain:s.Params.drain ~a:s.Params.a ~v:s.Params.v
-          ~accel ()
+        Params.scenario ~drain:s.Params.drain ~config:s.Params.config
+          ~a:s.Params.a ~v:s.Params.v ~accel ()
       in
       (core, s')
 

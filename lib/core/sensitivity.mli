@@ -31,8 +31,9 @@ val perturb :
   (Params.core * Params.scenario, Diag.t) result
 (** Scale one parameter by the given factor, clamping to validity
     (coverage to [\[0, 1\]], integer parameters to at least 1, coverage
-    >= v). [Error] when the scaled parameter leaves the valid domain
-    entirely (e.g. a non-finite factor). *)
+    >= v); every other input, the scenario's drain and configuration
+    cost included, is kept. [Error] when the scaled parameter leaves the
+    valid domain entirely (e.g. a non-finite factor). *)
 
 val swings :
   ?telemetry:Tca_telemetry.Sink.t ->

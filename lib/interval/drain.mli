@@ -22,14 +22,18 @@ type spec =
           chain-structured microbenchmarks. See EXPERIMENTS.md. *)
 
 val time :
-  spec ->
   fit:Power_law.fit ->
   window:int ->
+  spec ->
   interval_instrs:float ->
   non_accl_time:float ->
   float
-(** [time spec ~fit ~window ~interval_instrs ~non_accl_time] is the drain
-    penalty in cycles. In [Auto] mode the window content is
+(** [time ~fit ~window spec ~interval_instrs ~non_accl_time] is the
+    drain penalty in cycles. In [Auto] mode the window content is
     [min window interval_instrs] (a short interval cannot fill the ROB)
     and the result is additionally capped at [non_accl_time]. A [Fixed]
-    time is also capped at [non_accl_time], matching the paper's rule. *)
+    time is also capped at [non_accl_time], matching the paper's rule.
+
+    Applying it to [~fit ~window] alone computes the full-window
+    critical path [l(window)] once; the returned function reuses it for
+    every interval at least a window long. *)

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Docs-drift guard for code identifiers: every backtick-quoted
-# `Module.symbol` value/field mentioned in README.md, EXPERIMENTS.md,
-# MODEL.md or DESIGN.md, for a module mapped in iface_of below, must
-# exist in that module's interface (.mli) — so a rename or a deletion
-# in lib/ can't leave the docs pointing at symbols that no longer
-# exist.
+# `Module.symbol` mentioned in README.md, EXPERIMENTS.md, MODEL.md or
+# DESIGN.md, for a module mapped in iface_of below, must exist in that
+# module's interface (.mli) — so a rename or a deletion in lib/ can't
+# leave the docs pointing at symbols that no longer exist.
 #
-# This is a lexical check against the .mli files (val, type and record
-# field declarations, outside comments), deliberately cheap: it proves the
-# documented symbol surface exists without compiling anything. Run
-# from the repository root:
+# This is a lexical check against the .mli files, outside comments,
+# deliberately cheap: it proves the documented symbol surface exists
+# without compiling anything. A lowercase symbol (`Params.scenario`)
+# must be a val, type or record field declaration; a capitalized one
+# (`Params.Sync`, `Diag.Error`, `Trace.Decoded`) must be a constructor,
+# an exception or a module declaration. Run from the repository root:
 #
 #   scripts/check_docs_symbols.sh
 set -u
@@ -36,6 +37,9 @@ iface_of() {
     Concurrency) echo lib/core/concurrency.mli ;;
     Validate) echo lib/core/validate.mli ;;
     Analysis) echo lib/analysis/analysis.mli ;;
+    Drain) echo lib/interval/drain.mli ;;
+    Power_law) echo lib/interval/power_law.mli ;;
+    Mode) echo lib/core/mode.mli ;;
     *) echo "" ;;
   esac
 }
@@ -43,12 +47,12 @@ iface_of() {
 fail=0
 checked=0
 
-# Backticked single identifiers like `Params.config_cost` or
-# `Equations.config_break_even`. Longer backtick spans (expressions,
-# qualified sub-fields, code fragments) are skipped: only the exact
-# two-component form is a checkable symbol reference.
-modules='Equations|Params|Tca_unit|Sim_stats|Config|Pipeline|Trace|Simulator|Scheduler|Stats|Sweep|Diag|Grid|Sensitivity|Concurrency|Validate|Analysis'
-refs=$(grep -ohE "\`($modules)\.[a-z_][A-Za-z0-9_]*\`" $DOCS \
+# Backticked single identifiers like `Params.config_cost`,
+# `Equations.config_break_even` or `Params.Sync`. Longer backtick spans
+# (expressions, qualified sub-fields, code fragments) are skipped: only
+# the exact two-component form is a checkable symbol reference.
+modules='Equations|Params|Tca_unit|Sim_stats|Config|Pipeline|Trace|Simulator|Scheduler|Stats|Sweep|Diag|Grid|Sensitivity|Concurrency|Validate|Analysis|Drain|Power_law|Mode'
+refs=$(grep -ohE "\`($modules)\.[A-Za-z_][A-Za-z0-9_]*\`" $DOCS \
   | tr -d '`' | sort -u)
 
 if [ -z "$refs" ]; then
@@ -66,13 +70,26 @@ for ref in $refs; do
     continue
   fi
   checked=$((checked + 1))
-  # Accept a val, type or record-field declaration (inline records
-  # included), matched in the interface with its comments stripped: a
-  # word that only a doc comment mentions is not a symbol.
-  decl="(^|[[:space:]])(val|type|and)[[:space:]]+('[a-z_]+[[:space:]]+)?${symbol}([^A-Za-z0-9_']|$)"
-  field="(^|[{;[:space:]])(mutable[[:space:]]+)?${symbol}[[:space:]]+:"
+  # Matched in the interface with its comments stripped: a word that
+  # only a doc comment mentions is not a symbol.
+  case $symbol in
+    [A-Z]*)
+      # A constructor (after `=` or `|`; `= Foo.t` is a module path, not
+      # a constructor), an exception, a module or a module type.
+      ctor="[=|][[:space:]]*${symbol}([^A-Za-z0-9_'.]|$)"
+      decl="(^|[[:space:]])(exception|module|module[[:space:]]+type)[[:space:]]+${symbol}([^A-Za-z0-9_']|$)"
+      pattern="$ctor|$decl"
+      ;;
+    *)
+      # A val, type or record-field declaration (inline records
+      # included).
+      decl="(^|[[:space:]])(val|type|and)[[:space:]]+('[a-z_]+[[:space:]]+)?${symbol}([^A-Za-z0-9_']|$)"
+      field="(^|[{;[:space:]])(mutable[[:space:]]+)?${symbol}[[:space:]]+:"
+      pattern="$decl|$field"
+      ;;
+  esac
   if ! perl -0pe '1 while s/\(\*(?:(?!\(\*|\*\)).)*\*\)//gs' "$iface" \
-    | grep -qE "$decl|$field"; then
+    | grep -qE "$pattern"; then
     echo "FAIL: $ref documented but '$symbol' is not declared in $iface" >&2
     fail=1
   fi

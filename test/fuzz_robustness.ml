@@ -45,6 +45,16 @@ let ok_finite case what = function
   | Ok v -> finite case what v
   | Error (_ : Tca_util.Diag.t) -> ()
 
+(* Bit-for-bit equal floats, or diagnostics that render alike. *)
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_result a b =
+  match (a, b) with
+  | Ok x, Ok y -> same_float x y
+  | Error d, Error e ->
+      Tca_util.Diag.to_string d = Tca_util.Diag.to_string e
+  | _ -> false
+
 (* --- analytical-model layer --- *)
 
 let model_case i g =
@@ -82,8 +92,15 @@ let model_case i g =
       | Ok s ->
           finite i "Params.scenario.a" s.Params.a;
           finite i "Params.scenario.v" s.Params.v;
+          (* The staged form must give the full application's result,
+             bit for bit, or the same diagnostic. *)
+          let staged = Equations.speedup core in
           List.iter
-            (fun m -> ok_finite i "Equations.speedup" (Equations.speedup core s m))
+            (fun m ->
+              let full = Equations.speedup core s m in
+              ok_finite i "Equations.speedup" full;
+              if not (same_result full (staged s m)) then
+                record i "Equations.speedup" "staged differs from full application")
             Mode.all;
           (match Equations.speedups core s with
           | Ok sps ->
@@ -120,13 +137,45 @@ let grid_case i g =
   in
   let freqs = axis () and coverages = axis () in
   let accel = Params.Factor (Tca_util.Faultgen.positive_adversarial g) in
-  match Grid.compute Presets.hp_core ~accel ~freqs ~coverages Mode.L_T with
+  let core = Presets.hp_core and mode = Mode.L_T in
+  match Grid.compute core ~accel ~freqs ~coverages mode with
   | Error _ -> ()
   | Ok grid ->
       Array.iter
         (Array.iter (fun c ->
              if not (Float.is_nan c) then finite i "Grid.cell" c))
         grid.Grid.cells;
+      (* Every cell is the fully applied model at its point (NaN where
+         infeasible or failed), and the failures are its errors in
+         row-major order. *)
+      let expected_failures = ref [] in
+      Array.iteri
+        (fun row a ->
+          Array.iteri
+            (fun col v ->
+              let want =
+                if v <= 0.0 || a <= 0.0 || a < v then Float.nan
+                else
+                  match
+                    Result.bind (Params.scenario ~a ~v ~accel ()) (fun s ->
+                        Equations.speedup core s mode)
+                  with
+                  | Ok sp -> sp
+                  | Error d ->
+                      expected_failures := ((row, col), d) :: !expected_failures;
+                      Float.nan
+              in
+              if not (same_float want grid.Grid.cells.(row).(col)) then
+                record i "Grid.cell" (Printf.sprintf "(%d, %d) differs from the model" row col))
+            freqs)
+        coverages;
+      let render l =
+        List.map
+          (fun ((r, c), d) -> Printf.sprintf "(%d, %d) %s" r c (Tca_util.Diag.to_string d))
+          l
+      in
+      if render (List.rev !expected_failures) <> render grid.Grid.failures then
+        record i "Grid.failures" "failures differ from the per-cell errors";
       let rows = Array.length grid.Grid.cells in
       List.iter
         (fun ((r, c), _) ->

@@ -125,6 +125,92 @@ let test_scenario_of_granularity () =
     (Params.scenario_of_granularity ~a:0.4 ~g:Float.nan
        ~accel:(Params.Factor 3.0) ())
 
+(* [Params.scenario]'s checks written as a [let*] chain over the [Diag]
+   result checks: an independent oracle for the allocation-free chain,
+   which must return the same diagnostic (the first failing field) or
+   the same record. *)
+let reference_scenario ~drain ~config ~a ~v ~accel =
+  let open Diag.Syntax in
+  let non_negative field x = Result.map ignore (Diag.non_negative ~field x) in
+  let count field n = Result.map ignore (Diag.positive_int ~field n) in
+  let* a = Diag.in_range ~field:"Params.scenario.a" ~lo:0.0 ~hi:1.0 a in
+  let* v = Diag.non_negative ~field:"Params.scenario.v" v in
+  let* () =
+    if v > 0.0 && a < v then
+      Error
+        (Diag.Domain
+           { field = "Params.scenario granularity a/v"; lo = 1.0;
+             hi = infinity; actual = a /. v })
+    else Ok ()
+  in
+  let* () =
+    match accel with
+    | Params.Factor f ->
+        Result.map ignore (Diag.positive ~field:"Params.scenario.accel factor" f)
+    | Params.Latency l -> non_negative "Params.scenario.accel latency" l
+  in
+  let* () =
+    match drain with
+    | Tca_interval.Drain.Fixed t -> non_negative "Params.scenario.drain" t
+    | Tca_interval.Drain.Auto | Tca_interval.Drain.Refill_aware -> Ok ()
+  in
+  let* () =
+    match config with
+    | Params.No_config -> Ok ()
+    | Params.Sync t -> non_negative "Params.config Sync t_config" t
+    | Params.Queued { t_config; depth } ->
+        let* () = non_negative "Params.config Queued t_config" t_config in
+        count "Params.config Queued depth" depth
+    | Params.Preprogrammed { t_config; invocations } ->
+        let* () =
+          non_negative "Params.config Preprogrammed t_config" t_config
+        in
+        count "Params.config Preprogrammed invocations" invocations
+  in
+  Ok { Params.a; v; accel; drain; config }
+
+let test_scenario_checks_match_reference () =
+  let floats = [ Float.nan; Float.infinity; Float.neg_infinity; -0.5; 0.0; 0.3; 1.0; 1.5 ] in
+  let accels =
+    List.concat_map (fun x -> [ Params.Factor x; Params.Latency x ]) floats
+  in
+  let drains =
+    [ Tca_interval.Drain.Auto; Tca_interval.Drain.Refill_aware ]
+    @ List.map (fun x -> Tca_interval.Drain.Fixed x) [ Float.nan; -1.0; 10.0 ]
+  in
+  let configs =
+    Params.No_config
+    :: List.concat_map
+         (fun (x, n) ->
+           [
+             Params.Sync x;
+             Params.Queued { t_config = x; depth = n };
+             Params.Preprogrammed { t_config = x; invocations = n };
+           ])
+         [ (Float.nan, 1); (-1.0, 4); (3.0, 0); (3.0, 2) ]
+  in
+  let compared = ref 0 in
+  List.iter (fun a ->
+      List.iter (fun v ->
+          List.iter (fun accel ->
+              List.iter (fun drain ->
+                  List.iter (fun config ->
+                      incr compared;
+                      let got = Params.scenario ~drain ~config ~a ~v ~accel () in
+                      let want = reference_scenario ~drain ~config ~a ~v ~accel in
+                      (* [compare] equates NaN with itself, unlike [=]. *)
+                      if compare got want <> 0 then
+                        Alcotest.failf "a=%g v=%g: got %s, want %s" a v
+                          (match got with Ok _ -> "Ok" | Error d -> Diag.to_string d)
+                          (match want with Ok _ -> "Ok" | Error d -> Diag.to_string d))
+                    configs)
+                drains)
+            accels)
+        floats)
+    floats;
+  Alcotest.(check int) "every combination compared"
+    (8 * 8 * 16 * 5 * 13) !compared
+
 let test_glossary () =
   Alcotest.(check int) "eight parameters (Table I + t_config)" 8
     (List.length Params.glossary)
@@ -757,6 +843,90 @@ let test_grid_no_failures_on_clean_sweep () =
   in
   Alcotest.(check int) "no recorded failures" 0 (List.length g.Grid.failures)
 
+(* The grid's definition, cell by cell: NaN where the point is
+   infeasible, else the fully applied [Params.scenario] and
+   [Equations.speedup], NaN and a recorded failure where either fails. *)
+let grid_oracle core ~accel ~freqs ~coverages mode =
+  let failures = ref [] in
+  let cells =
+    Array.mapi
+      (fun row a ->
+        Array.mapi
+          (fun col v ->
+            if v <= 0.0 || a <= 0.0 || a < v then Float.nan
+            else
+              match
+                Result.bind (Params.scenario ~a ~v ~accel ()) (fun s ->
+                    Equations.speedup core s mode)
+              with
+              | Ok sp -> sp
+              | Error d ->
+                  failures := ((row, col), d) :: !failures;
+                  Float.nan)
+          freqs)
+      coverages
+  in
+  (cells, List.rev !failures)
+
+let test_grid_matches_oracle () =
+  let hostile = [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.25 ] in
+  (* a > 1, a = v (0.001, 0.3) and a < v (0.001 < 0.3) all occur; the
+     subnormal v passes [Params.scenario] but overflows t_baseline, so
+     the speedup itself fails. *)
+  let freqs = Array.of_list (hostile @ [ Float.succ 0.0; 0.001; 0.3; 2.0 ]) in
+  let coverages = Array.of_list (hostile @ [ 1.5; 0.3; 0.001 ]) in
+  List.iter
+    (fun accel ->
+      List.iter
+        (fun mode ->
+          let g =
+            Diag.ok_exn (Grid.compute hp ~accel ~freqs ~coverages mode)
+          in
+          let cells, failures = grid_oracle hp ~accel ~freqs ~coverages mode in
+          let what =
+            (match accel with
+            | Params.Factor f -> Printf.sprintf "factor %g" f
+            | Params.Latency l -> Printf.sprintf "latency %g" l)
+            ^ " " ^ Mode.to_string mode
+          in
+          Array.iteri
+            (fun row want ->
+              Array.iteri
+                (fun col w ->
+                  Alcotest.(check int64)
+                    (Printf.sprintf "%s cell (%d, %d)" what row col)
+                    (Int64.bits_of_float w)
+                    (Int64.bits_of_float g.Grid.cells.(row).(col)))
+                want)
+            cells;
+          let render l =
+            List.map (fun ((r, c), d) -> Printf.sprintf "(%d, %d) %s" r c (Diag.to_string d)) l
+          in
+          Alcotest.(check (list string)) (what ^ " failures")
+            (render failures) (render g.Grid.failures))
+        Mode.all)
+    [ Params.Factor 0.0; Params.Factor Float.nan; Params.Latency (-1.0);
+      Params.Latency 40.0 ]
+
+(* A sweep point allocates its scenario, its interval times and its
+   boxed result: about 35 words a cell on this grid, infeasible cells
+   included. A return of the let* closures, of per-cell boxing or of the
+   per-point calibration pushes it past the bound: with a let* bind per
+   check a cell allocates about 146. *)
+let test_grid_allocation () =
+  let n = 64 in
+  let freqs = Tca_util.Sweep.logspace_exn 1e-4 0.5 n in
+  let coverages = Tca_util.Sweep.linspace_exn 0.01 0.99 n in
+  List.iter
+    (fun mode ->
+      let before = Gc.minor_words () in
+      ignore (Grid.compute hp ~accel:(Params.Factor 5.0) ~freqs ~coverages mode);
+      let per_cell = (Gc.minor_words () -. before) /. float_of_int (n * n) in
+      if per_cell > 40.0 then
+        Alcotest.failf "%s: %.1f minor words per cell (bound 40)"
+          (Mode.to_string mode) per_cell)
+    Mode.all
+
 (* --- Sensitivity --- *)
 
 let test_sensitivity_delta_domain () =
@@ -770,6 +940,32 @@ let test_sensitivity_delta_domain () =
         (List.length Sensitivity.all_parameters)
         (List.length swings)
   | Error _ -> Alcotest.fail "default delta valid"
+
+(* Scaling any parameter by 1.0 must leave the scenario, configuration
+   cost included, as it was. *)
+let test_sensitivity_identity_keeps_config () =
+  List.iter
+    (fun config ->
+      let s =
+        Params.scenario_exn ~config ~a:0.4 ~v:0.004
+          ~accel:(Params.Latency 40.0) ()
+      in
+      List.iteri
+        (fun i param ->
+          let c', s' = Diag.ok_exn (Sensitivity.perturb hp s param 1.0) in
+          List.iter
+            (fun m ->
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "parameter %d x1.0 %s" i (Mode.to_string m))
+                (Equations.speedup_exn hp s m)
+                (Equations.speedup_exn c' s' m))
+            Mode.all)
+        Sensitivity.all_parameters)
+    [
+      Params.Sync 200.0;
+      Params.Queued { t_config = 400.0; depth = 4 };
+      Params.Preprogrammed { t_config = 2000.0; invocations = 10 };
+    ]
 
 (* --- Partial --- *)
 
@@ -881,6 +1077,8 @@ let () =
         [
           Alcotest.test_case "core validation" `Quick test_core_validation;
           Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
+          Alcotest.test_case "scenario checks match Diag's" `Quick
+            test_scenario_checks_match_reference;
           Alcotest.test_case "granularity" `Quick test_granularity;
           Alcotest.test_case "scenario_of_granularity" `Quick test_scenario_of_granularity;
           Alcotest.test_case "glossary" `Quick test_glossary;
@@ -950,10 +1148,15 @@ let () =
           Alcotest.test_case "empty axis" `Quick test_grid_empty_axis;
           Alcotest.test_case "clean sweep has no failures" `Quick
             test_grid_no_failures_on_clean_sweep;
+          Alcotest.test_case "cells match the fully applied model" `Quick
+            test_grid_matches_oracle;
+          Alcotest.test_case "allocation per cell" `Quick test_grid_allocation;
         ] );
       ( "sensitivity",
         [
           Alcotest.test_case "delta domain" `Quick test_sensitivity_delta_domain;
+          Alcotest.test_case "x1.0 keeps the configuration cost" `Quick
+            test_sensitivity_identity_keeps_config;
         ] );
       ( "partial",
         [
