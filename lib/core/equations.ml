@@ -25,30 +25,31 @@ let config_overhead (config : Params.config_cost) ~base =
 (* Extreme-but-valid inputs (v = 1e-300, latency = 1e308, ...) can push an
    intermediate time to infinity; checking the computed record keeps the
    [Ok ==> finite] contract without re-deriving overflow conditions. The
-   first non-finite field, in record order, is the diagnostic; a record
-   that passes allocates nothing. *)
-let non_finite field value = Some (Diag.Non_finite { field; value })
-
+   first non-finite field, in record order, is the diagnostic. Each
+   field is tested inline and only a failing one asks [Diag] for its
+   diagnostic, so a record that passes makes no call and allocates
+   nothing. *)
 let check_times t =
   if not (Float.is_finite t.t_baseline) then
-    non_finite "Equations.t_baseline" t.t_baseline
+    Diag.finite_error ~field:"Equations.t_baseline" t.t_baseline
   else if not (Float.is_finite t.t_accl) then
-    non_finite "Equations.t_accl" t.t_accl
+    Diag.finite_error ~field:"Equations.t_accl" t.t_accl
   else if not (Float.is_finite t.t_non_accl) then
-    non_finite "Equations.t_non_accl" t.t_non_accl
+    Diag.finite_error ~field:"Equations.t_non_accl" t.t_non_accl
   else if not (Float.is_finite t.t_drain) then
-    non_finite "Equations.t_drain" t.t_drain
+    Diag.finite_error ~field:"Equations.t_drain" t.t_drain
   else if not (Float.is_finite t.t_rob_fill) then
-    non_finite "Equations.t_rob_fill" t.t_rob_fill
+    Diag.finite_error ~field:"Equations.t_rob_fill" t.t_rob_fill
   else if not (Float.is_finite t.t_commit) then
-    non_finite "Equations.t_commit" t.t_commit
+    Diag.finite_error ~field:"Equations.t_commit" t.t_commit
   else
     match t.config with
     | Params.No_config -> None
     | Params.Sync c
     | Params.Queued { t_config = c; _ }
     | Params.Preprogrammed { t_config = c; _ } ->
-        if Float.is_finite c then None else non_finite "Equations.t_config" c
+        if Float.is_finite c then None
+        else Diag.finite_error ~field:"Equations.t_config" c
 
 (* Staged on the core: the power-law fit, the full-window drain and the
    ROB refill time depend on the core alone, so a sweep computes them
@@ -85,7 +86,7 @@ let interval_times core =
              hi = infinity; actual = s.v })
     else
       let t = times s in
-      match check_times t with None -> Ok t | Some d -> Error d
+      Diag.checked t (check_times t)
 
 let time_of_times (t : times) (mode : Mode.t) =
   let base =
@@ -214,24 +215,24 @@ type composed_times = {
 (* As [check_times]: the first non-finite term, in the order below. *)
 let check_composed t =
   if not (Float.is_finite t.c_baseline) then
-    non_finite "Equations.c_baseline" t.c_baseline
+    Diag.finite_error ~field:"Equations.c_baseline" t.c_baseline
   else if not (Float.is_finite t.c_non_accl) then
-    non_finite "Equations.c_non_accl" t.c_non_accl
+    Diag.finite_error ~field:"Equations.c_non_accl" t.c_non_accl
   else if not (Float.is_finite t.c_accl_total) then
-    non_finite "Equations.c_accl_total" t.c_accl_total
+    Diag.finite_error ~field:"Equations.c_accl_total" t.c_accl_total
   else if not (Float.is_finite t.c_drain) then
-    non_finite "Equations.c_drain" t.c_drain
+    Diag.finite_error ~field:"Equations.c_drain" t.c_drain
   else if not (Float.is_finite t.c_contend) then
-    non_finite "Equations.c_contend" t.c_contend
+    Diag.finite_error ~field:"Equations.c_contend" t.c_contend
   else if not (Float.is_finite t.c_cfg_add) then
-    non_finite "Equations.c_cfg_add" t.c_cfg_add
+    Diag.finite_error ~field:"Equations.c_cfg_add" t.c_cfg_add
   else if not (Float.is_finite t.c_cfg_floor) then
-    non_finite "Equations.c_cfg_floor" t.c_cfg_floor
+    Diag.finite_error ~field:"Equations.c_cfg_floor" t.c_cfg_floor
   else
     List.find_map
       (fun (_, tl) ->
         if Float.is_finite tl then None
-        else non_finite "Equations.c_unit_terms" tl)
+        else Diag.finite_error ~field:"Equations.c_unit_terms" tl)
       t.c_unit_terms
 
 let composed_v_total (c : Params.composition) =
@@ -310,7 +311,7 @@ let composed_times (core : Params.core) =
           c_commit = core.commit_stall; c_v_total = v_total; c_v_drain;
           c_contend; c_unit_terms; c_cfg_add; c_cfg_floor }
       in
-      match check_composed t with None -> Ok t | Some d -> Error d
+      Diag.checked t (check_composed t)
 
 let composed_time_of_times (t : composed_times) (mode : Mode.t) =
   (* Σ_i v_i · max(0, over(t_accl_i)): the per-unit generalization of

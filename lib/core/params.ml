@@ -55,69 +55,62 @@ let core ?(commit_stall = 5.0) ?(drain_beta = 2.0) ~ipc ~rob_size ~issue_width
   let* drain_beta = Diag.positive ~field:"Params.core.drain_beta" drain_beta in
   Ok { ipc; rob_size; issue_width; commit_stall; drain_beta }
 
-(* The per-point checks. Each returns the first failing field's
-   diagnostic, or [None]: written as if/else-if chains so that a point
-   that passes allocates nothing, with the diagnostic built only in the
-   failing branch. A float check rejects NaN and infinities first, as
-   [Diag.in_range] does. *)
-let non_finite field value = Some (Diag.Non_finite { field; value })
-let outside field ~lo ~hi actual = Some (Diag.Domain { field; lo; hi; actual })
-
-let non_negative_error field x =
-  if not (Float.is_finite x) then non_finite field x
-  else if x < 0.0 then outside field ~lo:0.0 ~hi:infinity x
-  else None
-
-let count_error field n =
-  if n < 1 then outside field ~lo:1.0 ~hi:infinity (float_of_int n) else None
-
-(* [what] names the constructor in the diagnostic. *)
-let coverage_error what ~a ~v =
-  if not (Float.is_finite a) then non_finite ("Params." ^ what ^ ".a") a
-  else if a < 0.0 || a > 1.0 then
-    outside ("Params." ^ what ^ ".a") ~lo:0.0 ~hi:1.0 a
-  else if not (Float.is_finite v) then non_finite ("Params." ^ what ^ ".v") v
-  else if v < 0.0 then outside ("Params." ^ what ^ ".v") ~lo:0.0 ~hi:infinity v
-  else if v > 0.0 && a < v then
-    outside ("Params." ^ what ^ " granularity a/v") ~lo:1.0 ~hi:infinity
-      (a /. v)
-  else None
+(* The per-point checks, over [Diag]'s option-returning checks: each
+   returns the first failing field's diagnostic, or [None], so a point
+   that passes allocates nothing. *)
+let coverage_error ~a_field ~v_field ~g_field ~a ~v =
+  match Diag.range_error ~field:a_field ~lo:0.0 ~hi:1.0 a with
+  | Some _ as e -> e
+  | None -> (
+      match Diag.non_negative_error ~field:v_field v with
+      | Some _ as e -> e
+      | None ->
+          if v > 0.0 && a < v then
+            Some
+              (Diag.Domain
+                 { field = g_field; lo = 1.0; hi = infinity; actual = a /. v })
+          else None)
 
 let accel_error = function
-  | Factor f ->
-      if not (Float.is_finite f) then
-        non_finite "Params.scenario.accel factor" f
-      else if f <= 0.0 then
-        outside "Params.scenario.accel factor" ~lo:0.0 ~hi:infinity f
-      else None
-  | Latency l -> non_negative_error "Params.scenario.accel latency" l
+  | Factor f -> Diag.positive_error ~field:"Params.scenario.accel factor" f
+  | Latency l ->
+      Diag.non_negative_error ~field:"Params.scenario.accel latency" l
 
 let drain_error = function
-  | Tca_interval.Drain.Fixed t -> non_negative_error "Params.scenario.drain" t
+  | Tca_interval.Drain.Fixed t ->
+      Diag.non_negative_error ~field:"Params.scenario.drain" t
   | Tca_interval.Drain.Auto | Tca_interval.Drain.Refill_aware -> None
 
 let config_error = function
   | No_config -> None
-  | Sync t -> non_negative_error "Params.config Sync t_config" t
+  | Sync t -> Diag.non_negative_error ~field:"Params.config Sync t_config" t
   | Queued { t_config; depth } -> (
-      match non_negative_error "Params.config Queued t_config" t_config with
-      | None -> count_error "Params.config Queued depth" depth
+      match
+        Diag.non_negative_error ~field:"Params.config Queued t_config" t_config
+      with
+      | None ->
+          Diag.at_least_error ~field:"Params.config Queued depth" ~min:1 depth
       | e -> e)
   | Preprogrammed { t_config; invocations } -> (
       match
-        non_negative_error "Params.config Preprogrammed t_config" t_config
+        Diag.non_negative_error
+          ~field:"Params.config Preprogrammed t_config" t_config
       with
       | None ->
-          count_error "Params.config Preprogrammed invocations" invocations
+          Diag.at_least_error
+            ~field:"Params.config Preprogrammed invocations" ~min:1
+            invocations
       | e -> e)
 
-let checked x = function None -> Ok x | Some d -> Error d
-let validate_config c = checked c (config_error c)
+let validate_config c = Diag.checked c (config_error c)
 
 let scenario ?(drain = Tca_interval.Drain.Auto) ?(config = No_config) ~a ~v
     ~accel () =
-  checked { a; v; accel; drain; config }
-    (match coverage_error "scenario" ~a ~v with
+  Diag.checked { a; v; accel; drain; config }
+    (match
+       coverage_error ~a_field:"Params.scenario.a" ~v_field:"Params.scenario.v"
+         ~g_field:"Params.scenario granularity a/v" ~a ~v
+     with
     | Some _ as e -> e
     | None -> (
         match accel_error accel with
@@ -131,8 +124,12 @@ let scenario_exn ?drain ?config ~a ~v ~accel () =
   Diag.ok_exn (scenario ?drain ?config ~a ~v ~accel ())
 
 let unit_scenario ?(config = No_config) ~a ~v ~accel () =
-  checked ({ a; v; accel; config } : unit_scenario)
-    (match coverage_error "unit_scenario" ~a ~v with
+  Diag.checked ({ a; v; accel; config } : unit_scenario)
+    (match
+       coverage_error ~a_field:"Params.unit_scenario.a"
+         ~v_field:"Params.unit_scenario.v"
+         ~g_field:"Params.unit_scenario granularity a/v" ~a ~v
+     with
     | Some _ as e -> e
     | None -> (
         match accel_error accel with
@@ -171,7 +168,7 @@ let composition ?(drain = Tca_interval.Drain.Auto) ?(chained = 0.0)
   let* chained =
     Diag.in_range ~field:"Params.composition.chained" ~lo:0.0 ~hi:1.0 chained
   in
-  checked ({ units; chained; commit_port; drain } : composition)
+  Diag.checked ({ units; chained; commit_port; drain } : composition)
     (drain_error drain)
 
 let composition_exn ?drain ?chained ?commit_port ~units () =
@@ -197,11 +194,12 @@ let granularity s =
   else Ok (s.a /. s.v)
 
 let scenario_of_granularity ?drain ?config ~a ~g ~accel () =
-  let field = "Params.scenario_of_granularity.g" in
-  if not (Float.is_finite g) then Error (Diag.Non_finite { field; value = g })
-  else if g < 1.0 then
-    Error (Diag.Domain { field; lo = 1.0; hi = infinity; actual = g })
-  else scenario ?drain ?config ~a ~v:(a /. g) ~accel ()
+  match
+    Diag.range_error ~field:"Params.scenario_of_granularity.g" ~lo:1.0
+      ~hi:infinity g
+  with
+  | Some d -> Error d
+  | None -> scenario ?drain ?config ~a ~v:(a /. g) ~accel ()
 
 let pp_core fmt c =
   Format.fprintf fmt

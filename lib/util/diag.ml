@@ -61,32 +61,37 @@ let error_to_msg = function
   | Ok _ as ok -> ok
   | Result.Error d -> Result.Error (`Msg (to_string d))
 
-let finite ~field x =
-  if Float.is_finite x then Ok x else Result.Error (Non_finite { field; value = x })
+(* Inlined, so that a [finite] inlined into another module tests and
+   wraps its argument without boxing it a second time for this call. *)
+let[@inline] finite_error ~field x =
+  if Float.is_finite x then None else Some (Non_finite { field; value = x })
 
-let in_range ~field ~lo ~hi x =
-  if not (Float.is_finite x) then
-    Result.Error (Non_finite { field; value = x })
-  else if x < lo || x > hi then
-    Result.Error (Domain { field; lo; hi; actual = x })
-  else Ok x
+let range_error ~field ~lo ~hi x =
+  if not (Float.is_finite x) then Some (Non_finite { field; value = x })
+  else if x < lo || x > hi then Some (Domain { field; lo; hi; actual = x })
+  else None
 
-let positive ~field x =
-  if not (Float.is_finite x) then
-    Result.Error (Non_finite { field; value = x })
+let positive_error ~field x =
+  if not (Float.is_finite x) then Some (Non_finite { field; value = x })
   else if x <= 0.0 then
-    Result.Error (Domain { field; lo = 0.0; hi = infinity; actual = x })
-  else Ok x
+    Some (Domain { field; lo = 0.0; hi = infinity; actual = x })
+  else None
 
-let non_negative ~field x = in_range ~field ~lo:0.0 ~hi:infinity x
+let non_negative_error ~field x = range_error ~field ~lo:0.0 ~hi:infinity x
 
-let at_least ~field ~min n =
+let at_least_error ~field ~min n =
   if n < min then
-    Result.Error
+    Some
       (Domain { field; lo = float_of_int min; hi = infinity;
                 actual = float_of_int n })
-  else Ok n
+  else None
 
+let checked x = function None -> Ok x | Some d -> Result.Error d
+let finite ~field x = checked x (finite_error ~field x)
+let in_range ~field ~lo ~hi x = checked x (range_error ~field ~lo ~hi x)
+let positive ~field x = checked x (positive_error ~field x)
+let non_negative ~field x = checked x (non_negative_error ~field x)
+let at_least ~field ~min n = checked n (at_least_error ~field ~min n)
 let positive_int ~field n = at_least ~field ~min:1 n
 
 let non_empty ~field arr =

@@ -71,8 +71,21 @@ val error_to_msg : ('a, t) result -> ('a, [ `Msg of string ]) result
 
 (** {2 Checks}
 
-    Each check returns its argument on success so it can be chained with
-    [let*]. Float checks reject NaN and infinities first. *)
+    Each check has two forms. The [_error] form returns [None] when the
+    value passes, which allocates nothing, or [Some] diagnostic: a
+    per-point path chains these. The plain form is [checked] over it and
+    returns its argument on success, so it can be chained with [let*].
+    Float checks reject NaN and infinities first. *)
+
+val finite_error : field:string -> float -> t option
+val range_error : field:string -> lo:float -> hi:float -> float -> t option
+val positive_error : field:string -> float -> t option
+val non_negative_error : field:string -> float -> t option
+val at_least_error : field:string -> min:int -> int -> t option
+
+val checked : 'a -> t option -> ('a, t) result
+(** [checked x e] is [Ok x] when [e] is [None], else [Error] of [e]'s
+    diagnostic. *)
 
 val finite : field:string -> float -> (float, t) result
 val in_range : field:string -> lo:float -> hi:float -> float -> (float, t) result

@@ -45,15 +45,7 @@ let ok_finite case what = function
   | Ok v -> finite case what v
   | Error (_ : Tca_util.Diag.t) -> ()
 
-(* Bit-for-bit equal floats, or diagnostics that render alike. *)
 let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-
-let same_result a b =
-  match (a, b) with
-  | Ok x, Ok y -> same_float x y
-  | Error d, Error e ->
-      Tca_util.Diag.to_string d = Tca_util.Diag.to_string e
-  | _ -> false
 
 (* --- analytical-model layer --- *)
 
@@ -92,15 +84,8 @@ let model_case i g =
       | Ok s ->
           finite i "Params.scenario.a" s.Params.a;
           finite i "Params.scenario.v" s.Params.v;
-          (* The staged form must give the full application's result,
-             bit for bit, or the same diagnostic. *)
-          let staged = Equations.speedup core in
           List.iter
-            (fun m ->
-              let full = Equations.speedup core s m in
-              ok_finite i "Equations.speedup" full;
-              if not (same_result full (staged s m)) then
-                record i "Equations.speedup" "staged differs from full application")
+            (fun m -> ok_finite i "Equations.speedup" (Equations.speedup core s m))
             Mode.all;
           (match Equations.speedups core s with
           | Ok sps ->

@@ -129,6 +129,35 @@ let test_drain_refill_aware () =
   in
   Alcotest.(check bool) "zero" true (feq t 0.0)
 
+(* The staged drain returns the full-window path it computed once for
+   every interval of at least a window. It must equal, bit for bit, the
+   definition: l(min(window, interval)) capped to [0, t_non_accl], at
+   the window boundary and on hostile intervals and caps. *)
+let test_drain_auto_definition () =
+  let w = 256.0 in
+  let drain = Drain.time ~fit ~window:256 Drain.Auto in
+  List.iter
+    (fun interval_instrs ->
+      List.iter
+        (fun non_accl_time ->
+          let want =
+            Float.max 0.0
+              (Float.min
+                 (Power_law.critical_path fit (Float.min w interval_instrs))
+                 non_accl_time)
+          in
+          Alcotest.(check int64)
+            (Printf.sprintf "interval %h, t_non_accl %h" interval_instrs
+               non_accl_time)
+            (Int64.bits_of_float want)
+            (Int64.bits_of_float (drain ~interval_instrs ~non_accl_time)))
+        [ 1e9; 100.0; 0.0; Float.infinity; Float.nan ])
+    [
+      w; Float.pred w; Float.succ w; w -. 1.0; 64.0; 1e6; Float.nan;
+      Float.infinity;
+      Float.neg_infinity; 0.0; -0.0; -1.0;
+    ]
+
 let prop_drain_nonnegative_and_capped =
   qtest "drain in [0, t_non_accl]"
     QCheck.(
@@ -169,6 +198,8 @@ let () =
           Alcotest.test_case "auto short interval" `Quick test_drain_auto_short_interval;
           Alcotest.test_case "auto capped" `Quick test_drain_auto_capped;
           Alcotest.test_case "refill aware" `Quick test_drain_refill_aware;
+          Alcotest.test_case "auto definition, bit for bit"
+            `Quick test_drain_auto_definition;
           prop_drain_nonnegative_and_capped;
         ] );
     ]
